@@ -3,16 +3,21 @@
 The sweep walks the alpha grid once, warm-starting every orbit chain and
 the collision-angle estimation corpus from the previous grid point, so
 the per-point cost after the first is a couple of Newton steps per
-chain.  Emitted CSVs are fully deterministic: fixed column order, fixed
-float format, no timestamps.
+chain.  Table bounds come from ``geometry.table_bounds`` with its one
+phi_max observer, ``geometry._default_phi_observation``, given the
+sweep's warm-start cache: at the first grid point it solves each corpus
+word on its own, and from then on it warm-starts the corpus on one
+``TableAt`` snapshot per grid point, one batched chain solve per group
+of equal-length words.  Emitted CSVs are fully deterministic: fixed column
+order, fixed float format, no timestamps.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -20,15 +25,12 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError, LabConfig
-from .geometry import (PHI_PERIOD_CAP, PHI_SAMPLE_LENGTH, PHI_SAMPLE_WORDS,
-                       GeometryError, TableBounds, phi_max_from_observation,
-                       table_bounds)
+from .geometry import TableBounds, _default_phi_observation, table_bounds
 from .lyapunov import (f_derivative_sum, kdot_trace, lyapunov_bounds,
                        lyapunov_estimate, periodic_curvature_fixed_point,
                        propagate_curvature)
-from .symbolic import (ShadowingError, SolveError, Word, enumerate_cyclic_words,
-                       find_orbit_segment, find_periodic_orbit,
-                       orbit_alpha_derivatives, sample_itinerary)
+from .symbolic import (ShadowingError, SolveError, Word, find_orbit_segment,
+                       find_periodic_orbit, orbit_alpha_derivatives)
 
 SWEEP_HEADER = ("alpha,word_id,m,lambda_m,F_m,fd_slope,lower,upper,"
                 "max_udot,max_kdot,residual,cond")
@@ -82,47 +84,17 @@ class _BoundsSweeper:
     def __init__(self, family, phi_max_override=None):
         self.family = family
         self.override = phi_max_override
-        self._chains = {}
-        self._samples = [sample_itinerary(family.z0, PHI_SAMPLE_LENGTH, seed=s)
-                         for s in range(PHI_SAMPLE_WORDS)] \
-            if family.mode == "general" else []
-        self._cyclic = enumerate_cyclic_words(family.z0, PHI_PERIOD_CAP) \
-            if family.mode == "general" else []
+        self._observe = functools.partial(_default_phi_observation, cache={})
 
     def bounds(self, alpha: float) -> TableBounds:
         return table_bounds(self.family, alpha, phi_max_override=self.override,
                             phi_observer=self._observe)
 
-    def _observe(self, family, alpha):
-        best = 0.0
-        solved = 0
-        for word in self._cyclic:
-            key = ("cyc", word.symbols)
-            try:
-                orbit = find_periodic_orbit(word, family, alpha,
-                                            init=self._chains.get(key))
-            except SolveError:
-                self._chains.pop(key, None)
-                continue
-            self._chains[key] = np.asarray(orbit.chain_us)
-            solved += 1
-            best = max(best, max(r.phi for r in orbit.records))
-        for word in self._samples:
-            key = ("seg", word.symbols)
-            try:
-                orbit = find_orbit_segment(word, family, alpha, padding=8,
-                                           init=self._chains.get(key),
-                                           shadow_check=False)
-            except SolveError:
-                self._chains.pop(key, None)
-                continue
-            self._chains[key] = np.asarray(orbit.chain_us)
-            solved += 1
-            best = max(best, max(r.phi for r in orbit.records))
-        if solved == 0:
-            raise GeometryError(
-                "collision angle estimate failed: no orbit converged")
-        return best
+
+def _bounds_row(tb: TableBounds) -> BoundsRow:
+    lo, hi = lyapunov_bounds(tb)
+    return BoundsRow(tb.alpha, tb.d_min, tb.d_max, tb.kappa_min, tb.kappa_max,
+                     tb.phi_max, tb.k_min, tb.k_max, lo, hi)
 
 
 def solve_word(cfg: LabConfig, word: Word, alpha: float, init=None,
@@ -171,15 +143,6 @@ def _require_smoothness(cfg, need, what):
             f"table declares C^({r},{rp})")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("BILLIARD_LAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"BILLIARD_LAB_THREADS={raw!r} is not an integer")
-    return max(1, n)
-
-
 def _sweep_one_word(cfg, ident, word, grid, bounds_list):
     rows = {}
     failures = []
@@ -215,30 +178,16 @@ def run_sweep(cfg: LabConfig) -> SweepResult:
     grid = cfg.alpha_grid
     sweeper = _BoundsSweeper(cfg.family, cfg.phi_max)
     bounds_list = [sweeper.bounds(float(a)) for a in grid]
-    bounds_rows = []
-    for tb in bounds_list:
-        lo, hi = lyapunov_bounds(tb)
-        bounds_rows.append(BoundsRow(tb.alpha, tb.d_min, tb.d_max,
-                                     tb.kappa_min, tb.kappa_max, tb.phi_max,
-                                     tb.k_min, tb.k_max, lo, hi))
-
-    n_threads = _thread_count()
-    tasks = [(ident, word) for ident, word in cfg.words]
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            outcomes = list(pool.map(
-                lambda t: _sweep_one_word(cfg, t[0], t[1], grid, bounds_list),
-                tasks))
-    else:
-        outcomes = [_sweep_one_word(cfg, ident, word, grid, bounds_list)
-                    for ident, word in tasks]
+    bounds_rows = [_bounds_row(tb) for tb in bounds_list]
 
     all_rows = []
     failures = []
     cd_obs = 0.0
     ck_obs = 0.0
     per_word = {}
-    for (ident, _), (rows, fails, cd, ck) in zip(tasks, outcomes):
+    for ident, word in cfg.words:
+        rows, fails, cd, ck = _sweep_one_word(cfg, ident, word, grid,
+                                              bounds_list)
         failures.extend(fails)
         cd_obs = max(cd_obs, cd)
         ck_obs = max(ck_obs, ck)
@@ -251,10 +200,7 @@ def run_sweep(cfg: LabConfig) -> SweepResult:
                     / (next_row.alpha - prev_row.alpha)
             else:
                 slope = row.F_m
-            all_rows.append(SweepRow(row.alpha, row.word_id, row.m,
-                                     row.lambda_m, row.F_m, slope, row.lower,
-                                     row.upper, row.max_udot, row.max_kdot,
-                                     row.residual, row.cond))
+            all_rows.append(dataclasses.replace(row, fd_slope=slope))
         per_word[ident] = rows
 
     all_rows.sort(key=lambda r: (r.word_id, r.alpha))
@@ -369,14 +315,7 @@ def run_check(cfg: LabConfig):
     """Bounds and certificates across the grid (validation already ran
     at load time; this recomputes and reports)."""
     sweeper = _BoundsSweeper(cfg.family, cfg.phi_max)
-    bounds_rows = []
-    for a in cfg.alpha_grid:
-        tb = sweeper.bounds(float(a))
-        lo, hi = lyapunov_bounds(tb)
-        bounds_rows.append(BoundsRow(tb.alpha, tb.d_min, tb.d_max,
-                                     tb.kappa_min, tb.kappa_max, tb.phi_max,
-                                     tb.k_min, tb.k_max, lo, hi))
-    return bounds_rows
+    return [_bounds_row(sweeper.bounds(float(a))) for a in cfg.alpha_grid]
 
 
 def _fmt(value) -> str:

@@ -27,6 +27,7 @@ PHI_SAFETY = 0.99         # safety factor applied to the observed min cos(phi)
 PHI_PERIOD_CAP = 6        # periodic itineraries enumerated up to this period
 PHI_SAMPLE_WORDS = 100    # random itineraries drawn for the angle estimate
 PHI_SAMPLE_LENGTH = 40
+PHI_PADDING = 8           # pads on each side of a sampled open word
 
 
 class GeometryError(ValueError):
@@ -225,6 +226,54 @@ def partial_jet(family: DeformationFamily, obstacle_index: int, u, alpha: float,
         cy = _poly_eval(_poly_der(np.asarray(spec.center_y, float), dalpha_order), alpha)
         z = z + (cx + 1j * cy)
     return np.stack([np.real(z), np.imag(z)], axis=-1)
+
+
+class TableAt:
+    """The table frozen at one alpha, for jets at many boundary points.
+
+    Centre, complex axis values and rotation phase, and their first
+    alpha-derivatives, are evaluated once per obstacle; ``jet`` gathers
+    them by symbol for an array of boundary points of any shape.  The
+    arithmetic follows ``partial_jet`` operation for operation, so the
+    two agree bit for bit.  Arrays are indexed by the 1-based obstacle
+    symbol; row 0 is unused.  Alpha-derivative orders 0 and 1 are served.
+    """
+
+    def __init__(self, family: DeformationFamily, alpha: float):
+        family.check_alpha(alpha)
+        n = family.z0 + 1
+        self.p = np.zeros((2, n), complex)        # P_m(alpha)
+        self.iq = np.zeros((2, n), complex)       # i Q_m(alpha)
+        self.center = np.zeros((2, n), complex)   # d^m/dalpha^m of the centre
+        self.phase = np.ones(n, complex)          # e^{i psi}
+        self.center_xy = np.zeros((n, 2))
+        self.axes = np.ones((n, 2))               # semi-axes (A, B)
+        self.cos_sin = np.zeros((n, 2))           # (cos psi, sin psi)
+        for i, spec in enumerate(family.obstacles, start=1):
+            a, b, psi = spec.axes()
+            psiv = _poly_eval(psi, alpha)
+            self.phase[i] = np.exp(1j * psiv)
+            self.cos_sin[i] = math.cos(psiv), math.sin(psiv)
+            self.axes[i] = float(_poly_eval(a, alpha)), float(_poly_eval(b, alpha))
+            self.center_xy[i] = (float(_poly_eval(spec.center_x, alpha)),
+                                 float(_poly_eval(spec.center_y, alpha)))
+            for m in range(2):
+                p, q = _axis_polys(spec, m)
+                self.p[m, i] = _poly_eval(p, alpha)
+                self.iq[m, i] = 1j * _poly_eval(q, alpha)
+                cx = _poly_eval(_poly_der(np.asarray(spec.center_x, float), m), alpha)
+                cy = _poly_eval(_poly_der(np.asarray(spec.center_y, float), m), alpha)
+                self.center[m, i] = cx + 1j * cy
+
+    def jet(self, symbols, us, du_order: int, dalpha_order: int = 0) -> np.ndarray:
+        """d^l_u d^m_alpha of the embedding at ``us`` on obstacles
+        ``symbols`` (integer array of the same shape); shape us.shape + (2,)."""
+        shift = us + du_order * (np.pi / 2.0)
+        z = self.phase[symbols] * (self.p[dalpha_order][symbols] * np.cos(shift)
+                                   + self.iq[dalpha_order][symbols] * np.sin(shift))
+        if du_order == 0:
+            z = z + self.center[dalpha_order][symbols]
+        return np.stack([np.real(z), np.imag(z)], axis=-1)
 
 
 def eval_jet(family: DeformationFamily, obstacle_index: int, u, alpha: float,
@@ -450,31 +499,69 @@ class TableBounds:
     alpha: float = 0.0
 
 
-def _default_phi_observation(family: DeformationFamily, alpha: float) -> float:
+@lru_cache(maxsize=None)
+def _phi_corpus(z0: int):
+    """The angle-estimation words, grouped by (cyclic, length): every
+    primitive cycle up to PHI_PERIOD_CAP, then PHI_SAMPLE_WORDS open
+    words of length PHI_SAMPLE_LENGTH."""
+    from . import symbolic
+
+    groups = {}
+    for word in symbolic.enumerate_cyclic_words(z0, PHI_PERIOD_CAP):
+        groups.setdefault((True, len(word)), []).append(word)
+    groups[(False, PHI_SAMPLE_LENGTH)] = [
+        symbolic.sample_itinerary(z0, PHI_SAMPLE_LENGTH, seed=s)
+        for s in range(PHI_SAMPLE_WORDS)]
+    return tuple(tuple(words) for words in groups.values())
+
+
+def _default_phi_observation(family: DeformationFamily, alpha: float,
+                             cache: Optional[dict] = None) -> float:
+    """Largest collision angle over the corpus orbits at alpha.
+
+    ``cache`` maps a word to its last solved chain.  A word without one
+    is solved cold, on its own, by ``symbolic.find_periodic_orbit`` or
+    ``symbolic.find_orbit_segment``; the cached chains of each
+    (cyclic, length) group are warm-started together as one batch on a
+    ``TableAt`` snapshot.  Open words are padded by PHI_PADDING and only
+    their core angles count.  Every solved chain goes back into the
+    cache; a chain that fails to converge or converges to a nonphysical
+    configuration is left out of the estimate and out of the cache.
+    """
     # orbit machinery lives above geometry; import late to keep layering simple
     from . import symbolic
 
-    best = 0.0
-    solved = 0
-    for word in symbolic.enumerate_cyclic_words(family.z0, PHI_PERIOD_CAP):
-        try:
-            orbit = symbolic.find_periodic_orbit(word, family, alpha)
-        except symbolic.SolveError:
+    if cache is None:
+        cache = {}          # a cold estimate keeps nothing
+    table = TableAt(family, alpha)
+    phis = []
+    for words in _phi_corpus(family.z0):
+        warm = [w for w in words if w in cache]
+        for word in [w for w in words if w not in cache]:
+            try:
+                if word.cyclic:
+                    orbit = symbolic.find_periodic_orbit(word, family, alpha)
+                else:
+                    orbit = symbolic.find_orbit_segment(
+                        word, family, alpha, padding=PHI_PADDING,
+                        shadow_check=False)
+            except symbolic.SolveError:
+                continue
+            cache[word] = np.asarray(orbit.chain_us)
+            phis.append(max(r.phi for r in orbit.records))
+        if not warm:
             continue
-        solved += 1
-        best = max(best, max(r.phi for r in orbit.records))
-    for s in range(PHI_SAMPLE_WORDS):
-        word = symbolic.sample_itinerary(family.z0, PHI_SAMPLE_LENGTH, seed=s)
-        try:
-            orbit = symbolic.find_orbit_segment(word, family, alpha, padding=8,
-                                                shadow_check=False)
-        except symbolic.SolveError:
-            continue
-        solved += 1
-        best = max(best, max(r.phi for r in orbit.records))
-    if solved == 0:
+        solutions = symbolic.max_collision_angles(
+            warm, table, PHI_PADDING, [cache[w] for w in warm])
+        for word, (chain, phi) in zip(warm, solutions):
+            if chain is None:
+                del cache[word]
+                continue
+            cache[word] = chain
+            phis.append(phi)
+    if not phis:
         raise GeometryError("collision angle estimate failed: no orbit converged")
-    return best
+    return max(phis)
 
 
 def phi_max_from_observation(phi_obs: float) -> float:

@@ -24,7 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import ReflectionRecord
-from .geometry import (DeformationFamily, GeometryError, curvature_partials,
+# partial_jet is not called here but stays bound: the benchmark's tracer
+# patches it at every binding site, and its tests check this one
+from .geometry import (DeformationFamily, TableAt, curvature_partials,  # noqa: F401
                        partial_jet)
 
 TOL_ORBIT = 1e-11       # convergence threshold on the sup-norm of the length gradient
@@ -150,22 +152,23 @@ def enumerate_cyclic_words(z0: int, max_period: int):
 
 @dataclass(frozen=True)
 class ChainEval:
-    length: float
+    """Length and derivatives of chains with leading (batch) shape S:
+    length S, grad and g_alpha S + (m,), hess S + (m, m).  ``degenerate``
+    (shape S) marks chains with coincident reflection points; their other
+    values are meaningless."""
+
+    length: np.ndarray
     grad: np.ndarray
     hess: Optional[np.ndarray]
     g_alpha: Optional[np.ndarray]
+    degenerate: np.ndarray
 
 
-def _node_jets(family, symbols, us, alpha, orders):
-    m = len(us)
-    out = {key: np.empty((m, 2)) for key in orders}
-    for i in set(symbols):
-        mask = np.asarray([s == i for s in symbols])
-        uu = us[mask]
-        for (lu, la) in orders:
-            out[(lu, la)][mask] = partial_jet(family, i, uu, alpha, lu, la,
-                                              checked=False)
-    return out
+_DEGENERATE = "degenerate chain: coincident reflection points"
+
+
+def _dot(a, b):
+    return np.einsum("...ij,...ij->...i", a, b)
 
 
 def _edge_index(m: int, cyclic: bool):
@@ -174,150 +177,213 @@ def _edge_index(m: int, cyclic: bool):
     return ia, ib
 
 
-def _chain_length(family, symbols, us, alpha, cyclic) -> float:
-    jets = _node_jets(family, symbols, us, alpha, [(0, 0)])
-    p = jets[(0, 0)]
-    ia, ib = _edge_index(len(us), cyclic)
-    return float(np.sqrt(((p[ib] - p[ia]) ** 2).sum(-1)).sum())
+def _chain_length(table, symbols, us, cyclic):
+    p = table.jet(symbols, us, 0, 0)
+    ia, ib = _edge_index(us.shape[-1], cyclic)
+    return np.sqrt(((p[..., ib, :] - p[..., ia, :]) ** 2).sum(-1)).sum(-1)
 
 
-def _chain_system(family, symbols, us, alpha, cyclic, want_hess=True,
+def _chain_system(table, symbols, us, cyclic, want_hess=True,
                   want_alpha=False) -> ChainEval:
-    orders = [(0, 0), (1, 0)]
-    if want_hess:
-        orders.append((2, 0))
-    if want_alpha:
-        orders += [(0, 1), (1, 1)]
-    jets = _node_jets(family, symbols, us, alpha, orders)
-    m = len(us)
-    p = jets[(0, 0)]
-    t = jets[(1, 0)]
-    ia, ib = _edge_index(m, cyclic)
-    v = p[ib] - p[ia]
+    """Chain length and its derivatives for chains of any leading shape;
+    ``symbols`` is an integer array shaped like ``us``."""
+    p = table.jet(symbols, us, 0, 0)
+    t = table.jet(symbols, us, 1, 0)
+    ia, ib = _edge_index(us.shape[-1], cyclic)
+    t_a, t_b = t[..., ia, :], t[..., ib, :]
+    v = p[..., ib, :] - p[..., ia, :]
     d = np.sqrt((v ** 2).sum(-1))
-    if np.min(d) < 1e-12:
-        raise SolveError("degenerate chain: coincident reflection points")
-    e = v / d[:, None]
-    e_ta = np.einsum("ij,ij->i", e, t[ia])
-    e_tb = np.einsum("ij,ij->i", e, t[ib])
+    degenerate = d.min(-1) < 1e-12
+    if degenerate.any():
+        # keep the division finite; callers drop these chains
+        d = np.where(np.expand_dims(degenerate, -1), 1.0, d)
+    e = v / d[..., None]
+    e_ta = _dot(e, t_a)
+    e_tb = _dot(e, t_b)
 
-    grad = np.zeros(m)
-    np.add.at(grad, ia, -e_ta)
-    np.add.at(grad, ib, e_tb)
+    grad = np.zeros(us.shape)
+    grad[..., ia] -= e_ta
+    grad[..., ib] += e_tb
 
     hess = None
     if want_hess:
-        u2 = jets[(2, 0)]
-        haa = ((t[ia] ** 2).sum(-1) - np.einsum("ij,ij->i", v, u2[ia])) / d \
-            - e_ta ** 2 / d
-        hbb = ((t[ib] ** 2).sum(-1) + np.einsum("ij,ij->i", v, u2[ib])) / d \
-            - e_tb ** 2 / d
-        hab = -np.einsum("ij,ij->i", t[ia], t[ib]) / d + e_ta * e_tb / d
-        hess = np.zeros((m, m))
-        np.add.at(hess, (ia, ia), haa)
-        np.add.at(hess, (ib, ib), hbb)
-        np.add.at(hess, (ia, ib), hab)
-        np.add.at(hess, (ib, ia), hab)
+        u2 = table.jet(symbols, us, 2, 0)
+        haa = ((t_a ** 2).sum(-1) - _dot(v, u2[..., ia, :])) / d - e_ta ** 2 / d
+        hbb = ((t_b ** 2).sum(-1) + _dot(v, u2[..., ib, :])) / d - e_tb ** 2 / d
+        hab = -_dot(t_a, t_b) / d + e_ta * e_tb / d
+        # tridiagonal (cyclic: plus corners), each entry the sum of its
+        # edge terms in edge order
+        hess = np.zeros(us.shape + us.shape[-1:])
+        hess[..., ia, ia] += haa
+        hess[..., ib, ib] += hbb
+        hess[..., ia, ib] += hab
+        hess[..., ib, ia] += hab
 
     g_alpha = None
     if want_alpha:
-        pa = jets[(0, 1)]
-        ta = jets[(1, 1)]
-        va = pa[ib] - pa[ia]
-        e_va = np.einsum("ij,ij->i", e, va)
-        ga_a = (-np.einsum("ij,ij->i", va, t[ia])
-                - np.einsum("ij,ij->i", v, ta[ia])) / d + e_ta * e_va / d
-        ga_b = (np.einsum("ij,ij->i", va, t[ib])
-                + np.einsum("ij,ij->i", v, ta[ib])) / d - e_tb * e_va / d
-        g_alpha = np.zeros(m)
-        np.add.at(g_alpha, ia, ga_a)
-        np.add.at(g_alpha, ib, ga_b)
+        pa = table.jet(symbols, us, 0, 1)
+        ta = table.jet(symbols, us, 1, 1)
+        va = pa[..., ib, :] - pa[..., ia, :]
+        e_va = _dot(e, va)
+        ga_a = (-_dot(va, t_a) - _dot(v, ta[..., ia, :])) / d + e_ta * e_va / d
+        ga_b = (_dot(va, t_b) + _dot(v, ta[..., ib, :])) / d - e_tb * e_va / d
+        g_alpha = np.zeros(us.shape)
+        g_alpha[..., ia] += ga_a
+        g_alpha[..., ib] += ga_b
 
-    return ChainEval(float(d.sum()), grad, hess, g_alpha)
+    return ChainEval(d.sum(-1), grad, hess, g_alpha, degenerate)
 
 
-def _seed_chain(family, symbols, alpha, cyclic) -> np.ndarray:
-    """Aim each reflection point at the midpoint of its neighbors' centers."""
-    from .geometry import _poly_eval
+def _seed_chain(table, symbols, cyclic) -> np.ndarray:
+    """Aim each reflection point at the midpoint of its neighbors' centers.
 
-    m = len(symbols)
-    centers = {}
-    for i in set(symbols):
-        spec = family.spec(i)
-        centers[i] = np.array([float(_poly_eval(spec.center_x, alpha)),
-                               float(_poly_eval(spec.center_y, alpha))])
-    us = np.empty(m)
-    for j, s in enumerate(symbols):
-        nbrs = []
-        if cyclic or j > 0:
-            nbrs.append(symbols[(j - 1) % m])
-        if cyclic or j < m - 1:
-            nbrs.append(symbols[(j + 1) % m])
-        target = np.mean([centers[n] for n in nbrs], axis=0)
-        w = target - centers[s]
-        spec = family.spec(s)
-        a, b, psi = spec.axes()
-        psiv = float(_poly_eval(psi, alpha))
-        cp, sp = math.cos(psiv), math.sin(psiv)
-        wx = cp * w[0] + sp * w[1]
-        wy = -sp * w[0] + cp * w[1]
-        us[j] = math.atan2(float(_poly_eval(b, alpha)) * wy,
-                           float(_poly_eval(a, alpha)) * wx)
-    return us
+    ``symbols`` is an integer array of any leading shape."""
+    symbols = np.asarray(symbols)
+    c = table.center_xy[symbols]
+    prev = np.roll(c, 1, axis=-2)
+    succ = np.roll(c, -1, axis=-2)
+    target = (prev + succ) / 2.0
+    if not cyclic:
+        target[..., 0, :] = succ[..., 0, :]
+        target[..., -1, :] = prev[..., -1, :]
+    w = target - c
+    rot = table.cos_sin[symbols]
+    cp, sp = rot[..., 0], rot[..., 1]
+    axes = table.axes[symbols]
+    wx = (cp * w[..., 0] + sp * w[..., 1]) * axes[..., 0]
+    wy = (-sp * w[..., 0] + cp * w[..., 1]) * axes[..., 1]
+    # math.atan2 per node: numpy's vectorized arctan2 may round differently
+    return np.reshape([math.atan2(y, x) for y, x in
+                       zip(wy.ravel().tolist(), wx.ravel().tolist())],
+                      symbols.shape)
 
 
-def _solve_chain(family, symbols, us0, alpha, cyclic, tol):
+def _newton_steps(hess, grad, mu):
+    """Damped Newton steps -(H + mu I)^-1 g for a batch, and a mask of the
+    chains whose damped Hessian is singular (their step is zero)."""
+    a = hess + mu[:, None, None] * np.eye(hess.shape[-1])
+    singular = np.zeros(len(a), bool)
+    try:
+        return np.linalg.solve(a, -grad[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(grad)
+        for b in range(len(a)):
+            try:
+                steps[b] = np.linalg.solve(a[b], -grad[b])
+            except np.linalg.LinAlgError:
+                singular[b] = True
+        return steps, singular
+
+
+def _escalate(mu):
+    return np.where(mu == 0.0, 1e-8, mu * 10.0)
+
+
+def _solve_chains(table, symbols, us0, cyclic, tol):
+    """Critical chains for a batch of equal-length chains.
+
+    ``symbols`` and ``us0`` have shape (B, m).  Every chain runs exactly
+    the iteration it would run alone: gradient descent with an Armijo
+    line search while its residual exceeds _GD_TRIGGER, then damped
+    Newton with its own damping mu.  Returns (us, residual, errors):
+    errors[b] is the SolveError chain b failed with, or None.
+    """
     us = np.array(us0, float)
-    ev = _chain_system(family, symbols, us, alpha, cyclic)
-    ginf = float(np.abs(ev.grad).max())
+    errors = [None] * len(us)
+    ev = _chain_system(table, symbols, us, cyclic)
+    length, grad, hess = ev.length, ev.grad, ev.hess
+    ginf = np.abs(grad).max(-1)
+    failed = ev.degenerate.copy()
+    for b in np.flatnonzero(failed):
+        errors[b] = SolveError(_DEGENERATE)
+
+    def evaluate(rows, cand):
+        """Evaluate candidates of chains ``rows``; degenerate ones fail.
+        Returns (evaluation, mask of the non-degenerate rows)."""
+        ev = _chain_system(table, symbols[rows], cand, cyclic)
+        for b in rows[ev.degenerate]:
+            errors[b] = SolveError(_DEGENERATE)
+        failed[rows[ev.degenerate]] = True
+        return ev, ~ev.degenerate
+
+    def accept(rows, cand, ev, keep, g_new):
+        us[rows] = cand[keep]
+        length[rows] = ev.length[keep]
+        grad[rows] = ev.grad[keep]
+        hess[rows] = ev.hess[keep]
+        ginf[rows] = g_new[keep]
 
     # crude seeds first descend the length directly
-    it = 0
-    while ginf > _GD_TRIGGER and it < 200:
-        it += 1
-        gsq = float(ev.grad @ ev.grad)
-        eta = 1.0 / (1.0 + ginf)
-        stepped = False
-        while eta > 1e-14:
-            cand = us - eta * ev.grad
-            if _chain_length(family, symbols, cand, alpha, cyclic) \
-                    < ev.length - 1e-4 * eta * gsq:
-                us = cand
-                ev = _chain_system(family, symbols, us, alpha, cyclic)
-                ginf = float(np.abs(ev.grad).max())
-                stepped = True
-                break
-            eta *= 0.5
-        if not stepped:
+    rows = np.flatnonzero(~failed & (ginf > _GD_TRIGGER))
+    for _ in range(200):
+        if not rows.size:
             break
-
-    mu = 0.0
-    for _ in range(80):
-        if ginf <= tol:
-            return us, ginf
-        accepted = False
-        for _ in range(15):
-            try:
-                step = np.linalg.solve(
-                    ev.hess + mu * np.eye(len(us)), -ev.grad)
-            except np.linalg.LinAlgError:
-                mu = 1e-8 if mu == 0.0 else mu * 10.0
-                continue
-            cand = us + step
-            ev_new = _chain_system(family, symbols, cand, alpha, cyclic)
-            ginf_new = float(np.abs(ev_new.grad).max())
-            if ginf_new < ginf or ginf_new <= tol:
-                us, ev, ginf = cand, ev_new, ginf_new
-                mu = 0.0 if mu < 1e-13 else mu * 0.25
-                accepted = True
+        gsq = np.array([g @ g for g in grad[rows]])
+        eta = 1.0 / (1.0 + ginf[rows])
+        cand = us[rows].copy()
+        stepped = np.zeros(rows.size, bool)
+        todo = np.arange(rows.size)
+        while True:
+            todo = todo[eta[todo] > 1e-14]
+            if not todo.size:
                 break
-            mu = 1e-8 if mu == 0.0 else mu * 10.0
-        if not accepted:
-            raise SolveError(
-                f"chain iteration stalled at residual {ginf:.3e}", ginf)
-    if ginf <= tol:
-        return us, ginf
-    raise SolveError(f"chain iteration did not converge: residual {ginf:.3e}", ginf)
+            r = rows[todo]
+            trial = us[r] - eta[todo, None] * grad[r]
+            ok = _chain_length(table, symbols[r], trial, cyclic) \
+                < length[r] - 1e-4 * eta[todo] * gsq[todo]
+            cand[todo[ok]] = trial[ok]
+            stepped[todo[ok]] = True
+            todo = todo[~ok]
+            eta[todo] *= 0.5
+        rows, cand = rows[stepped], cand[stepped]
+        ev, ok = evaluate(rows, cand)
+        rows = rows[ok]
+        accept(rows, cand, ev, ok, np.abs(ev.grad).max(-1))
+        rows = rows[ginf[rows] > _GD_TRIGGER]
+
+    mu = np.zeros(len(us))
+    live = np.flatnonzero(~failed)
+    for _ in range(80):
+        live = live[~(ginf[live] <= tol) & ~failed[live]]
+        if not live.size:
+            break
+        todo = live
+        for _ in range(15):
+            if not todo.size:
+                break
+            steps, singular = _newton_steps(hess[todo], grad[todo], mu[todo])
+            mu[todo[singular]] = _escalate(mu[todo[singular]])
+            r = todo[~singular]
+            cand = us[r] + steps[~singular]
+            ev, ok = evaluate(r, cand)
+            g_new = np.abs(ev.grad).max(-1)
+            good = ok & ((g_new < ginf[r]) | (g_new <= tol))
+            a = r[good]
+            accept(a, cand, ev, good, g_new)
+            mu[a] = np.where(mu[a] < 1e-13, 0.0, mu[a] * 0.25)
+            rejected = r[ok & ~good]
+            mu[rejected] = _escalate(mu[rejected])
+            todo = np.sort(np.concatenate([todo[singular], rejected]))
+        for b in todo:
+            errors[b] = SolveError(
+                f"chain iteration stalled at residual {ginf[b]:.3e}",
+                float(ginf[b]))
+        failed[todo] = True
+    for b in live[~(ginf[live] <= tol) & ~failed[live]]:
+        errors[b] = SolveError(
+            f"chain iteration did not converge: residual {ginf[b]:.3e}",
+            float(ginf[b]))
+    return us, ginf, errors
+
+
+def _solve_chain(table, symbols, us0, cyclic, tol):
+    """One chain: a batch of one through ``_solve_chains``; raises its
+    SolveError."""
+    us, residual, errors = _solve_chains(table, np.asarray(symbols)[None],
+                                         np.asarray(us0)[None], cyclic, tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return us[0], float(residual[0])
 
 
 @dataclass(frozen=True)
@@ -350,28 +416,40 @@ class BilliardOrbit:
             self.chain_us[self.core_start:self.core_start + len(self.records)])
 
 
-def _build_records(family, symbols, us, alpha, core_start, core_len, cyclic):
-    jets = _node_jets(family, symbols, us, alpha, [(0, 0), (1, 0), (2, 0)])
-    p = jets[(0, 0)]
-    t = jets[(1, 0)]
-    v2 = jets[(2, 0)]
+def _reflections(table, symbols, us, core_start, core_len, cyclic):
+    """Reflection geometry at the core nodes of chains of any leading
+    shape: points p and curvatures kappa at every node; flight lengths d
+    and outgoing cosines c_out at the core nodes; and a mask of the
+    chains whose core edges are all physical (each leaves its node
+    outward and enters its successor inward, not tangent)."""
+    p = table.jet(symbols, us, 0, 0)
+    t = table.jet(symbols, us, 1, 0)
+    v2 = table.jet(symbols, us, 2, 0)
     speed = np.sqrt((t ** 2).sum(-1))
-    n = np.stack([t[:, 1], -t[:, 0]], axis=-1) / speed[:, None]
-    kappa = (t[:, 0] * v2[:, 1] - t[:, 1] * v2[:, 0]) / speed ** 3
-    m = len(us)
+    n = np.stack([t[..., 1], -t[..., 0]], axis=-1) / speed[..., None]
+    kappa = (t[..., 0] * v2[..., 1] - t[..., 1] * v2[..., 0]) / speed ** 3
+    m = us.shape[-1]
     idxs = np.arange(core_start, core_start + core_len)
     succs = (idxs + 1) % m
     if not cyclic and np.any(succs == 0):
         raise SolveError("chain node without successor; cannot build records")
-    v = p[succs] - p[idxs]
+    v = p[..., succs, :] - p[..., idxs, :]
     d = np.sqrt((v ** 2).sum(-1))
-    e = v / d[:, None]
-    c_out = np.einsum("ij,ij->i", e, n[idxs])
-    c_in = np.einsum("ij,ij->i", e, n[succs])
-    if np.min(c_out) <= 1e-9 or np.max(c_in) >= -1e-9:
+    e = v / d[..., None]
+    c_out = _dot(e, n[..., idxs, :])
+    c_in = _dot(e, n[..., succs, :])
+    physical = ~((c_out.min(-1) <= 1e-9) | (c_in.max(-1) >= -1e-9))
+    return p, kappa, d, c_out, physical
+
+
+def _build_records(table, symbols, us, core_start, core_len, cyclic):
+    p, kappa, d, c_out, physical = _reflections(
+        table, np.asarray(symbols), us, core_start, core_len, cyclic)
+    if not physical:
         raise SolveError("chain converged to a nonphysical configuration "
                          "(a tangent or penetrating edge)")
     cum = np.concatenate([[0.0], np.cumsum(d[:-1])])
+    idxs = range(core_start, core_start + core_len)
     return tuple(
         ReflectionRecord(symbols[idx], float(us[idx]) % (2.0 * math.pi),
                          (float(p[idx][0]), float(p[idx][1])), float(cum[j]),
@@ -387,14 +465,14 @@ def find_periodic_orbit(word: Word, family: DeformationFamily, alpha: float,
         raise ValueError("find_periodic_orbit needs a cyclic word")
     if not is_admissible(word, family.z0):
         raise ValueError(f"word {word.label} is not admissible")
-    family.check_alpha(alpha)
+    table = TableAt(family, alpha)
     symbols = word.symbols
     us0 = np.asarray(init, float) if init is not None \
-        else _seed_chain(family, symbols, alpha, cyclic=True)
+        else _seed_chain(table, symbols, cyclic=True)
     if len(us0) != len(symbols):
         raise ValueError("init length must match the word length")
-    us, residual = _solve_chain(family, symbols, us0, alpha, True, tol)
-    records = _build_records(family, symbols, us, alpha, 0, len(symbols), True)
+    us, residual = _solve_chain(table, symbols, us0, True, tol)
+    records = _build_records(table, symbols, us, 0, len(symbols), True)
     return BilliardOrbit(word, alpha, records, residual, "periodic",
                          symbols, tuple(us), 0)
 
@@ -407,15 +485,15 @@ def _pad_symbols(symbols, padding):
     return tuple(left)
 
 
-def _segment_solve(word, family, alpha, padding, init, tol):
+def _segment_solve(word, table, padding, init, tol):
     symbols = _pad_symbols(word.symbols, padding)
     if init is not None:
         us0 = np.asarray(init, float)
         if len(us0) != len(symbols):
             raise ValueError("init length must match the padded chain length")
     else:
-        us0 = _seed_chain(family, symbols, alpha, cyclic=False)
-    us, residual = _solve_chain(family, symbols, us0, alpha, False, tol)
+        us0 = _seed_chain(table, symbols, cyclic=False)
+    us, residual = _solve_chain(table, symbols, us0, False, tol)
     return symbols, us, residual
 
 
@@ -436,34 +514,58 @@ def find_orbit_segment(word: Word, family: DeformationFamily, alpha: float,
         raise ValueError(f"word {word.label} is not admissible")
     if padding < 1:
         raise ValueError("padding must be at least 1")
-    family.check_alpha(alpha)
+    table = TableAt(family, alpha)
     m = len(word.symbols)
+    core = np.asarray(word.symbols)
 
-    symbols, us, residual = _segment_solve(word, family, alpha, padding, init, tol)
+    symbols, us, residual = _segment_solve(word, table, padding, init, tol)
     gap = math.nan
     core_start = padding
     if shadow_check and padding >= 8:
         deeper = padding + 4
-        outer_seed = _seed_chain(family, _pad_symbols(word.symbols, deeper),
-                                 alpha, cyclic=False)
+        outer_seed = _seed_chain(table, _pad_symbols(word.symbols, deeper),
+                                 cyclic=False)
         seed = np.concatenate([outer_seed[:4], us, outer_seed[-4:]])
-        symbols2, us2, residual2 = _segment_solve(word, family, alpha, deeper,
-                                                  seed, tol)
-        jets_a = _node_jets(family, symbols[padding:padding + m],
-                            us[padding:padding + m], alpha, [(0, 0)])
-        jets_b = _node_jets(family, symbols2[deeper:deeper + m],
-                            us2[deeper:deeper + m], alpha, [(0, 0)])
-        gap = float(np.sqrt(
-            ((jets_a[(0, 0)] - jets_b[(0, 0)]) ** 2).sum(-1)).max())
+        symbols2, us2, residual2 = _segment_solve(word, table, deeper, seed, tol)
+        gap = float(np.sqrt((
+            (table.jet(core, us[padding:padding + m], 0, 0)
+             - table.jet(core, us2[deeper:deeper + m], 0, 0)) ** 2).sum(-1)).max())
         if gap > TOL_SHADOW:
             raise ShadowingError(
                 f"core moved {gap:.3e} under deeper padding (tolerance "
                 f"{TOL_SHADOW:.1e}); word {word.label} at alpha = {alpha}")
         symbols, us, residual = symbols2, us2, residual2
         core_start = deeper
-    records = _build_records(family, symbols, us, alpha, core_start, m, False)
+    records = _build_records(table, symbols, us, core_start, m, False)
     return BilliardOrbit(word, alpha, records, residual, "segment",
                          symbols, tuple(us), core_start, gap)
+
+
+def max_collision_angles(words, table, padding: int, chains):
+    """Warm-start equal-length words of one kind as one batch.
+
+    Cyclic words are solved as periodic orbits, open words as segments
+    padded by ``padding`` without the shadowing check; ``chains`` holds
+    each word's starting chain, pads included.  Returns one (chain, phi)
+    per word: the solved chain and its largest collision angle over the
+    core, or (None, nan) when the solve failed or the chain is
+    nonphysical.
+    """
+    cyclic = words[0].cyclic
+    pad = 0 if cyclic else padding
+    symbols = np.array([_pad_symbols(w.symbols, pad) for w in words])
+    us, _, errors = _solve_chains(table, symbols, np.array(chains, float),
+                                  cyclic, TOL_ORBIT)
+    out = [(None, math.nan)] * len(words)
+    ok = np.flatnonzero([err is None for err in errors])
+    _, _, _, c_out, physical = _reflections(table, symbols[ok], us[ok], pad,
+                                            len(words[0]), cyclic)
+    for b, cosines, good in zip(ok, c_out, physical):
+        if good:
+            # math.acos as in the orbit records
+            phi = max(map(math.acos, np.minimum(1.0, cosines).tolist()))
+            out[b] = (us[b].copy(), phi)
+    return out
 
 
 @dataclass(frozen=True)
@@ -489,11 +591,14 @@ class AlphaDerivatives:
 def orbit_alpha_derivatives(orbit: BilliardOrbit,
                             family: DeformationFamily) -> AlphaDerivatives:
     symbols = orbit.chain_symbols
+    sym = np.asarray(symbols)
     us = np.asarray(orbit.chain_us)
     alpha = orbit.alpha
     cyclic = orbit.kind == "periodic"
-    ev = _chain_system(family, symbols, us, alpha, cyclic,
-                       want_hess=True, want_alpha=True)
+    table = TableAt(family, alpha)
+    ev = _chain_system(table, sym, us, cyclic, want_hess=True, want_alpha=True)
+    if ev.degenerate:
+        raise SolveError(_DEGENERATE, orbit.residual)
     cond = float(np.linalg.cond(ev.hess))
     if not cond < COND_LIMIT:
         raise SolveError(
@@ -501,9 +606,7 @@ def orbit_alpha_derivatives(orbit: BilliardOrbit,
             "implicit derivative rejected", orbit.residual)
     udot_full = np.linalg.solve(ev.hess, -ev.g_alpha)
 
-    jets = _node_jets(family, symbols, us, alpha,
-                      [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
-    p, t, u2, pa, ta = (jets[k] for k in
+    p, t, u2, pa, ta = (table.jet(sym, us, lu, la) for lu, la in
                         [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
     speed = np.sqrt((t ** 2).sum(-1))
     n = np.stack([t[:, 1], -t[:, 0]], axis=-1) / speed[:, None]

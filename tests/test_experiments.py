@@ -122,20 +122,6 @@ def test_run_sweep_rows_inside_bracket(small_cfg):
         assert r.lower - 1e-12 <= r.lambda_m <= r.upper + 1e-12
 
 
-def test_run_sweep_threaded_matches_serial(small_cfg, monkeypatch):
-    serial = run_sweep(small_cfg)
-    monkeypatch.setenv("BILLIARD_LAB_THREADS", "2")
-    threaded = run_sweep(small_cfg)
-    assert serial.rows == threaded.rows
-    assert serial.summary == threaded.summary
-
-
-def test_bad_thread_env_rejected(small_cfg, monkeypatch):
-    monkeypatch.setenv("BILLIARD_LAB_THREADS", "two")
-    with pytest.raises(ConfigError, match="BILLIARD_LAB_THREADS"):
-        run_sweep(small_cfg)
-
-
 def test_run_sweep_requires_c4_table(tmp_path):
     cfg = load_config(_write_cfg(tmp_path, SMALL + "\nsmoothness = [3, 2]\n"))
     with pytest.raises(ConfigError, match="smoothness"):

@@ -13,11 +13,15 @@ from hypothesis import strategies as st
 
 from billiard_lab import (AlphaRangeError, DeformationFamily, EclipseError,
                           GeometryError, ObstacleSpec, SmoothnessError,
-                          boundary_pair_extremes, check_no_eclipse, circle,
-                          curvature, curvature_partials, ellipse, eval_jet,
+                          SolveError, boundary_pair_extremes,
+                          check_no_eclipse, circle, curvature,
+                          curvature_partials, ellipse, eval_jet,
+                          find_orbit_segment, find_periodic_orbit,
                           lyapunov_bounds, outward_normal, partial_jet,
                           perimeter, phi_max_from_observation, table_bounds,
                           validate_family)
+from billiard_lab.experiments import _BoundsSweeper
+from billiard_lab.geometry import PHI_PADDING, TableAt, _phi_corpus
 
 from conftest import (growing_two_circle, static_three_circle,
                       static_two_circle, translate_two_circle)
@@ -111,6 +115,24 @@ def test_alpha_jets_match_finite_differences(u, alpha, lu, la):
     fd = (partial_jet(fam, 3, u, alpha + h, lu, la)
           - partial_jet(fam, 3, u, alpha - h, lu, la)) / (2.0 * h)
     np.testing.assert_allclose(got, fd, rtol=0, atol=5e-7)
+
+
+@pytest.mark.parametrize("cfg_name", ["breathe_cfg", "mixed_cfg"])
+def test_table_snapshot_jets_match_partial_jet(cfg_name, request):
+    fam = request.getfixturevalue(cfg_name).family
+    rng = np.random.default_rng(5)
+    symbols = rng.integers(1, fam.z0 + 1, (4, 9))
+    us = rng.uniform(0.0, 2.0 * math.pi, (4, 9))
+    for alpha in (0.0, 0.17, fam.alpha_max):
+        table = TableAt(fam, alpha)
+        for lu in range(3):
+            for la in range(2):
+                want = np.empty(us.shape + (2,))
+                for i in range(1, fam.z0 + 1):
+                    mask = symbols == i
+                    want[mask] = partial_jet(fam, i, us[mask], alpha, lu, la)
+                np.testing.assert_allclose(table.jet(symbols, us, lu, la),
+                                           want, rtol=0, atol=1e-14)
 
 
 def test_jet_orders_beyond_smoothness_raise():
@@ -274,6 +296,45 @@ def test_phi_override_wins():
     tb = table_bounds(static_three_circle(), 0.0, phi_max_override=0.3)
     assert tb.phi_max == 0.3
     assert tb.k_max == pytest.approx(0.25 + 2.0 / math.cos(0.3), abs=1e-12)
+
+
+def _phi_one_word_at_a_time(family, alpha, chains):
+    """The corpus solved word by word through the finders, warm-started
+    from ``chains`` and updating it."""
+    best = 0.0
+    for words in _phi_corpus(family.z0):
+        for word in words:
+            try:
+                if word.cyclic:
+                    orbit = find_periodic_orbit(word, family, alpha,
+                                                init=chains.get(word))
+                else:
+                    orbit = find_orbit_segment(word, family, alpha,
+                                               padding=PHI_PADDING,
+                                               init=chains.get(word),
+                                               shadow_check=False)
+            except SolveError:
+                chains.pop(word, None)
+                continue
+            chains[word] = np.asarray(orbit.chain_us)
+            best = max(best, max(r.phi for r in orbit.records))
+    return phi_max_from_observation(best)
+
+
+def test_sweeper_phi_max_equals_table_bounds(breathe_cfg, mixed_cfg):
+    # the sweeper's warm batches give exactly the word-by-word estimate;
+    # against the cold default observer, warm starts move phi_max by a
+    # few ulps (largest seen over the shipped grids: 8.6e-16 relative)
+    for cfg in (breathe_cfg, mixed_cfg):
+        sweeper = _BoundsSweeper(cfg.family)
+        chains = {}
+        for k, alpha in enumerate((0.0, 0.1, 0.2)):
+            warm = sweeper.bounds(alpha).phi_max
+            cold = table_bounds(cfg.family, alpha).phi_max
+            assert warm == _phi_one_word_at_a_time(cfg.family, alpha, chains)
+            if k == 0:
+                assert warm == cold
+            assert warm == pytest.approx(cold, rel=4e-15, abs=0)
 
 
 def test_phi_max_from_observation():

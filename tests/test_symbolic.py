@@ -13,8 +13,10 @@ from billiard_lab import (ShadowingError, SolveError, Word,
                           find_periodic_orbit, is_admissible,
                           orbit_alpha_derivatives, sample_itinerary,
                           theta_metric)
-from billiard_lab.symbolic import (_chain_length, _chain_system, _pad_symbols,
-                                   _seed_chain)
+from billiard_lab.geometry import PHI_PADDING, TableAt, _phi_corpus
+from billiard_lab.symbolic import (TOL_ORBIT, _chain_length, _chain_system,
+                                   _newton_steps, _pad_symbols, _seed_chain,
+                                   _solve_chains)
 
 from conftest import (growing_two_circle, static_three_circle,
                       static_two_circle, translate_two_circle)
@@ -122,41 +124,95 @@ def test_theta_metric_is_an_ultrametric(data):
 
 def test_chain_gradient_matches_finite_differences():
     fam = mixed_family()
-    symbols = (1, 2, 3, 1, 2)
-    us = _seed_chain(fam, symbols, 0.2, cyclic=True) \
+    table = TableAt(fam, 0.2)
+    symbols = np.array([1, 2, 3, 1, 2])
+    us = _seed_chain(table, symbols, cyclic=True) \
         + np.linspace(-0.05, 0.08, 5)
-    ev = _chain_system(fam, symbols, us, 0.2, True)
+    ev = _chain_system(table, symbols, us, True)
     h = 1e-6
     for j in range(len(us)):
         up, um = us.copy(), us.copy()
         up[j] += h
         um[j] -= h
-        fd = (_chain_length(fam, symbols, up, 0.2, True)
-              - _chain_length(fam, symbols, um, 0.2, True)) / (2.0 * h)
+        fd = (_chain_length(table, symbols, up, True)
+              - _chain_length(table, symbols, um, True)) / (2.0 * h)
         assert ev.grad[j] == pytest.approx(fd, abs=5e-9)
 
 
 @pytest.mark.parametrize("cyclic", [True, False])
 def test_chain_hessian_and_alpha_gradient_match_fd(cyclic):
     fam = mixed_family()
-    symbols = (1, 3, 2, 3, 1, 2)
+    table = TableAt(fam, 0.15)
+    symbols = np.array([1, 3, 2, 3, 1, 2])
     rng = np.random.default_rng(3)
-    us = _seed_chain(fam, symbols, 0.15, cyclic=cyclic) \
+    us = _seed_chain(table, symbols, cyclic=cyclic) \
         + rng.uniform(-0.05, 0.05, 6)
-    ev = _chain_system(fam, symbols, us, 0.15, cyclic, want_alpha=True)
+    ev = _chain_system(table, symbols, us, cyclic, want_alpha=True)
     h = 1e-6
     for j in range(len(us)):
         up, um = us.copy(), us.copy()
         up[j] += h
         um[j] -= h
-        col = (_chain_system(fam, symbols, up, 0.15, cyclic, want_hess=False).grad
-               - _chain_system(fam, symbols, um, 0.15, cyclic,
+        col = (_chain_system(table, symbols, up, cyclic, want_hess=False).grad
+               - _chain_system(table, symbols, um, cyclic,
                                want_hess=False).grad) / (2.0 * h)
         np.testing.assert_allclose(ev.hess[:, j], col, atol=2e-8)
-    ga = (_chain_system(fam, symbols, us, 0.15 + h, cyclic, want_hess=False).grad
-          - _chain_system(fam, symbols, us, 0.15 - h, cyclic,
-                          want_hess=False).grad) / (2.0 * h)
-    np.testing.assert_allclose(ev.g_alpha, ga, atol=2e-8)
+    shifted = [_chain_system(TableAt(fam, 0.15 + s), symbols, us, cyclic,
+                             want_hess=False).grad for s in (h, -h)]
+    np.testing.assert_allclose(ev.g_alpha, (shifted[0] - shifted[1]) / (2.0 * h),
+                               atol=2e-8)
+
+
+@pytest.mark.parametrize("cfg_name", ["breathe_cfg", "mixed_cfg"])
+@pytest.mark.parametrize("alpha", [0.0, 0.2, 0.4])
+def test_batched_corpus_solve_matches_one_chain_at_a_time(cfg_name, alpha,
+                                                           request):
+    fam = request.getfixturevalue(cfg_name).family
+    table = TableAt(fam, alpha)
+    neighbour = TableAt(fam, alpha + (0.01 if alpha < 0.2 else -0.01))
+    for words in _phi_corpus(fam.z0):
+        cyclic = words[0].cyclic
+        symbols = np.array([_pad_symbols(w.symbols, 0 if cyclic else PHI_PADDING)
+                            for w in words])
+        cold = _seed_chain(table, symbols, cyclic)
+        warm = _solve_chains(neighbour, symbols,
+                             _seed_chain(neighbour, symbols, cyclic), cyclic,
+                             TOL_ORBIT)[0]
+        for seeds in (cold, warm):
+            us, _, errors = _solve_chains(table, symbols, seeds, cyclic,
+                                          TOL_ORBIT)
+            assert sum(e is None for e in errors) >= len(words) - 1
+            for b in range(len(words)):
+                alone, _, error = _solve_chains(table, symbols[b:b + 1],
+                                                seeds[b:b + 1], cyclic,
+                                                TOL_ORBIT)
+                assert (errors[b] is None) == (error[0] is None)
+                if errors[b] is None:
+                    np.testing.assert_allclose(us[b], alone[0], rtol=0,
+                                               atol=1e-12)
+
+
+def test_only_the_bad_chain_of_a_batch_fails():
+    table = TableAt(static_three_circle(), 0.1)
+    symbols = np.array([[1, 2, 3], [1, 3, 2], [1, 1, 2], [2, 3, 1]])
+    us0 = _seed_chain(table, symbols, cyclic=True)
+    us0[2, :2] = 0.5          # two reflection points coincide
+    us0[3] = np.nan           # no step can lower the residual
+    us, residual, errors = _solve_chains(table, symbols, us0, True, TOL_ORBIT)
+    assert "degenerate" in str(errors[2])
+    assert "stalled" in str(errors[3])
+    for b in (0, 1):
+        assert errors[b] is None and residual[b] <= TOL_ORBIT
+        alone = _solve_chains(table, symbols[b:b + 1], us0[b:b + 1], True,
+                              TOL_ORBIT)[0]
+        np.testing.assert_array_equal(us[b], alone[0])
+
+
+def test_a_singular_damped_hessian_flags_only_its_chain():
+    hess = np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3)])
+    steps, singular = _newton_steps(hess, np.ones((3, 3)), np.zeros(3))
+    assert singular.tolist() == [False, True, False]
+    np.testing.assert_array_equal(steps[[0, 2]], [[-0.5] * 3, [-1.0] * 3])
 
 
 def test_pad_symbols_alternates_off_the_core():
