@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, LabConfig, load_config
+from .config import ConfigError, LabConfig, load_config, sample_tail
 from .dynamics import GrazingError
 from .experiments import (analyze_orbit, effective_burn_in, emit_outputs,
                           run_check, run_derivative, run_sweep, solve_word,
@@ -29,13 +29,8 @@ def _resolve_word(cfg: LabConfig, text: str, seed: int | None):
         if ident == text:
             return ident, word
     if text.startswith("sample:"):
-        parts = text.split(":")[1:]
-        if len(parts) == 1:
-            length, s = int(parts[0]), (cfg.seed if seed is None else seed)
-        elif len(parts) == 2:
-            length, s = int(parts[0]), int(parts[1])
-        else:
-            raise ConfigError(f"bad sample word {text!r}")
+        length, s = sample_tail(text, text.split(":")[1:],
+                                cfg.seed if seed is None else seed)
         word = sample_itinerary(cfg.family.z0, length, s)
         return f"sample:{length}:{s}", word
     word = Word.parse(text)

@@ -112,12 +112,18 @@ def _split_keys(entries: dict):
     return top, obstacles
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _poly(value, key):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if _is_number(value):
         return (float(value),)
-    if isinstance(value, list) and value \
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                    for v in value):
+    if isinstance(value, list) and value and all(map(_is_number, value)):
         return tuple(float(v) for v in value)
     raise ConfigError(f"{key} must be a number or a nonempty number list")
 
@@ -147,6 +153,22 @@ def _build_obstacle(idx: int, fields: dict) -> ObstacleSpec:
                         rotation=polys.get("rotation", (0.0,)))
 
 
+def sample_tail(text: str, tail: list, default_seed: int) -> tuple[int, int]:
+    """(length, seed) from the ``LENGTH[:SEED]`` tail of the sample spec
+    ``text``, already split on ':'; the seed defaults to ``default_seed``."""
+    if len(tail) == 1:
+        tail = [tail[0], default_seed]
+    if len(tail) != 2:
+        raise ConfigError(f"bad sample spec {text!r}")
+    try:
+        length, seed = (int(p) for p in tail)
+    except ValueError as exc:
+        raise ConfigError(f"bad sample spec {text!r}") from exc
+    if length < 1 or seed < 0:
+        raise ConfigError(f"sample spec {text!r} needs length >= 1, seed >= 0")
+    return length, seed
+
+
 def _expand_words(raw, z0: int, default_seed: int):
     if not isinstance(raw, list) or not raw \
             or not all(isinstance(w, str) for w in raw):
@@ -156,15 +178,14 @@ def _expand_words(raw, z0: int, default_seed: int):
         text = text.strip()
         if text.startswith("sample:"):
             parts = text.split(":")[1:]
-            if len(parts) == 2:
-                parts.append(str(default_seed))
-            if len(parts) != 3:
+            if len(parts) not in (2, 3):
                 raise ConfigError(f"bad sample spec {text!r}; "
                                   "expected sample:count:length[:seed]")
             try:
-                count, length, seed = (int(p) for p in parts)
+                count = int(parts[0])
             except ValueError as exc:
                 raise ConfigError(f"bad sample spec {text!r}") from exc
+            length, seed = sample_tail(text, parts[1:], default_seed)
             if count < 1 or length < 2:
                 raise ConfigError(f"sample spec {text!r} needs count >= 1, "
                                   "length >= 2")
@@ -208,11 +229,10 @@ def load_config(path, *, validate: bool = True) -> LabConfig:
 
     smoothness = top.get("smoothness", [5, 3])
     if not (isinstance(smoothness, list) and len(smoothness) == 2
-            and all(isinstance(v, int) for v in smoothness)):
+            and all(map(_is_integer, smoothness))):
         raise ConfigError("smoothness must be a [r, r'] integer pair")
     alpha_max = top["alpha_max"]
-    if not isinstance(alpha_max, (int, float)) or isinstance(alpha_max, bool) \
-            or not alpha_max > 0:
+    if not _is_number(alpha_max) or not alpha_max > 0:
         raise ConfigError("alpha_max must be a positive number")
 
     obstacles = tuple(_build_obstacle(i, obstacle_fields[i]) for i in indices)
@@ -226,35 +246,35 @@ def load_config(path, *, validate: bool = True) -> LabConfig:
     if not (isinstance(grid_spec, list) and len(grid_spec) == 3):
         raise ConfigError("alpha_grid must be [start, stop, count]")
     start, stop, count = grid_spec
-    if not isinstance(count, int) or count < 1:
+    if not _is_integer(count) or count < 1:
         raise ConfigError("alpha_grid count must be a positive integer")
-    if not 0.0 <= start <= stop <= family.alpha_max:
+    if not (_is_number(start) and _is_number(stop)
+            and 0.0 <= start <= stop <= family.alpha_max):
         raise ConfigError("alpha_grid must satisfy "
                           "0 <= start <= stop <= alpha_max")
     grid = np.linspace(float(start), float(stop), count)
 
     seed = top.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     words = _expand_words(top["words"], family.z0, seed)
 
-    tol_orbit = float(top.get("tol_orbit", TOL_ORBIT))
-    if not 0.0 < tol_orbit <= 1e-6:
+    tol_orbit = top.get("tol_orbit", TOL_ORBIT)
+    if not (_is_number(tol_orbit) and 0.0 < tol_orbit <= 1e-6):
         raise ConfigError("tol_orbit must lie in (0, 1e-6]")
     padding = top.get("padding", 12)
-    if not isinstance(padding, int) or padding < 1:
+    if not _is_integer(padding) or padding < 1:
         raise ConfigError("padding must be a positive integer")
     burn_in = top.get("burn_in", 10)
-    if not isinstance(burn_in, int) or burn_in < 0:
+    if not _is_integer(burn_in) or burn_in < 0:
         raise ConfigError("burn_in must be a nonnegative integer")
-    h_fd = float(top.get("h_fd", 1e-6))
-    if not 1e-7 <= h_fd <= 1e-4:
+    h_fd = top.get("h_fd", 1e-6)
+    if not (_is_number(h_fd) and 1e-7 <= h_fd <= 1e-4):
         raise ConfigError("h_fd must lie in [1e-7, 1e-4]")
     phi_max = top.get("phi_max")
-    if phi_max is not None:
-        phi_max = float(phi_max)
-        if not 0.0 <= phi_max < math.pi / 2:
-            raise ConfigError("phi_max must lie in [0, pi/2)")
+    if phi_max is not None and not (_is_number(phi_max)
+                                    and 0.0 <= phi_max < math.pi / 2):
+        raise ConfigError("phi_max must lie in [0, pi/2)")
     output_dir = top.get("output_dir", "results")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir must be a nonempty string")
@@ -262,5 +282,6 @@ def load_config(path, *, validate: bool = True) -> LabConfig:
     if validate:
         validate_family(family)
 
-    return LabConfig(family, words, grid, tol_orbit, padding, burn_in, h_fd,
-                     phi_max, seed, output_dir)
+    return LabConfig(family, words, grid, float(tol_orbit), padding, burn_in,
+                     float(h_fd), None if phi_max is None else float(phi_max),
+                     seed, output_dir)

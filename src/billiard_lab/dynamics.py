@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (DeformationFamily, GeometryError, curvature,
-                       outward_normal, partial_jet)
+                       outward_normal, partial_jet, table_at)
 
 GRAZING_TOL = 1e-9        # |cos| of the incidence below which a hit is tangential
 _T_FLOOR_REL = 1e-9       # relative floor on flight time, scaled by the table gap
@@ -99,26 +99,12 @@ def _coarse_gap(family: DeformationFamily) -> float:
     pts = {}
     us = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     for i in range(1, family.z0 + 1):
-        pts[i] = partial_jet(family, i, us, 0.0, 0, 0, checked=False)
+        pts[i] = partial_jet(family, i, us, 0.0, 0, 0)
     for i in range(1, family.z0 + 1):
         for k in range(i + 1, family.z0 + 1):
             diff = pts[i][:, None, :] - pts[k][None, :, :]
             best = min(best, float(np.sqrt((diff ** 2).sum(-1)).min()))
     return best
-
-
-def _frame(spec, alpha: float):
-    from .geometry import _poly_eval
-
-    a, b, psi = spec.axes()
-    av = float(_poly_eval(a, alpha))
-    bv = float(_poly_eval(b, alpha))
-    psiv = float(_poly_eval(psi, alpha))
-    c = np.array([float(_poly_eval(spec.center_x, alpha)),
-                  float(_poly_eval(spec.center_y, alpha))])
-    cp, sp = math.cos(psiv), math.sin(psiv)
-    rot = np.array([[cp, sp], [-sp, cp]])
-    return c, rot, np.array([1.0 / av, 1.0 / bv])
 
 
 def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
@@ -130,7 +116,7 @@ def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
     out an immediate self re-hit, and skipping it avoids a spurious
     root at t = 0.
     """
-    family.check_alpha(alpha)
+    table = table_at(family, alpha)
     q = np.asarray(q, float)
     v = np.asarray(v, float)
     if t_floor is None:
@@ -141,7 +127,8 @@ def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
     for i in range(1, family.z0 + 1):
         if i == exclude:
             continue
-        c, rot, scale = _frame(family.spec(i), alpha)
+        # the frame in which obstacle i is the unit disc
+        c, rot, scale = table.center_xy[i], table.rotation[i], 1.0 / table.axes[i]
         qn = (rot @ (q - c)) * scale
         vn = (rot @ v) * scale
         aa = float(vn @ vn)
@@ -166,8 +153,8 @@ def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
     i, u = best
     t = best_t
     for _ in range(5):
-        p = partial_jet(family, i, u, alpha, 0, 0, checked=False)
-        tan = partial_jet(family, i, u, alpha, 1, 0, checked=False)
+        p = partial_jet(family, i, u, alpha, 0, 0)
+        tan = partial_jet(family, i, u, alpha, 1, 0)
         res = q + t * v - p
         if float(res @ res) < 1e-28:
             break
@@ -181,7 +168,7 @@ def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
 
     n = outward_normal(family, i, u, alpha)
     grazing = abs(float(v @ n)) < GRAZING_TOL
-    p = partial_jet(family, i, u, alpha, 0, 0, checked=False)
+    p = partial_jet(family, i, u, alpha, 0, 0)
     return Hit(i, float(u), float(t), (float(p[0]), float(p[1])), grazing)
 
 

@@ -7,7 +7,7 @@ chain.  Table bounds come from ``geometry.table_bounds`` with its one
 phi_max observer, ``geometry._default_phi_observation``, given the
 sweep's warm-start cache: at the first grid point it solves each corpus
 word on its own, and from then on it warm-starts the corpus on one
-``TableAt`` snapshot per grid point, one batched chain solve per group
+``table_at`` snapshot per grid point, one batched chain solve per group
 of equal-length words.  Emitted CSVs are fully deterministic: fixed column
 order, fixed float format, no timestamps.
 """
@@ -27,8 +27,7 @@ import numpy as np
 from .config import ConfigError, LabConfig
 from .geometry import TableBounds, _default_phi_observation, table_bounds
 from .lyapunov import (f_derivative_sum, kdot_trace, lyapunov_bounds,
-                       lyapunov_estimate, periodic_curvature_fixed_point,
-                       propagate_curvature)
+                       lyapunov_estimate)
 from .symbolic import (ShadowingError, SolveError, Word, find_orbit_segment,
                        find_periodic_orbit, orbit_alpha_derivatives)
 
@@ -125,10 +124,9 @@ def analyze_orbit(cfg: LabConfig, orbit, bounds: Optional[TableBounds] = None):
     report = lyapunov_estimate(orbit, burn_in=None if orbit.kind == "periodic"
                                else burn, bounds=bounds)
     derivs = orbit_alpha_derivatives(orbit, cfg.family)
-    if orbit.kind == "periodic":
-        trace = periodic_curvature_fixed_point(orbit)
-    else:
-        trace = propagate_curvature(orbit, 2.0 * orbit.records[0].kappa)
+    # the estimate ran with the default seed and window, so its trace
+    # covers every record, as kdot_trace needs
+    trace = report.trace
     kdot = kdot_trace(orbit, derivs, trace)
     F_m, f_dot = f_derivative_sum(orbit, derivs, trace, kdot, burn_in=burn)
     return {"report": report, "derivs": derivs, "trace": trace, "kdot": kdot,

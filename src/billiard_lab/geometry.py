@@ -28,6 +28,7 @@ PHI_PERIOD_CAP = 6        # periodic itineraries enumerated up to this period
 PHI_SAMPLE_WORDS = 100    # random itineraries drawn for the angle estimate
 PHI_SAMPLE_LENGTH = 40
 PHI_PADDING = 8           # pads on each side of a sampled open word
+TABLE_CACHE_SIZE = 256    # per-alpha snapshots kept by table_at
 
 
 class GeometryError(ValueError):
@@ -170,21 +171,20 @@ class DeformationFamily:
                 f"alpha = {alpha} outside the declared range [0, {self.alpha_max}]")
 
 
-@lru_cache(maxsize=None)
-def _axis_polys(spec: ObstacleSpec, dalpha_order: int):
-    """Complex alpha-polynomials P, Q with
+def _axis_polys(spec: ObstacleSpec, orders: int):
+    """Complex alpha-polynomials P_n, Q_n, n = 0..orders-1, with
 
-        d^n/da^n [e^{i psi}(A cos u + i B sin u)] = e^{i psi}(P cos u + i Q sin u),
+        d^n/da^n [e^{i psi}(A cos u + i B sin u)] = e^{i psi}(P_n cos u + i Q_n sin u),
 
     obtained from the recursion P_{n+1} = P_n' + i psi' P_n (and likewise Q)."""
     a, b, psi = spec.axes()
     psip = _poly_der(np.asarray(psi, float))
     p = np.asarray(a, complex)
     q = np.asarray(b, complex)
-    for _ in range(dalpha_order):
+    for _ in range(orders):
+        yield p, q
         p = _rot_step(p, psip)
         q = _rot_step(q, psip)
-    return p, q
 
 
 def _rot_step(c: np.ndarray, psip: np.ndarray) -> np.ndarray:
@@ -196,84 +196,92 @@ def _rot_step(c: np.ndarray, psip: np.ndarray) -> np.ndarray:
     return out
 
 
-def partial_jet(family: DeformationFamily, obstacle_index: int, u, alpha: float,
-                du_order: int, dalpha_order: int, *, checked: bool = True) -> np.ndarray:
-    """One mixed partial d^l_u d^m_alpha of the boundary embedding.
-
-    Returns an array of shape u.shape + (2,).  Orders above the declared
-    smoothness and alpha outside the declared range are refused.
-    """
-    if checked:
-        family.check_alpha(alpha)
-        r, rp = family.smoothness
-        if du_order < 0 or dalpha_order < 0:
-            raise GeometryError("jet orders must be nonnegative")
-        if du_order > r or dalpha_order > rp:
-            raise SmoothnessError(
-                f"jet order ({du_order},{dalpha_order}) exceeds the declared "
-                f"smoothness C^({r},{rp})")
-    spec = family.spec(obstacle_index)
-    p, q = _axis_polys(spec, dalpha_order)
-    pv = _poly_eval(p, alpha)
-    qv = _poly_eval(q, alpha)
-    _, _, psi = spec.axes()
-    phase = np.exp(1j * _poly_eval(psi, alpha))
-    uu = np.asarray(u, float)
-    shift = uu + du_order * (np.pi / 2.0)
-    z = phase * (pv * np.cos(shift) + 1j * qv * np.sin(shift))
-    if du_order == 0:
-        cx = _poly_eval(_poly_der(np.asarray(spec.center_x, float), dalpha_order), alpha)
-        cy = _poly_eval(_poly_der(np.asarray(spec.center_y, float), dalpha_order), alpha)
-        z = z + (cx + 1j * cy)
-    return np.stack([np.real(z), np.imag(z)], axis=-1)
+def _check_orders(family: DeformationFamily, du_order: int,
+                  dalpha_order: int) -> None:
+    r, rp = family.smoothness
+    if du_order < 0 or dalpha_order < 0:
+        raise GeometryError("jet orders must be nonnegative")
+    if du_order > r or dalpha_order > rp:
+        raise SmoothnessError(
+            f"jet order ({du_order},{dalpha_order}) exceeds the declared "
+            f"smoothness C^({r},{rp})")
 
 
 class TableAt:
-    """The table frozen at one alpha, for jets at many boundary points.
+    """The table frozen at one alpha: the only evaluator of the
+    alpha-polynomials.
 
-    Centre, complex axis values and rotation phase, and their first
-    alpha-derivatives, are evaluated once per obstacle; ``jet`` gathers
-    them by symbol for an array of boundary points of any shape.  The
-    arithmetic follows ``partial_jet`` operation for operation, so the
-    two agree bit for bit.  Arrays are indexed by the 1-based obstacle
-    symbol; row 0 is unused.  Alpha-derivative orders 0 and 1 are served.
+    Per obstacle it holds the complex axis values and the centre for
+    every alpha-derivative order 0..r', the rotation phase, and the
+    frame that maps the obstacle onto the unit disc (centre, semi-axes
+    (A, B), rotation by -psi).  ``jet`` gathers them by symbol for
+    boundary points of any shape.  Arrays are indexed by the 1-based
+    obstacle symbol (row 0 is unused) and are read-only, since
+    ``table_at`` shares one snapshot per (family, alpha).
     """
 
     def __init__(self, family: DeformationFamily, alpha: float):
         family.check_alpha(alpha)
         n = family.z0 + 1
-        self.p = np.zeros((2, n), complex)        # P_m(alpha)
-        self.iq = np.zeros((2, n), complex)       # i Q_m(alpha)
-        self.center = np.zeros((2, n), complex)   # d^m/dalpha^m of the centre
-        self.phase = np.ones(n, complex)          # e^{i psi}
+        orders = family.smoothness[1] + 1
+        self.p = np.zeros((orders, n), complex)        # P_m(alpha)
+        self.iq = np.zeros((orders, n), complex)       # i Q_m(alpha)
+        self.center = np.zeros((orders, n), complex)   # d^m/dalpha^m of the centre
+        self.phase = np.ones(n, complex)               # e^{i psi}
         self.center_xy = np.zeros((n, 2))
-        self.axes = np.ones((n, 2))               # semi-axes (A, B)
-        self.cos_sin = np.zeros((n, 2))           # (cos psi, sin psi)
+        self.axes = np.ones((n, 2))                    # semi-axes (A, B)
+        self.rotation = np.zeros((n, 2, 2))            # rotation by -psi
         for i, spec in enumerate(family.obstacles, start=1):
             a, b, psi = spec.axes()
             psiv = _poly_eval(psi, alpha)
             self.phase[i] = np.exp(1j * psiv)
-            self.cos_sin[i] = math.cos(psiv), math.sin(psiv)
+            cp, sp = math.cos(psiv), math.sin(psiv)
+            self.rotation[i] = (cp, sp), (-sp, cp)
             self.axes[i] = float(_poly_eval(a, alpha)), float(_poly_eval(b, alpha))
             self.center_xy[i] = (float(_poly_eval(spec.center_x, alpha)),
                                  float(_poly_eval(spec.center_y, alpha)))
-            for m in range(2):
-                p, q = _axis_polys(spec, m)
+            for m, (p, q) in enumerate(_axis_polys(spec, orders)):
                 self.p[m, i] = _poly_eval(p, alpha)
                 self.iq[m, i] = 1j * _poly_eval(q, alpha)
                 cx = _poly_eval(_poly_der(np.asarray(spec.center_x, float), m), alpha)
                 cy = _poly_eval(_poly_der(np.asarray(spec.center_y, float), m), alpha)
                 self.center[m, i] = cx + 1j * cy
+        for arr in (self.p, self.iq, self.center, self.phase, self.center_xy,
+                    self.axes, self.rotation):
+            arr.flags.writeable = False
 
     def jet(self, symbols, us, du_order: int, dalpha_order: int = 0) -> np.ndarray:
         """d^l_u d^m_alpha of the embedding at ``us`` on obstacles
-        ``symbols`` (integer array of the same shape); shape us.shape + (2,)."""
+        ``symbols`` (one symbol, or an integer array shaped like ``us``);
+        shape us.shape + (2,)."""
         shift = us + du_order * (np.pi / 2.0)
         z = self.phase[symbols] * (self.p[dalpha_order][symbols] * np.cos(shift)
                                    + self.iq[dalpha_order][symbols] * np.sin(shift))
         if du_order == 0:
             z = z + self.center[dalpha_order][symbols]
         return np.stack([np.real(z), np.imag(z)], axis=-1)
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def table_at(family: DeformationFamily, alpha: float) -> TableAt:
+    """The shared snapshot of ``family`` at ``alpha``; refuses an alpha
+    outside the declared range."""
+    return TableAt(family, alpha)
+
+
+def partial_jet(family: DeformationFamily, obstacle_index: int, u, alpha: float,
+                du_order: int, dalpha_order: int) -> np.ndarray:
+    """One mixed partial d^l_u d^m_alpha of the boundary embedding, read
+    from the snapshot ``table_at(family, alpha)``.
+
+    Returns an array of shape u.shape + (2,).  Orders above the declared
+    smoothness, obstacle indices outside 1..z0 and alpha outside the
+    declared range are refused.
+    """
+    table = table_at(family, alpha)
+    _check_orders(family, du_order, dalpha_order)
+    family.spec(obstacle_index)
+    return table.jet(obstacle_index, np.asarray(u, float), du_order, dalpha_order)
 
 
 def eval_jet(family: DeformationFamily, obstacle_index: int, u, alpha: float,
@@ -283,21 +291,10 @@ def eval_jet(family: DeformationFamily, obstacle_index: int, u, alpha: float,
     ``out[l, m]`` is d^l_u d^m_alpha phi, so the full result has shape
     (max_u_order + 1, max_alpha_order + 1) + u.shape + (2,).
     """
-    family.check_alpha(alpha)
-    r, rp = family.smoothness
-    if max_u_order < 0 or max_alpha_order < 0:
-        raise GeometryError("jet orders must be nonnegative")
-    if max_u_order > r or max_alpha_order > rp:
-        raise SmoothnessError(
-            f"jet order ({max_u_order},{max_alpha_order}) exceeds the declared "
-            f"smoothness C^({r},{rp})")
-    uu = np.asarray(u, float)
-    out = np.empty((max_u_order + 1, max_alpha_order + 1) + uu.shape + (2,))
-    for l in range(max_u_order + 1):
-        for m in range(max_alpha_order + 1):
-            out[l, m] = partial_jet(family, obstacle_index, uu, alpha, l, m,
-                                    checked=False)
-    return out
+    _check_orders(family, max_u_order, max_alpha_order)
+    return np.array([[partial_jet(family, obstacle_index, u, alpha, l, m)
+                      for m in range(max_alpha_order + 1)]
+                     for l in range(max_u_order + 1)])
 
 
 def curvature(family: DeformationFamily, obstacle_index: int, u, alpha: float):
@@ -313,13 +310,17 @@ def curvature(family: DeformationFamily, obstacle_index: int, u, alpha: float):
     return float(kap) if np.ndim(kap) == 0 else kap
 
 
-def curvature_partials(family: DeformationFamily, obstacle_index: int, u, alpha: float):
-    """(kappa, d kappa/du, d kappa/dalpha) at fixed u; closed forms from jets."""
-    t = partial_jet(family, obstacle_index, u, alpha, 1, 0)
-    s = partial_jet(family, obstacle_index, u, alpha, 2, 0)
-    w = partial_jet(family, obstacle_index, u, alpha, 3, 0)
-    ta = partial_jet(family, obstacle_index, u, alpha, 1, 1)
-    sa = partial_jet(family, obstacle_index, u, alpha, 2, 1)
+def curvature_partials(family: DeformationFamily, obstacle_index, u, alpha: float):
+    """(kappa, d kappa/du, d kappa/dalpha) at fixed u; closed forms from jets.
+
+    ``obstacle_index`` is one index or an integer array shaped like ``u``."""
+    table = table_at(family, alpha)
+    _check_orders(family, 3, 1)
+    symbols = np.asarray(obstacle_index)
+    if not np.all((symbols >= 1) & (symbols <= family.z0)):
+        raise GeometryError(f"obstacle index outside 1..{family.z0}")
+    t, s, w, ta, sa = (table.jet(symbols, np.asarray(u, float), lu, la)
+                       for lu, la in ((1, 0), (2, 0), (3, 0), (1, 1), (2, 1)))
     num = t[..., 0] * s[..., 1] - t[..., 1] * s[..., 0]
     sp2 = t[..., 0] ** 2 + t[..., 1] ** 2
     sp = np.sqrt(sp2)
@@ -350,7 +351,7 @@ def perimeter(family: DeformationFamily, obstacle_index: int, alpha: float) -> f
     family.check_alpha(alpha)
 
     def speed(u):
-        t = partial_jet(family, obstacle_index, u, alpha, 1, 0, checked=False)
+        t = partial_jet(family, obstacle_index, u, alpha, 1, 0)
         return math.hypot(t[0], t[1])
 
     val, _ = integrate.quad(speed, 0.0, 2.0 * np.pi, epsabs=0.0, epsrel=1e-12,
@@ -360,7 +361,7 @@ def perimeter(family: DeformationFamily, obstacle_index: int, alpha: float) -> f
 
 def _boundary_points(family, index, alpha, n):
     us = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    return us, partial_jet(family, index, us, alpha, 0, 0, checked=False)
+    return us, partial_jet(family, index, us, alpha, 0, 0)
 
 
 def boundary_pair_extremes(family: DeformationFamily, i: int, k: int, alpha: float,
@@ -379,10 +380,10 @@ def boundary_pair_extremes(family: DeformationFamily, i: int, k: int, alpha: flo
 
     def polish(seed, sign):
         def fun(x):
-            a = partial_jet(family, i, x[0], alpha, 0, 0, checked=False)
-            b = partial_jet(family, k, x[1], alpha, 0, 0, checked=False)
-            ta = partial_jet(family, i, x[0], alpha, 1, 0, checked=False)
-            tb = partial_jet(family, k, x[1], alpha, 1, 0, checked=False)
+            a = partial_jet(family, i, x[0], alpha, 0, 0)
+            b = partial_jet(family, k, x[1], alpha, 0, 0)
+            ta = partial_jet(family, i, x[0], alpha, 1, 0)
+            tb = partial_jet(family, k, x[1], alpha, 1, 0)
             v = a - b
             val = float(v @ v)
             grad = 2.0 * np.array([v @ ta, -(v @ tb)])
@@ -417,19 +418,6 @@ class EclipseCertificate:
     witness: Optional[tuple] = None
 
 
-def _norm_transform(spec: ObstacleSpec, alpha: float):
-    a, b, psi = spec.axes()
-    av = float(_poly_eval(a, alpha))
-    bv = float(_poly_eval(b, alpha))
-    psiv = float(_poly_eval(psi, alpha))
-    c = np.array([float(_poly_eval(spec.center_x, alpha)),
-                  float(_poly_eval(spec.center_y, alpha))])
-    cp, sp = math.cos(psiv), math.sin(psiv)
-    rot = np.array([[cp, sp], [-sp, cp]])          # rotation by -psi
-    scale = np.array([1.0 / av, 1.0 / bv])
-    return c, rot, scale, min(av, bv)
-
-
 def check_no_eclipse(family: DeformationFamily, alpha: float, n_samples: int = 256,
                      margin: float = 0.0) -> EclipseCertificate:
     """Sampled no-eclipse certificate.
@@ -441,7 +429,7 @@ def check_no_eclipse(family: DeformationFamily, alpha: float, n_samples: int = 2
     conservative for ellipses, so a certified pass never overstates the
     clearance.
     """
-    family.check_alpha(alpha)
+    table = table_at(family, alpha)
     if n_samples < 64:
         raise GeometryError("n_samples must be at least 64")
     if margin < 0.0:
@@ -457,8 +445,9 @@ def check_no_eclipse(family: DeformationFamily, alpha: float, n_samples: int = 2
 
     best_clear = math.inf
     for j in range(1, z0 + 1):
-        c, rot, scale, ell_scale = _norm_transform(family.spec(j), alpha)
-        mapped = {i: ((pts[i] - c) @ rot.T) * scale for i in range(1, z0 + 1) if i != j}
+        c, rot, axes = table.center_xy[j], table.rotation[j], table.axes[j]
+        mapped = {i: ((pts[i] - c) @ rot.T) * (1.0 / axes)
+                  for i in range(1, z0 + 1) if i != j}
         for i in range(1, z0 + 1):
             for k in range(i + 1, z0 + 1):
                 if j in (i, k):
@@ -471,7 +460,7 @@ def check_no_eclipse(family: DeformationFamily, alpha: float, n_samples: int = 2
                 closest = a + tpar[..., None] * seg
                 clearance = np.sqrt((closest ** 2).sum(-1)) - 1.0
                 worst = np.unravel_index(np.argmin(clearance), clearance.shape)
-                clear = clearance[worst] * ell_scale
+                clear = clearance[worst] * axes.min()
                 best_clear = min(best_clear, clear)
                 if clear <= margin:
                     witness = (i, j, k, (float(us[i][worst[0]]),
@@ -523,7 +512,7 @@ def _default_phi_observation(family: DeformationFamily, alpha: float,
     is solved cold, on its own, by ``symbolic.find_periodic_orbit`` or
     ``symbolic.find_orbit_segment``; the cached chains of each
     (cyclic, length) group are warm-started together as one batch on a
-    ``TableAt`` snapshot.  Open words are padded by PHI_PADDING and only
+    ``table_at`` snapshot.  Open words are padded by PHI_PADDING and only
     their core angles count.  Every solved chain goes back into the
     cache; a chain that fails to converge or converges to a nonphysical
     configuration is left out of the estimate and out of the cache.
@@ -533,7 +522,7 @@ def _default_phi_observation(family: DeformationFamily, alpha: float,
 
     if cache is None:
         cache = {}          # a cold estimate keeps nothing
-    table = TableAt(family, alpha)
+    table = table_at(family, alpha)
     phis = []
     for words in _phi_corpus(family.z0):
         warm = [w for w in words if w in cache]
@@ -646,9 +635,9 @@ def validate_family(family: DeformationFamily, n_alpha: int = 65, n_u: int = 512
     alphas = np.linspace(0.0, family.alpha_max, n_alpha)
     us = np.linspace(0.0, 2.0 * np.pi, n_u, endpoint=False)
     for a in alphas:
-        for idx, spec in enumerate(family.obstacles, start=1):
-            ax, bx, _ = spec.axes()
-            if _poly_eval(ax, a) <= 0.0 or _poly_eval(bx, a) <= 0.0:
+        table = table_at(family, a)
+        for idx in range(1, family.z0 + 1):
+            if table.axes[idx].min() <= 0.0:
                 raise GeometryError(
                     f"obstacle {idx} degenerates (nonpositive axis) at alpha = {a}")
             kap = curvature(family, idx, us, a)

@@ -52,11 +52,15 @@ class KdotTrace:
 
 @dataclass(frozen=True)
 class LyapunovReport:
+    """``trace`` is the curvature trace the estimate averaged: the cycle
+    fixed point, or the propagation from the seed over m flights."""
+
     lambda_m: float
     m: int
     lower: float
     upper: float
     seed_sensitivity: float
+    trace: CurvatureTrace
     F_m: Optional[float] = None
     oracle_lambda: Optional[float] = None
     diagnostics: dict = field(default_factory=dict)
@@ -150,10 +154,9 @@ def lyapunov_estimate(orbit: BilliardOrbit, k0: Optional[float] = None,
         trace = periodic_curvature_fixed_point(orbit)
         terms = -np.log(trace.delta)
         lam = float(terms.mean())
-        return LyapunovReport(lam, len(terms), lower, upper, 0.0,
+        return LyapunovReport(lam, len(terms), lower, upper, 0.0, trace,
                               diagnostics={"kind": "periodic",
-                                           "residual": orbit.residual,
-                                           "k_fixed_point": trace.k})
+                                           "residual": orbit.residual})
 
     p = len(orbit.records)
     m_use = p if m is None else m
@@ -167,14 +170,14 @@ def lyapunov_estimate(orbit: BilliardOrbit, k0: Optional[float] = None,
     def estimate(seed):
         trace = propagate_curvature(orbit, seed, m_use)
         terms = -np.log(trace.delta)
-        return float(terms[burn:].mean()), terms
+        return float(terms[burn:].mean()), terms, trace
 
-    lam, terms = estimate(k_seed)
-    lam_lo, _ = estimate(0.5 * k_seed)
-    lam_hi, _ = estimate(2.0 * k_seed)
+    lam, terms, trace = estimate(k_seed)
+    lam_lo, _, _ = estimate(0.5 * k_seed)
+    lam_hi, _, _ = estimate(2.0 * k_seed)
     sens = abs(lam_hi - lam_lo)
     running = np.cumsum(terms[burn:]) / np.arange(1, m_use - burn + 1)
-    return LyapunovReport(lam, m_use - burn, lower, upper, sens,
+    return LyapunovReport(lam, m_use - burn, lower, upper, sens, trace,
                           diagnostics={"kind": "segment",
                                        "residual": orbit.residual,
                                        "burn_in": burn,
@@ -241,7 +244,7 @@ def f_derivative_sum(orbit: BilliardOrbit, derivs: AlphaDerivatives,
 
 
 def _tangent_frame(family, i, u, alpha):
-    t = partial_jet(family, i, u, alpha, 1, 0, checked=False)
+    t = partial_jet(family, i, u, alpha, 1, 0)
     speed = math.hypot(t[0], t[1])
     that = t / speed
     nhat = np.array([that[1], -that[0]])
@@ -255,7 +258,7 @@ def _uvt_step(family, i, u, vt, alpha, expected):
     if vn <= 0.0:
         raise SolveError("tangential component leaves no outgoing direction")
     v = vt * that + math.sqrt(vn) * nhat
-    q = partial_jet(family, i, u, alpha, 0, 0, checked=False)
+    q = partial_jet(family, i, u, alpha, 0, 0)
     hit = first_intersection(q, v, family, alpha, exclude=i)
     if hit is None:
         raise SolveError("ray escaped during map evaluation")
@@ -304,9 +307,9 @@ def _node_data(family, orbit, j, alpha):
             f"reflection {j} has no successor in the chain; deepen the padding")
     i = orbit.chain_symbols[idx]
     u = orbit.chain_us[idx]
-    q = partial_jet(family, i, u, alpha, 0, 0, checked=False)
+    q = partial_jet(family, i, u, alpha, 0, 0)
     q2 = partial_jet(family, orbit.chain_symbols[succ], orbit.chain_us[succ],
-                     alpha, 0, 0, checked=False)
+                     alpha, 0, 0)
     e = q2 - q
     e /= math.hypot(e[0], e[1])
     speed, that, nhat = _tangent_frame(family, i, u, alpha)
@@ -451,7 +454,7 @@ def _front_check_run(orbit, family, trace, eps, n):
 
     def width(j, du, flight_dir):
         i, u, qa, _, _, _ = node(j)
-        qb = partial_jet(family, i, u + du, alpha, 0, 0, checked=False)
+        qb = partial_jet(family, i, u + du, alpha, 0, 0)
         dq = qb - qa
         return float(-dq[0] * flight_dir[1] + dq[1] * flight_dir[0])
 

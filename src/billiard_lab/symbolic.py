@@ -26,8 +26,8 @@ import numpy as np
 from .dynamics import ReflectionRecord
 # partial_jet is not called here but stays bound: the benchmark's tracer
 # patches it at every binding site, and its tests check this one
-from .geometry import (DeformationFamily, TableAt, curvature_partials,  # noqa: F401
-                       partial_jet)
+from .geometry import (DeformationFamily, curvature_partials,  # noqa: F401
+                       partial_jet, table_at)
 
 TOL_ORBIT = 1e-11       # convergence threshold on the sup-norm of the length gradient
 TOL_SHADOW = 1e-9       # admissible core displacement under a padding increase
@@ -247,11 +247,10 @@ def _seed_chain(table, symbols, cyclic) -> np.ndarray:
         target[..., 0, :] = succ[..., 0, :]
         target[..., -1, :] = prev[..., -1, :]
     w = target - c
-    rot = table.cos_sin[symbols]
-    cp, sp = rot[..., 0], rot[..., 1]
+    rot = table.rotation[symbols]
     axes = table.axes[symbols]
-    wx = (cp * w[..., 0] + sp * w[..., 1]) * axes[..., 0]
-    wy = (-sp * w[..., 0] + cp * w[..., 1]) * axes[..., 1]
+    wx = (rot[..., 0, 0] * w[..., 0] + rot[..., 0, 1] * w[..., 1]) * axes[..., 0]
+    wy = (rot[..., 1, 0] * w[..., 0] + rot[..., 1, 1] * w[..., 1]) * axes[..., 1]
     # math.atan2 per node: numpy's vectorized arctan2 may round differently
     return np.reshape([math.atan2(y, x) for y, x in
                        zip(wy.ravel().tolist(), wx.ravel().tolist())],
@@ -465,7 +464,7 @@ def find_periodic_orbit(word: Word, family: DeformationFamily, alpha: float,
         raise ValueError("find_periodic_orbit needs a cyclic word")
     if not is_admissible(word, family.z0):
         raise ValueError(f"word {word.label} is not admissible")
-    table = TableAt(family, alpha)
+    table = table_at(family, alpha)
     symbols = word.symbols
     us0 = np.asarray(init, float) if init is not None \
         else _seed_chain(table, symbols, cyclic=True)
@@ -514,7 +513,7 @@ def find_orbit_segment(word: Word, family: DeformationFamily, alpha: float,
         raise ValueError(f"word {word.label} is not admissible")
     if padding < 1:
         raise ValueError("padding must be at least 1")
-    table = TableAt(family, alpha)
+    table = table_at(family, alpha)
     m = len(word.symbols)
     core = np.asarray(word.symbols)
 
@@ -588,14 +587,22 @@ class AlphaDerivatives:
     cond: float
 
 
+def _dot2(a, b):
+    """Row-wise dot products of (n, 2) arrays, by the same matmul kernel
+    as ``a[i] @ b[i]``; einsum rounds differently."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def orbit_alpha_derivatives(orbit: BilliardOrbit,
                             family: DeformationFamily) -> AlphaDerivatives:
-    symbols = orbit.chain_symbols
-    sym = np.asarray(symbols)
+    sym = np.asarray(orbit.chain_symbols)
     us = np.asarray(orbit.chain_us)
     alpha = orbit.alpha
     cyclic = orbit.kind == "periodic"
-    table = TableAt(family, alpha)
+    core = np.arange(orbit.core_start, orbit.core_start + len(orbit.records))
+    succ = (core + 1) % len(us)
+    kap, kap_u, kap_a = curvature_partials(family, sym[core], us[core], alpha)
+    table = table_at(family, alpha)
     ev = _chain_system(table, sym, us, cyclic, want_hess=True, want_alpha=True)
     if ev.degenerate:
         raise SolveError(_DEGENERATE, orbit.residual)
@@ -618,25 +625,15 @@ def orbit_alpha_derivatives(orbit: BilliardOrbit,
     ndot = rot_td / speed[:, None] \
         - np.stack([t[:, 1], -t[:, 0]], axis=-1) * (t_tdot / speed ** 3)[:, None]
 
-    m_chain = len(us)
-    core = range(orbit.core_start, orbit.core_start + len(orbit.records))
-    u_dot, d_dot, k_dot, c_dot, g_dot = [], [], [], [], []
-    for idx in core:
-        succ = (idx + 1) % m_chain
-        v = p[succ] - p[idx]
-        d = float(np.sqrt(v @ v))
-        e = v / d
-        dd = float(e @ (qdot[succ] - qdot[idx]))
-        edot = (qdot[succ] - qdot[idx]) / d - e * (dd / d)
-        kap, kap_u, kap_a = curvature_partials(family, symbols[idx], us[idx], alpha)
-        kd = float(kap_u * udot_full[idx] + kap_a)
-        cphi = float(e @ n[idx])
-        cd = float(ndot[idx] @ e) + float(n[idx] @ edot)
-        gd = 2.0 * kd / cphi - 2.0 * float(kap) * cd / cphi ** 2
-        u_dot.append(float(udot_full[idx]))
-        d_dot.append(dd)
-        k_dot.append(kd)
-        c_dot.append(cd)
-        g_dot.append(gd)
-    return AlphaDerivatives(np.array(u_dot), np.array(d_dot), np.array(k_dot),
-                            np.array(c_dot), np.array(g_dot), cond)
+    # per core flight core -> succ
+    v = p[succ] - p[core]
+    d = np.sqrt(_dot2(v, v))
+    e = v / d[:, None]
+    qdot_v = qdot[succ] - qdot[core]
+    d_dot = _dot2(e, qdot_v)
+    edot = qdot_v / d[:, None] - e * (d_dot / d)[:, None]
+    k_dot = kap_u * udot_full[core] + kap_a
+    cphi = _dot2(e, n[core])
+    c_dot = _dot2(ndot[core], e) + _dot2(n[core], edot)
+    g_dot = 2.0 * k_dot / cphi - 2.0 * kap * c_dot / cphi ** 2
+    return AlphaDerivatives(udot_full[core], d_dot, k_dot, c_dot, g_dot, cond)

@@ -119,6 +119,14 @@ def test_inadmissible_word_exits_2(capsys):
     assert "repeats" in capsys.readouterr().err
 
 
+def test_sample_word_tail(capsys):
+    assert main(["orbit", "--config", TWO, "--word", "sample:1"]) == 0
+    capsys.readouterr()
+    rc = main(["orbit", "--config", TWO, "--word", "sample:40:-1"])
+    assert rc == 2
+    assert "sample spec 'sample:40:-1'" in capsys.readouterr().err
+
+
 def test_out_of_range_alpha_exits_2(capsys):
     rc = main(["orbit", "--config", TWO, "--word", "1-2", "--alpha", "0.9"])
     assert rc == 2

@@ -109,6 +109,25 @@ def test_bad_configs_fail_loudly(tmp_path, mutation, needle):
         load_config(write(tmp_path, mutation(MINIMAL)))
 
 
+# wrong JSON types, bools included, are configuration errors
+@pytest.mark.parametrize("mutation,needle", [
+    (lambda t: t + "\ntol_orbit = null\n", "tol_orbit"),
+    (lambda t: t + "\nh_fd = [1]\n", "h_fd"),
+    (lambda t: t + "\nphi_max = [0.5]\n", "phi_max"),
+    (lambda t: t.replace('alpha_grid = [0.0, 0.5, 9]',
+                         'alpha_grid = [0.0, "a", 3]'), "alpha_grid"),
+    (lambda t: t.replace('alpha_grid = [0.0, 0.5, 9]',
+                         'alpha_grid = [0.0, 0.5, true]'), "alpha_grid count"),
+    (lambda t: t + "\npadding = true\n", "padding"),
+    (lambda t: t + "\nburn_in = true\n", "burn_in"),
+    (lambda t: t.replace('words = ["1,2"]', 'words = ["sample:2:8:-3"]'),
+     "sample spec"),
+])
+def test_wrong_value_types_fail_loudly(tmp_path, mutation, needle):
+    with pytest.raises(ConfigError, match=needle):
+        load_config(write(tmp_path, mutation(MINIMAL)))
+
+
 def test_non_json_value_rejected(tmp_path):
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(write(tmp_path, MINIMAL + "\nseed = yes\n"))

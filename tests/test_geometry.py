@@ -21,7 +21,7 @@ from billiard_lab import (AlphaRangeError, DeformationFamily, EclipseError,
                           perimeter, phi_max_from_observation, table_bounds,
                           validate_family)
 from billiard_lab.experiments import _BoundsSweeper
-from billiard_lab.geometry import PHI_PADDING, TableAt, _phi_corpus
+from billiard_lab.geometry import PHI_PADDING, _phi_corpus, table_at
 
 from conftest import (growing_two_circle, static_three_circle,
                       static_two_circle, translate_two_circle)
@@ -119,20 +119,51 @@ def test_alpha_jets_match_finite_differences(u, alpha, lu, la):
 
 @pytest.mark.parametrize("cfg_name", ["breathe_cfg", "mixed_cfg"])
 def test_table_snapshot_jets_match_partial_jet(cfg_name, request):
+    # the by-symbol gather against one partial_jet call per obstacle, at
+    # every order the snapshot serves
     fam = request.getfixturevalue(cfg_name).family
     rng = np.random.default_rng(5)
     symbols = rng.integers(1, fam.z0 + 1, (4, 9))
     us = rng.uniform(0.0, 2.0 * math.pi, (4, 9))
     for alpha in (0.0, 0.17, fam.alpha_max):
-        table = TableAt(fam, alpha)
-        for lu in range(3):
-            for la in range(2):
+        table = table_at(fam, alpha)
+        for lu in range(4):
+            for la in range(fam.smoothness[1] + 1):
                 want = np.empty(us.shape + (2,))
                 for i in range(1, fam.z0 + 1):
                     mask = symbols == i
                     want[mask] = partial_jet(fam, i, us[mask], alpha, lu, la)
                 np.testing.assert_allclose(table.jet(symbols, us, lu, la),
                                            want, rtol=0, atol=1e-14)
+
+
+def test_table_snapshot_is_shared_and_read_only():
+    fam = deformed_ellipse_family()
+    table = table_at(fam, 0.25)
+    assert table_at(fam, 0.25) is table
+    assert table_at(deformed_ellipse_family(), 0.25) is table   # equal family
+    assert table_at(fam, 0.3) is not table
+    for arr in (table.p, table.iq, table.center, table.phase,
+                table.center_xy, table.axes, table.rotation):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[1] = 0.0
+    with pytest.raises(AlphaRangeError):
+        table_at(fam, 0.5)
+
+
+def test_curvature_partials_accept_symbol_arrays():
+    fam = deformed_ellipse_family()
+    rng = np.random.default_rng(3)
+    symbols = rng.integers(1, 4, (5, 7))
+    us = rng.uniform(0.0, 2.0 * math.pi, (5, 7))
+    batch = curvature_partials(fam, symbols, us, 0.2)
+    for got, want in zip(batch, np.vectorize(
+            lambda i, u: curvature_partials(fam, int(i), u, 0.2))(symbols, us)):
+        assert got.shape == us.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
+    with pytest.raises(GeometryError):
+        curvature_partials(fam, np.array([1, 4]), np.zeros(2), 0.2)
 
 
 def test_jet_orders_beyond_smoothness_raise():

@@ -104,6 +104,8 @@ def test_two_circle_estimate_frozen():
     assert rep.upper == pytest.approx(math.log(6.0), abs=1e-9)
     assert rep.lower <= rep.lambda_m <= rep.upper
     assert rep.diagnostics["kind"] == "periodic"
+    np.testing.assert_array_equal(rep.trace.k,
+                                  periodic_curvature_fixed_point(orb).k)
 
 
 def test_triangle_estimate_frozen():
@@ -122,6 +124,10 @@ def test_segment_estimate_window_and_diagnostics():
     assert len(running) == 30
     assert running[-1] == pytest.approx(rep.lambda_m, abs=1e-14)
     assert rep.seed_sensitivity < 1e-9      # transient forgotten well before m
+    # the report carries the trace it averaged, from the default seed
+    want = propagate_curvature(orb, default_seed_curvature(orb), 35)
+    np.testing.assert_array_equal(rep.trace.k, want.k)
+    np.testing.assert_array_equal(rep.trace.delta, want.delta)
     with pytest.raises(ValueError):
         lyapunov_estimate(orb, m=len(orb.records) + 1)
     with pytest.raises(ValueError):

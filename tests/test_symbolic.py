@@ -13,7 +13,7 @@ from billiard_lab import (ShadowingError, SolveError, Word,
                           find_periodic_orbit, is_admissible,
                           orbit_alpha_derivatives, sample_itinerary,
                           theta_metric)
-from billiard_lab.geometry import PHI_PADDING, TableAt, _phi_corpus
+from billiard_lab.geometry import PHI_PADDING, _phi_corpus, table_at
 from billiard_lab.symbolic import (TOL_ORBIT, _chain_length, _chain_system,
                                    _newton_steps, _pad_symbols, _seed_chain,
                                    _solve_chains)
@@ -124,7 +124,7 @@ def test_theta_metric_is_an_ultrametric(data):
 
 def test_chain_gradient_matches_finite_differences():
     fam = mixed_family()
-    table = TableAt(fam, 0.2)
+    table = table_at(fam, 0.2)
     symbols = np.array([1, 2, 3, 1, 2])
     us = _seed_chain(table, symbols, cyclic=True) \
         + np.linspace(-0.05, 0.08, 5)
@@ -142,7 +142,7 @@ def test_chain_gradient_matches_finite_differences():
 @pytest.mark.parametrize("cyclic", [True, False])
 def test_chain_hessian_and_alpha_gradient_match_fd(cyclic):
     fam = mixed_family()
-    table = TableAt(fam, 0.15)
+    table = table_at(fam, 0.15)
     symbols = np.array([1, 3, 2, 3, 1, 2])
     rng = np.random.default_rng(3)
     us = _seed_chain(table, symbols, cyclic=cyclic) \
@@ -157,7 +157,7 @@ def test_chain_hessian_and_alpha_gradient_match_fd(cyclic):
                - _chain_system(table, symbols, um, cyclic,
                                want_hess=False).grad) / (2.0 * h)
         np.testing.assert_allclose(ev.hess[:, j], col, atol=2e-8)
-    shifted = [_chain_system(TableAt(fam, 0.15 + s), symbols, us, cyclic,
+    shifted = [_chain_system(table_at(fam, 0.15 + s), symbols, us, cyclic,
                              want_hess=False).grad for s in (h, -h)]
     np.testing.assert_allclose(ev.g_alpha, (shifted[0] - shifted[1]) / (2.0 * h),
                                atol=2e-8)
@@ -168,8 +168,8 @@ def test_chain_hessian_and_alpha_gradient_match_fd(cyclic):
 def test_batched_corpus_solve_matches_one_chain_at_a_time(cfg_name, alpha,
                                                            request):
     fam = request.getfixturevalue(cfg_name).family
-    table = TableAt(fam, alpha)
-    neighbour = TableAt(fam, alpha + (0.01 if alpha < 0.2 else -0.01))
+    table = table_at(fam, alpha)
+    neighbour = table_at(fam, alpha + (0.01 if alpha < 0.2 else -0.01))
     for words in _phi_corpus(fam.z0):
         cyclic = words[0].cyclic
         symbols = np.array([_pad_symbols(w.symbols, 0 if cyclic else PHI_PADDING)
@@ -193,7 +193,7 @@ def test_batched_corpus_solve_matches_one_chain_at_a_time(cfg_name, alpha,
 
 
 def test_only_the_bad_chain_of_a_batch_fails():
-    table = TableAt(static_three_circle(), 0.1)
+    table = table_at(static_three_circle(), 0.1)
     symbols = np.array([[1, 2, 3], [1, 3, 2], [1, 1, 2], [2, 3, 1]])
     us0 = _seed_chain(table, symbols, cyclic=True)
     us0[2, :2] = 0.5          # two reflection points coincide
