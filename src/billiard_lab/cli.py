@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 2 configuration, geometry or usage errors;
 3 no-eclipse certification failure; 4 orbit solver failures (including
-shadowing and grazing); 5 filesystem errors.
+shadowing and grazing); 5 filesystem errors.  Any other exception is an
+internal error: it propagates with its traceback (Python exits 1).
 """
 
 from __future__ import annotations
@@ -13,14 +14,15 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, LabConfig, load_config, sample_tail
+from .config import (ConfigError, LabConfig, literal_word, load_config,
+                     sample_tail)
 from .dynamics import GrazingError
 from .experiments import (analyze_orbit, effective_burn_in, emit_outputs,
                           run_check, run_derivative, run_sweep, solve_word,
                           write_bounds_csv)
 from .geometry import EclipseError, GeometryError, table_bounds
 from .lyapunov import jacobian_lyapunov_oracle, lyapunov_bounds, lyapunov_estimate
-from .symbolic import ShadowingError, SolveError, Word, is_admissible, sample_itinerary
+from .symbolic import ShadowingError, SolveError, sample_itinerary
 
 
 def _resolve_word(cfg: LabConfig, text: str, seed: int | None):
@@ -33,9 +35,7 @@ def _resolve_word(cfg: LabConfig, text: str, seed: int | None):
                                 cfg.seed if seed is None else seed)
         word = sample_itinerary(cfg.family.z0, length, s)
         return f"sample:{length}:{s}", word
-    word = Word.parse(text)
-    if not is_admissible(word, cfg.family.z0):
-        raise ConfigError(f"word {text!r} repeats a symbol consecutively")
+    word = literal_word(text, cfg.family.z0)
     return word.label.replace(",", "-"), word
 
 
@@ -90,6 +90,12 @@ def cmd_lyapunov(args) -> int:
     cfg = load_config(args.config)
     ident, word = _resolve_word(cfg, args.word, args.seed)
     orbit = solve_word(cfg, word, args.alpha)
+    if args.m is not None and orbit.kind == "periodic":
+        raise ConfigError(f"--m applies to segments; periodic word {ident} "
+                          "is averaged over its full period")
+    if args.m is not None and not 1 <= args.m <= len(orbit.records):
+        raise ConfigError(f"--m {args.m} outside 1..{len(orbit.records)}, "
+                          f"the reflections of word {ident}")
     tb = table_bounds(cfg.family, args.alpha, phi_max_override=cfg.phi_max)
     res = analyze_orbit(cfg, orbit, bounds=tb)
     rep = res["report"]
@@ -108,7 +114,7 @@ def cmd_lyapunov(args) -> int:
                                              h=cfg.h_fd, orbit=orbit)
             lam_c = rep.lambda_m
         else:
-            m_cmp = args.m or len(orbit.records)
+            m_cmp = len(orbit.records) if args.m is None else args.m
             lam_o = jacobian_lyapunov_oracle(word, cfg.family, args.alpha,
                                              m=m_cmp, h=cfg.h_fd, orbit=orbit,
                                              burn_in=0)
@@ -196,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="output directory (default from config)")
         if extra_m:
             p.add_argument("--m", type=int, default=None,
-                           help="flights to average (segments)")
+                           help="flights to average (segments only)")
 
     p = sub.add_parser("check", help="certify the table and write bounds.csv")
     common(p, out=True)
@@ -238,7 +244,7 @@ def main(argv=None) -> int:
     except (SolveError, ShadowingError, GrazingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, GeometryError, ValueError) as exc:
+    except (ConfigError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

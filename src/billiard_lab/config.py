@@ -99,7 +99,7 @@ def _split_keys(entries: dict):
         if key.startswith("obstacle"):
             head, dot, fld = key.partition(".")
             idx_text = head[len("obstacle"):]
-            if not dot or not idx_text.isdigit():
+            if not dot or not idx_text.isdecimal():
                 raise ConfigError(f"bad obstacle key {key!r}")
             idx = int(idx_text)
             if fld not in _OBSTACLE_KEYS:
@@ -169,6 +169,19 @@ def sample_tail(text: str, tail: list, default_seed: int) -> tuple[int, int]:
     return length, seed
 
 
+def literal_word(text: str, z0: int) -> Word:
+    """The word spelled by ``text`` (``1,2`` or ``open:1,2,1``); ConfigError
+    unless it parses and is admissible over the symbols 1..z0."""
+    try:
+        word = Word.parse(text)
+        admissible = is_admissible(word, z0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if not admissible:
+        raise ConfigError(f"word {text!r} repeats a symbol consecutively")
+    return word
+
+
 def _expand_words(raw, z0: int, default_seed: int):
     if not isinstance(raw, list) or not raw \
             or not all(isinstance(w, str) for w in raw):
@@ -193,27 +206,21 @@ def _expand_words(raw, z0: int, default_seed: int):
                 word = sample_itinerary(z0, length, seed + i)
                 out.append((f"sample:{length}:{seed + i}", word))
         else:
-            try:
-                word = Word.parse(text)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            word = literal_word(text, z0)
             out.append((word.label.replace(",", "-"), word))
     ids = [ident for ident, _ in out]
     if len(set(ids)) != len(ids):
         raise ConfigError("word list expands to duplicate identifiers")
-    for ident, word in out:
-        try:
-            ok = is_admissible(word, z0)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if not ok:
-            raise ConfigError(f"word {ident} repeats a symbol consecutively")
     return tuple(out)
 
 
 def load_config(path, *, validate: bool = True) -> LabConfig:
     """Parse, build the family, and (by default) certify it admissible."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from exc
     entries = _parse_lines(text)
     top, obstacle_fields = _split_keys(entries)
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import integrate
 
 KAPPA_FLOOR = 1e-6        # minimum admissible boundary curvature
 ALPHA_SLACK_REL = 1e-3    # evaluation headroom beyond [0, b], needed by FD oracles
@@ -29,6 +29,10 @@ PHI_SAMPLE_WORDS = 100    # random itineraries drawn for the angle estimate
 PHI_SAMPLE_LENGTH = 40
 PHI_PADDING = 8           # pads on each side of a sampled open word
 TABLE_CACHE_SIZE = 256    # per-alpha snapshots kept by table_at
+BOUNDS_SAMPLES = 512      # boundary samples per obstacle: curvature, pair seeds
+ECLIPSE_SAMPLES = 128     # boundary samples per obstacle in the no-eclipse check
+VALIDATION_ALPHAS = 65    # alphas on which validate_family certifies the table
+FAR_SEED_ZOOMS = 30       # local grid refinements of a pair-distance max seed
 
 
 class GeometryError(ValueError):
@@ -364,40 +368,53 @@ def _boundary_points(family, index, alpha, n):
     return us, partial_jet(family, index, us, alpha, 0, 0)
 
 
-def boundary_pair_extremes(family: DeformationFamily, i: int, k: int, alpha: float,
-                           n_samples: int = 512):
+def boundary_pair_extremes(family: DeformationFamily, i: int, k: int, alpha: float):
     """(min, max) distance between the boundaries of obstacles i and k.
 
-    Seeded on a sample grid and polished with a quasi-Newton step on the
-    squared distance; the extremes are smooth for disjoint strictly
-    convex boundaries, so the polish is quadratic.
+    Seeded on a BOUNDS_SAMPLES x BOUNDS_SAMPLES grid and polished by the
+    chain solver, both as one batch of two-node open chains i -> k: the
+    extremes are critical chains, and Newton reaches them from the
+    nearby grid seeds.  The solver first descends the length from a seed
+    whose gradient exceeds ``symbolic._GD_TRIGGER``, away from a maximum,
+    and that gradient grows with the table's size; so the max seed is
+    first sharpened on ever finer 9 x 9 local grids until it is below
+    the trigger.  A polish that fails, or ends worse than its grid seed,
+    raises GeometryError.
     """
-    family.check_alpha(alpha)
-    us_i, pi = _boundary_points(family, i, alpha, n_samples)
-    us_k, pk = _boundary_points(family, k, alpha, n_samples)
-    diff = pi[:, None, :] - pk[None, :, :]
-    d2 = (diff ** 2).sum(-1)
+    from . import symbolic
 
-    def polish(seed, sign):
-        def fun(x):
-            a = partial_jet(family, i, x[0], alpha, 0, 0)
-            b = partial_jet(family, k, x[1], alpha, 0, 0)
-            ta = partial_jet(family, i, x[0], alpha, 1, 0)
-            tb = partial_jet(family, k, x[1], alpha, 1, 0)
-            v = a - b
-            val = float(v @ v)
-            grad = 2.0 * np.array([v @ ta, -(v @ tb)])
-            return sign * val, sign * grad
-
-        res = optimize.minimize(fun, seed, jac=True, method="BFGS",
-                                options={"gtol": 1e-13, "maxiter": 200})
-        return math.sqrt(abs(sign * res.fun))
-
-    lo_seed = np.unravel_index(np.argmin(d2), d2.shape)
-    hi_seed = np.unravel_index(np.argmax(d2), d2.shape)
-    dmin = polish(np.array([us_i[lo_seed[0]], us_k[lo_seed[1]]]), 1.0)
-    dmax = polish(np.array([us_i[hi_seed[0]], us_k[hi_seed[1]]]), -1.0)
-    return dmin, dmax
+    table = table_at(family, alpha)
+    us_i, pi = _boundary_points(family, i, alpha, BOUNDS_SAMPLES)
+    us_k, pk = _boundary_points(family, k, alpha, BOUNDS_SAMPLES)
+    d2 = ((pi[:, None, :] - pk[None, :, :]) ** 2).sum(-1)
+    seeds = [np.unravel_index(f(d2), d2.shape) for f in (np.argmin, np.argmax)]
+    us0 = np.array([[us_i[a], us_k[b]] for a, b in seeds])
+    symbols = np.array([[i, k], [i, k]])
+    step = 2.0 * np.pi / BOUNDS_SAMPLES
+    for _ in range(FAR_SEED_ZOOMS):
+        ev = symbolic._chain_system(table, symbols[1], us0[1], False,
+                                    want_hess=False)
+        if np.abs(ev.grad).max() <= symbolic._GD_TRIGGER:
+            break
+        uu, vv = us0[1, :, None] + step * np.linspace(-1.0, 1.0, 9)
+        far = ((table.jet(i, uu, 0, 0)[:, None, :]
+                - table.jet(k, vv, 0, 0)[None, :, :]) ** 2).sum(-1)
+        a, b = np.unravel_index(np.argmax(far), far.shape)
+        us0[1] = uu[a], vv[b]
+        step *= 0.25
+    us, _, errors = symbolic._solve_chains(table, symbols, us0, False,
+                                           symbolic.TOL_ORBIT)
+    for err in errors:
+        if err is not None:
+            raise GeometryError(f"distance extremes of obstacles {i} and {k} "
+                                f"at alpha = {alpha}: {err}")
+    dmin, dmax = symbolic._chain_length(table, symbols, us, False)
+    grid = math.sqrt(d2.min()), math.sqrt(d2.max())
+    if not (dmin <= grid[0] * (1 + 1e-12) and dmax >= grid[1] * (1 - 1e-12)):
+        raise GeometryError(f"distance extremes of obstacles {i} and {k} at "
+                            f"alpha = {alpha}: polished ({dmin}, {dmax}) "
+                            f"worse than the grid {grid}")
+    return float(dmin), float(dmax)
 
 
 @dataclass(frozen=True)
@@ -418,30 +435,24 @@ class EclipseCertificate:
     witness: Optional[tuple] = None
 
 
-def check_no_eclipse(family: DeformationFamily, alpha: float, n_samples: int = 256,
-                     margin: float = 0.0) -> EclipseCertificate:
-    """Sampled no-eclipse certificate.
+def check_no_eclipse(family: DeformationFamily, alpha: float) -> EclipseCertificate:
+    """Sampled no-eclipse certificate on ECLIPSE_SAMPLES points per obstacle.
 
     For every ordered triple the segments between sampled points of the
-    outer pair must keep distance > margin from the middle obstacle.
+    outer pair must keep a positive distance from the middle obstacle
+    (a NaN distance fails).
     The middle obstacle is mapped to its normalized frame where it is
     the unit disc; the clearance bound there is exact for circles and
     conservative for ellipses, so a certified pass never overstates the
     clearance.
     """
     table = table_at(family, alpha)
-    if n_samples < 64:
-        raise GeometryError("n_samples must be at least 64")
-    if margin < 0.0:
-        raise GeometryError("margin must be nonnegative")
     z0 = family.z0
     if z0 < 3:
-        return EclipseCertificate(True, alpha, n_samples, math.inf)
+        return EclipseCertificate(True, alpha, ECLIPSE_SAMPLES, math.inf)
 
-    us = {}
-    pts = {}
-    for i in range(1, z0 + 1):
-        us[i], pts[i] = _boundary_points(family, i, alpha, n_samples)
+    us = np.linspace(0.0, 2.0 * np.pi, ECLIPSE_SAMPLES, endpoint=False)
+    pts = {i: table.jet(i, us, 0, 0) for i in range(1, z0 + 1)}
 
     best_clear = math.inf
     for j in range(1, z0 + 1):
@@ -462,12 +473,12 @@ def check_no_eclipse(family: DeformationFamily, alpha: float, n_samples: int = 2
                 worst = np.unravel_index(np.argmin(clearance), clearance.shape)
                 clear = clearance[worst] * axes.min()
                 best_clear = min(best_clear, clear)
-                if clear <= margin:
-                    witness = (i, j, k, (float(us[i][worst[0]]),
-                                         float(us[k][worst[1]])))
-                    return EclipseCertificate(False, alpha, n_samples,
+                if not clear > 0.0:
+                    witness = (i, j, k, (float(us[worst[0]]),
+                                         float(us[worst[1]])))
+                    return EclipseCertificate(False, alpha, ECLIPSE_SAMPLES,
                                               clear, witness)
-    return EclipseCertificate(True, alpha, n_samples, best_clear)
+    return EclipseCertificate(True, alpha, ECLIPSE_SAMPLES, best_clear)
 
 
 @dataclass(frozen=True)
@@ -564,11 +575,46 @@ def phi_max_from_observation(phi_obs: float) -> float:
     return math.acos(PHI_SAFETY * math.cos(phi_obs))
 
 
-def table_bounds(family: DeformationFamily, alpha: float, n_samples: int = 512,
+def _certify(family: DeformationFamily, alpha: float) -> tuple[float, float]:
+    """Certify the table at one alpha: positive semi-axes, finite
+    centres, curvature at least KAPPA_FLOOR on BOUNDS_SAMPLES points per
+    obstacle, and in general mode the no-eclipse condition.  Each check
+    is written so that NaN fails it.  Raises GeometryError /
+    ConvexityError / EclipseError on the first failure; returns the
+    sampled curvature range (kappa_min, kappa_max)."""
+    table = table_at(family, alpha)
+    us = np.linspace(0.0, 2.0 * np.pi, BOUNDS_SAMPLES, endpoint=False)
+    kap_lo = math.inf
+    kap_hi = -math.inf
+    for idx in range(1, family.z0 + 1):
+        if not table.axes[idx].min() > 0.0:
+            raise GeometryError(
+                f"obstacle {idx} degenerates (nonpositive axis) at alpha = {alpha}")
+        if not np.isfinite(table.center_xy[idx]).all():
+            raise GeometryError(
+                f"obstacle {idx} has a non-finite centre at alpha = {alpha}")
+        kap = curvature(family, idx, us, alpha)
+        lo = float(np.min(kap))
+        if not lo >= KAPPA_FLOOR:
+            raise ConvexityError(
+                f"obstacle {idx} curvature {lo:.3e} below "
+                f"floor {KAPPA_FLOOR} at alpha = {alpha}")
+        kap_lo = min(kap_lo, lo)
+        kap_hi = max(kap_hi, float(np.max(kap)))
+    if family.mode == "general":
+        cert = check_no_eclipse(family, alpha)
+        if not cert.holds:
+            raise EclipseError(
+                f"no-eclipse condition fails at alpha = {alpha}: "
+                f"witness {cert.witness}", cert)
+    return kap_lo, kap_hi
+
+
+def table_bounds(family: DeformationFamily, alpha: float,
                  phi_max_override: Optional[float] = None, *,
-                 eclipse_samples: int = 128, margin: float = 0.0,
                  phi_observer: Optional[Callable] = None) -> TableBounds:
-    """Assemble the global bounds d_min, d_max, kappa range, phi_max, k range.
+    """Certify the table at alpha and assemble the global bounds d_min,
+    d_max, kappa range, phi_max, k range.
 
     d_min is the minimum boundary-to-boundary distance over obstacle
     pairs.  d_max bounds the flight length between reflections: the
@@ -579,29 +625,16 @@ def table_bounds(family: DeformationFamily, alpha: float, n_samples: int = 512,
     periodic orbits of low period plus sampled itineraries, with a
     safety factor on the cosine.
     """
-    family.check_alpha(alpha)
-    cert = check_no_eclipse(family, alpha, max(eclipse_samples, 64), margin)
-    if not cert.holds:
-        raise EclipseError(
-            f"no-eclipse condition fails at alpha = {alpha}: witness {cert.witness}",
-            cert)
+    kap_lo, kap_hi = _certify(family, alpha)
 
     mins, maxes = [], []
     for i in range(1, family.z0 + 1):
         for k in range(i + 1, family.z0 + 1):
-            lo, hi = boundary_pair_extremes(family, i, k, alpha, n_samples)
+            lo, hi = boundary_pair_extremes(family, i, k, alpha)
             mins.append(lo)
             maxes.append(hi)
     d_min = min(mins)
     d_max = d_min if family.mode == "period2" else max(maxes)
-
-    us = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
-    kap_lo = math.inf
-    kap_hi = -math.inf
-    for i in range(1, family.z0 + 1):
-        kap = curvature(family, i, us, alpha)
-        kap_lo = min(kap_lo, float(np.min(kap)))
-        kap_hi = max(kap_hi, float(np.max(kap)))
 
     if phi_max_override is not None:
         phi_max = float(phi_max_override)
@@ -618,9 +651,9 @@ def table_bounds(family: DeformationFamily, alpha: float, n_samples: int = 512,
     return TableBounds(d_min, d_max, kap_lo, kap_hi, phi_max, k_min, k_max, alpha)
 
 
-def validate_family(family: DeformationFamily, n_alpha: int = 65, n_u: int = 512,
-                    eclipse_samples: int = 128, margin: float = 0.0) -> None:
-    """Convexity, positivity and the no-eclipse condition over a validation grid.
+def validate_family(family: DeformationFamily) -> None:
+    """Degree within the declared smoothness, then ``_certify`` (axes,
+    convexity, no-eclipse) on VALIDATION_ALPHAS alphas spanning the range.
 
     Raises ConvexityError / EclipseError / GeometryError on the first
     failure; returns None when the family is admissible.
@@ -632,22 +665,5 @@ def validate_family(family: DeformationFamily, n_alpha: int = 65, n_u: int = 512
             raise SmoothnessError(
                 f"obstacle {idx}: polynomial degree {deg} exceeds declared "
                 f"alpha-smoothness r' = {rp}")
-    alphas = np.linspace(0.0, family.alpha_max, n_alpha)
-    us = np.linspace(0.0, 2.0 * np.pi, n_u, endpoint=False)
-    for a in alphas:
-        table = table_at(family, a)
-        for idx in range(1, family.z0 + 1):
-            if table.axes[idx].min() <= 0.0:
-                raise GeometryError(
-                    f"obstacle {idx} degenerates (nonpositive axis) at alpha = {a}")
-            kap = curvature(family, idx, us, a)
-            if float(np.min(kap)) < KAPPA_FLOOR:
-                raise ConvexityError(
-                    f"obstacle {idx} curvature {float(np.min(kap)):.3e} below "
-                    f"floor {KAPPA_FLOOR} at alpha = {a}")
-        if family.mode == "general":
-            cert = check_no_eclipse(family, a, eclipse_samples, margin)
-            if not cert.holds:
-                raise EclipseError(
-                    f"no-eclipse condition fails at alpha = {a}: "
-                    f"witness {cert.witness}", cert)
+    for a in np.linspace(0.0, family.alpha_max, VALIDATION_ALPHAS):
+        _certify(family, a)

@@ -3,8 +3,10 @@ invocation goes through main(argv) in-process."""
 
 import math
 
+import numpy as np
 import pytest
 
+from billiard_lab import cli
 from billiard_lab.cli import main
 
 from conftest import CONFIGS
@@ -125,6 +127,49 @@ def test_sample_word_tail(capsys):
     rc = main(["orbit", "--config", TWO, "--word", "sample:40:-1"])
     assert rc == 2
     assert "sample spec 'sample:40:-1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, needle", [
+    (["orbit", "--word", "1,x"], None, "cannot parse word '1,x'"),
+    (["lyapunov", "--word", "1,7"], None, "symbols outside 1..2"),
+    (["check"], b'mode = "period2"  # caf\xe9\n', "not UTF-8"),
+    (["check"], 'obstacle\u00b2.kind = "circle"\n'.encode(),
+     "bad obstacle key"),
+])
+def test_user_input_errors_exit_2(tmp_path, capsys, command, config, needle):
+    path = TWO
+    if config is not None:
+        path = tmp_path / "user.cfg"
+        path.write_bytes(config)
+    rc = main(command[:1] + ["--config", str(path)] + command[1:])
+    assert rc == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_a_config_error(monkeypatch):
+    # LinAlgError subclasses ValueError; an internal fault must surface
+    # with its traceback, not as exit 2
+    def broken(cfg):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "run_check", broken)
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["check", "--config", TWO])
+
+
+@pytest.mark.parametrize("word, m, rc, needle", [
+    # sample:6:3 is a 6-reflection segment
+    ("sample:6:3", "0", 2, "--m 0 outside 1..6"),
+    ("sample:6:3", "7", 2, "--m 7 outside 1..6"),
+    ("sample:6:3", "6", 0, None),
+    # a periodic word is always averaged over its full period
+    ("1-2", "1", 2, "--m applies to segments"),
+])
+def test_oracle_m_must_fit_the_segment(capsys, word, m, rc, needle):
+    assert main(["lyapunov", "--config", TWO, "--word", word,
+                 "--oracle", "--m", m]) == rc
+    if needle is not None:
+        assert needle in capsys.readouterr().err
 
 
 def test_out_of_range_alpha_exits_2(capsys):

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from billiard_lab import (AlphaRangeError, DeformationFamily, EclipseError,
-                          GeometryError, ObstacleSpec, SmoothnessError,
-                          SolveError, boundary_pair_extremes,
+from billiard_lab import (AlphaRangeError, ConvexityError, DeformationFamily,
+                          EclipseError, GeometryError, ObstacleSpec,
+                          SmoothnessError, SolveError, boundary_pair_extremes,
                           check_no_eclipse, circle, curvature,
                           curvature_partials, ellipse, eval_jet,
                           find_orbit_segment, find_periodic_orbit,
@@ -282,6 +282,58 @@ def test_boundary_pair_extremes_vs_dense_sampling():
     assert hi >= d.max() - 1e-9 and hi == pytest.approx(d.max(), abs=1e-4)
 
 
+def _pair_at(direction, reach, first, second):
+    """``second`` translated by ``reach`` along ``direction`` from ``first``
+    at the origin, as a period2 family."""
+    dx, dy = reach * math.cos(direction), reach * math.sin(direction)
+    return DeformationFamily((first(0.0, 0.0), second(dx, dy)), 0.1,
+                             mode="period2")
+
+
+# the length gradient at a grid seed grows with the table's size, so the
+# properties also run on tables scaled up to 1e3
+SCALES = st.sampled_from([1.0, 1e2, 1e3])
+
+
+@settings(max_examples=40)
+@given(r1=st.floats(0.2, 3.0), r2=st.floats(0.2, 3.0),
+       gap=st.floats(0.01, 10.0), direction=st.floats(0.0, 2.0 * math.pi),
+       scale=SCALES)
+def test_pair_extremes_of_circles_match_closed_form(r1, r2, gap, direction,
+                                                    scale):
+    r1, r2, gap = r1 * scale, r2 * scale, gap * scale
+    fam = _pair_at(direction, r1 + r2 + gap,
+                   lambda x, y: circle(x, y, r1), lambda x, y: circle(x, y, r2))
+    lo, hi = boundary_pair_extremes(fam, 1, 2, 0.0)
+    c1, c2 = (table_at(fam, 0.0).center_xy[i] for i in (1, 2))
+    dist = math.hypot(*(c2 - c1))
+    assert lo == pytest.approx(dist - (r1 + r2), rel=1e-12, abs=0)
+    assert hi == pytest.approx(dist + (r1 + r2), rel=1e-12, abs=0)
+
+
+@settings(max_examples=40)
+@given(axes=st.lists(st.floats(0.2, 2.0), min_size=4, max_size=4),
+       tilts=st.lists(st.floats(0.0, math.pi), min_size=2, max_size=2),
+       gap=st.floats(0.01, 6.0), direction=st.floats(0.0, 2.0 * math.pi),
+       scale=SCALES)
+def test_pair_extremes_of_ellipses_bound_dense_sampling(axes, tilts, gap,
+                                                        direction, scale):
+    # the polished min and max must beat every sampled distance: a polish
+    # that stops on a saddle of the distance would not
+    a1, b1, a2, b2 = (a * scale for a in axes)
+    gap *= scale
+    fam = _pair_at(direction, max(a1, b1) + max(a2, b2) + gap,
+                   lambda x, y: ellipse(x, y, a1, b1, tilts[0]),
+                   lambda x, y: ellipse(x, y, a2, b2, tilts[1]))
+    lo, hi = boundary_pair_extremes(fam, 1, 2, 0.0)
+    us = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+    p1 = partial_jet(fam, 1, us, 0.0, 0, 0)
+    p2 = partial_jet(fam, 2, us, 0.0, 0, 0)
+    d = np.sqrt(((p1[:, None, :] - p2[None, :, :]) ** 2).sum(-1))
+    assert lo <= d.min() * (1.0 + 1e-12)
+    assert hi >= d.max() * (1.0 - 1e-12)
+
+
 def test_no_eclipse_certificate_on_open_table():
     cert = check_no_eclipse(static_three_circle(), 0.0)
     assert cert.holds
@@ -408,6 +460,37 @@ def test_validate_family_catches_vanishing_axis():
                             mode="period2")
     with pytest.raises(GeometryError):
         validate_family(fam)
+
+
+def _pair(first, second):
+    return DeformationFamily((first, second), 0.5, mode="period2")
+
+
+@pytest.mark.parametrize("family, alpha, error, needle", [
+    # radius 1 - 3 alpha is negative at 0.4; a circle of negative radius
+    # still has positive curvature, so only the axis check refuses it
+    (_pair(circle(0.0, 0.0, (1.0, -3.0)), circle(4.0, 0.0, 1.0)), 0.4,
+     GeometryError, "nonpositive axis"),
+    # curvature 1/2e6 = 5e-7 is positive but below KAPPA_FLOOR = 1e-6
+    (_pair(circle(0.0, 0.0, 1.0), circle(2e6 + 4.0, 0.0, 2e6)), 0.0,
+     ConvexityError, "below floor"),
+    # NaN compares false both ways, so it must fail the checks, not pass them
+    (_pair(circle(0.0, 0.0, math.nan), circle(4.0, 0.0, 1.0)), 0.0,
+     GeometryError, "nonpositive axis"),
+    (DeformationFamily((circle(0.0, 0.0, 1.0), circle(6.0, 0.0, 1.0),
+                        circle(3.0, math.nan, 1.0)), 0.5), 0.0,
+     GeometryError, "non-finite centre"),
+    # period2 curvature reads no centre and skips the eclipse check
+    (_pair(circle(0.0, 0.0, 1.0), circle(math.nan, 0.0, 1.0)), 0.0,
+     GeometryError, "non-finite centre"),
+], ids=["vanishing-axis", "below-floor", "nan-radius", "nan-centre",
+        "nan-centre-period2"])
+def test_table_bounds_refuses_what_validate_family_refuses(family, alpha,
+                                                          error, needle):
+    with pytest.raises(error, match=needle):
+        validate_family(family)
+    with pytest.raises(error, match=needle):
+        table_bounds(family, alpha)
 
 
 def test_validate_family_passes_on_sane_table():
