@@ -8,7 +8,8 @@ import sys
 
 import sympy as sp
 
-from billiard_lab import (DeformationFamily, ObstacleSpec, Word, circle,
+from billiard_lab import (DeformationFamily, ObstacleSpec, Word,
+                          boundary_pair_extremes, check_no_eclipse, circle,
                           ellipse, curvature, curvature_between,
                           find_periodic_orbit, f_derivative_sum, kdot_trace,
                           lyapunov_estimate, orbit_alpha_derivatives,
@@ -167,6 +168,34 @@ def closed_form_front_transport():
           curvature_between(1.0 + math.sqrt(2), 2.0))
 
 
+def closed_form_pair_extremes():
+    # two circles: the boundary distance ranges over |c_i - c_k| -+ (r_i + r_k)
+    gap = sp.sqrt(sp.Integer(3) ** 2 + sp.Integer(5) ** 2)
+    reach = sp.Rational(1, 2) + sp.Rational(5, 4)
+    fam = DeformationFamily((circle(1.0, 2.0, 0.5), circle(4.0, 7.0, 1.25)),
+                            0.1, mode="period2")
+    lo, hi = boundary_pair_extremes(fam, 1, 2, 0.0)
+    check("pair extremes d_min", sp.N(gap - reach, 30), lo)
+    check("pair extremes d_max", sp.N(gap + reach, 30), hi)
+
+
+def closed_form_breathe_eclipse_margin():
+    # shipped breathe table: obstacle 1 (radius 1 + a/4) is nearest the
+    # hull of the unit circles 2 and 3, whose tangent line lies 3 sqrt(3)
+    # - 1 from its centre.  The margin is a maximum over directions
+    # resolved to about 1e-9 rad at a kink of the separation, so its
+    # error is a few 1e-9.
+    a = sp.symbols("a", nonnegative=True)
+    margin = 3 * sp.sqrt(3) - 2 - a / 4
+    fam = DeformationFamily(
+        (circle(0.0, 0.0, (1.0, 0.25)), circle(6.0, 0.0, 1.0),
+         circle(3.0, 3.0 * math.sqrt(3.0), 1.0)), 0.4)
+    for alpha in (sp.Integer(0), sp.Rational(2, 5)):
+        check(f"breathe eclipse margin a={float(alpha)}",
+              sp.N(margin.subs(a, alpha), 30),
+              check_no_eclipse(fam, float(alpha)).margin, tol=1e-8)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tol", type=float, default=1e-9,
@@ -179,6 +208,8 @@ def main():
     closed_form_triangle()
     closed_form_ellipse()
     closed_form_front_transport()
+    closed_form_pair_extremes()
+    closed_form_breathe_eclipse_margin()
 
     bad = 0
     print(f"{'check':<34} {'closed form':>22} {'library':>22} {'diff':>10}")

@@ -108,8 +108,7 @@ def _coarse_gap(family: DeformationFamily) -> float:
 
 
 def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
-                       alpha: float, exclude: Optional[int] = None,
-                       t_floor: Optional[float] = None) -> Optional[Hit]:
+                       alpha: float, exclude: Optional[int] = None) -> Optional[Hit]:
     """First obstacle hit by the ray q + t v, or None if it escapes.
 
     ``exclude`` skips the obstacle the ray just left; convexity rules
@@ -119,8 +118,7 @@ def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
     table = table_at(family, alpha)
     q = np.asarray(q, float)
     v = np.asarray(v, float)
-    if t_floor is None:
-        t_floor = _T_FLOOR_REL * _coarse_gap(family)
+    t_floor = _T_FLOOR_REL * _coarse_gap(family)
 
     best_t = math.inf
     best = None

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError, LabConfig
-from .geometry import TableBounds, _default_phi_observation, table_bounds
+from .geometry import TableBounds, table_bounds
 from .lyapunov import (f_derivative_sum, kdot_trace, lyapunov_bounds,
                        lyapunov_estimate)
 from .symbolic import (ShadowingError, SolveError, Word, find_orbit_segment,
@@ -83,11 +82,11 @@ class _BoundsSweeper:
     def __init__(self, family, phi_max_override=None):
         self.family = family
         self.override = phi_max_override
-        self._observe = functools.partial(_default_phi_observation, cache={})
+        self._phi_cache = {}
 
     def bounds(self, alpha: float) -> TableBounds:
         return table_bounds(self.family, alpha, phi_max_override=self.override,
-                            phi_observer=self._observe)
+                            phi_cache=self._phi_cache)
 
 
 def _bounds_row(tb: TableBounds) -> BoundsRow:

@@ -29,10 +29,9 @@ PHI_SAMPLE_WORDS = 100    # random itineraries drawn for the angle estimate
 PHI_SAMPLE_LENGTH = 40
 PHI_PADDING = 8           # pads on each side of a sampled open word
 TABLE_CACHE_SIZE = 256    # per-alpha snapshots kept by table_at
-BOUNDS_SAMPLES = 512      # boundary samples per obstacle: curvature, pair seeds
-ECLIPSE_SAMPLES = 128     # boundary samples per obstacle in the no-eclipse check
+BOUNDS_SAMPLES = 512      # curvature samples per obstacle; seed directions of
+                          # the support-function maxima (pair gaps, no-eclipse)
 VALIDATION_ALPHAS = 65    # alphas on which validate_family certifies the table
-FAR_SEED_ZOOMS = 30       # local grid refinements of a pair-distance max seed
 
 
 class GeometryError(ValueError):
@@ -363,122 +362,108 @@ def perimeter(family: DeformationFamily, obstacle_index: int, alpha: float) -> f
     return val
 
 
-def _boundary_points(family, index, alpha, n):
-    us = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    return us, partial_jet(family, index, us, alpha, 0, 0)
+def _support(table: TableAt, i: int, w: np.ndarray) -> np.ndarray:
+    """Support function h_i(w) = max over K_i of x.w = c.w + |diag(A, B)
+    R(-psi) w| of obstacle i, for directions w of shape (..., 2)."""
+    v = (w @ table.rotation[i].T) * table.axes[i]
+    return w @ table.center_xy[i] + np.hypot(v[..., 0], v[..., 1])
+
+
+def _max_over_directions(f: Callable) -> tuple[float, float]:
+    """(max, theta): the largest value of ``f`` over unit directions
+    w = (cos theta, sin theta); ``f`` maps an (n, 2) array of directions
+    to n values.  The best of BOUNDS_SAMPLES equally spaced directions is
+    refined on 9-point local grids, each a quarter of the previous
+    spacing, until the spacing is below 1e-9 rad."""
+    step = 2.0 * np.pi / BOUNDS_SAMPLES
+    thetas = step * np.arange(BOUNDS_SAMPLES)
+    while True:
+        values = f(np.stack([np.cos(thetas), np.sin(thetas)], axis=-1))
+        best = int(np.argmax(values))
+        if step < 1e-9:
+            return float(values[best]), float(thetas[best] % (2.0 * np.pi))
+        step *= 0.25
+        thetas = thetas[best] + step * np.arange(-4, 5)
+
+
+def _separation(table: TableAt, j: int, hull) -> tuple[float, float]:
+    """(gap, theta): the widest gap between obstacle j and the convex hull
+    of the obstacles ``hull`` along a direction w,
+    max_w [-h_j(-w) - max_m h_m(w)].  Each w with a positive value gives
+    a line that separates them, and the largest value is their distance;
+    it is <= 0 when they meet."""
+    return _max_over_directions(
+        lambda w: -_support(table, j, -w)
+        - np.max([_support(table, m, w) for m in hull], axis=0))
+
+
+def _pair_gap(table: TableAt, i: int, k: int, alpha: float) -> float:
+    """The distance between obstacles i and k; GeometryError if they
+    overlap (NaN included)."""
+    gap, _ = _separation(table, k, (i,))
+    if not gap > 0.0:
+        raise GeometryError(f"obstacles {i} and {k} overlap at alpha = "
+                            f"{alpha} (separation {gap:.3e})")
+    return gap
 
 
 def boundary_pair_extremes(family: DeformationFamily, i: int, k: int, alpha: float):
     """(min, max) distance between the boundaries of obstacles i and k.
 
-    Seeded on a BOUNDS_SAMPLES x BOUNDS_SAMPLES grid and polished by the
-    chain solver, both as one batch of two-node open chains i -> k: the
-    extremes are critical chains, and Newton reaches them from the
-    nearby grid seeds.  The solver first descends the length from a seed
-    whose gradient exceeds ``symbolic._GD_TRIGGER``, away from a maximum,
-    and that gradient grows with the table's size; so the max seed is
-    first sharpened on ever finer 9 x 9 local grids until it is below
-    the trigger.  A polish that fails, or ends worse than its grid seed,
-    raises GeometryError.
+    Both are maxima over directions w of support functions:
+    d_min = max_w [-h_k(-w) - h_i(w)] and d_max = max_w [h_i(w) + h_k(-w)].
+    Raises GeometryError naming the pair when they overlap.
     """
-    from . import symbolic
-
     table = table_at(family, alpha)
-    us_i, pi = _boundary_points(family, i, alpha, BOUNDS_SAMPLES)
-    us_k, pk = _boundary_points(family, k, alpha, BOUNDS_SAMPLES)
-    d2 = ((pi[:, None, :] - pk[None, :, :]) ** 2).sum(-1)
-    seeds = [np.unravel_index(f(d2), d2.shape) for f in (np.argmin, np.argmax)]
-    us0 = np.array([[us_i[a], us_k[b]] for a, b in seeds])
-    symbols = np.array([[i, k], [i, k]])
-    step = 2.0 * np.pi / BOUNDS_SAMPLES
-    for _ in range(FAR_SEED_ZOOMS):
-        ev = symbolic._chain_system(table, symbols[1], us0[1], False,
-                                    want_hess=False)
-        if np.abs(ev.grad).max() <= symbolic._GD_TRIGGER:
-            break
-        uu, vv = us0[1, :, None] + step * np.linspace(-1.0, 1.0, 9)
-        far = ((table.jet(i, uu, 0, 0)[:, None, :]
-                - table.jet(k, vv, 0, 0)[None, :, :]) ** 2).sum(-1)
-        a, b = np.unravel_index(np.argmax(far), far.shape)
-        us0[1] = uu[a], vv[b]
-        step *= 0.25
-    us, _, errors = symbolic._solve_chains(table, symbols, us0, False,
-                                           symbolic.TOL_ORBIT)
-    for err in errors:
-        if err is not None:
-            raise GeometryError(f"distance extremes of obstacles {i} and {k} "
-                                f"at alpha = {alpha}: {err}")
-    dmin, dmax = symbolic._chain_length(table, symbols, us, False)
-    grid = math.sqrt(d2.min()), math.sqrt(d2.max())
-    if not (dmin <= grid[0] * (1 + 1e-12) and dmax >= grid[1] * (1 - 1e-12)):
-        raise GeometryError(f"distance extremes of obstacles {i} and {k} at "
-                            f"alpha = {alpha}: polished ({dmin}, {dmax}) "
-                            f"worse than the grid {grid}")
-    return float(dmin), float(dmax)
+    d_min = _pair_gap(table, i, k, alpha)
+    d_max, _ = _max_over_directions(
+        lambda w: _support(table, i, w) + _support(table, k, -w))
+    return d_min, d_max
 
 
 @dataclass(frozen=True)
 class EclipseCertificate:
-    """Sampled certificate for the no-eclipse condition at one alpha.
+    """Certificate for the no-eclipse condition at one alpha.
 
-    ``margin`` is the worst clearance observed between any sampled
-    cross segment and the obstacle it might shadow (conservatively
-    scaled for ellipses).  ``witness`` on failure is (i, j, k,
-    (u_i, u_k)): the segment between the sampled boundary points of
-    obstacles i and k that got too close to obstacle j.
+    ``margin`` is the smallest gap between an obstacle and the convex
+    hull of two others.  Each gap is the width of an actual separating
+    strip, so it never overstates the distance; it falls short of it by
+    the gap's slope in the direction angle times about 1e-9 rad, the
+    resolution of the direction search.  On failure it is the failing
+    triple's gap.
+    ``witness`` on failure is (i, j, k, theta): obstacle j meets the
+    hull of obstacles i and k, and (cos theta, sin theta) is the normal
+    direction of their best, failing, candidate separating line.
     """
 
     holds: bool
     alpha: float
-    n_samples: int
     margin: float
     witness: Optional[tuple] = None
 
 
 def check_no_eclipse(family: DeformationFamily, alpha: float) -> EclipseCertificate:
-    """Sampled no-eclipse certificate on ECLIPSE_SAMPLES points per obstacle.
+    """Ikawa's no-eclipse condition: no obstacle meets the convex hull of
+    two others.
 
-    For every ordered triple the segments between sampled points of the
-    outer pair must keep a positive distance from the middle obstacle
-    (a NaN distance fails).
-    The middle obstacle is mapped to its normalized frame where it is
-    the unit disc; the clearance bound there is exact for circles and
-    conservative for ellipses, so a certified pass never overstates the
-    clearance.
+    Triple (i, j, k) holds when max_w [-h_j(-w) - max(h_i(w), h_k(w))] > 0
+    (NaN fails): a positive value at any direction w is a line that
+    separates obstacle j from the hull, so a pass has no sampling gap.
     """
     table = table_at(family, alpha)
     z0 = family.z0
-    if z0 < 3:
-        return EclipseCertificate(True, alpha, ECLIPSE_SAMPLES, math.inf)
-
-    us = np.linspace(0.0, 2.0 * np.pi, ECLIPSE_SAMPLES, endpoint=False)
-    pts = {i: table.jet(i, us, 0, 0) for i in range(1, z0 + 1)}
-
-    best_clear = math.inf
+    margin = math.inf
     for j in range(1, z0 + 1):
-        c, rot, axes = table.center_xy[j], table.rotation[j], table.axes[j]
-        mapped = {i: ((pts[i] - c) @ rot.T) * (1.0 / axes)
-                  for i in range(1, z0 + 1) if i != j}
         for i in range(1, z0 + 1):
             for k in range(i + 1, z0 + 1):
                 if j in (i, k):
                     continue
-                a = mapped[i][:, None, :]
-                b = mapped[k][None, :, :]
-                seg = b - a
-                denom = (seg ** 2).sum(-1)
-                tpar = np.clip(-(a * seg).sum(-1) / denom, 0.0, 1.0)
-                closest = a + tpar[..., None] * seg
-                clearance = np.sqrt((closest ** 2).sum(-1)) - 1.0
-                worst = np.unravel_index(np.argmin(clearance), clearance.shape)
-                clear = clearance[worst] * axes.min()
-                best_clear = min(best_clear, clear)
-                if not clear > 0.0:
-                    witness = (i, j, k, (float(us[worst[0]]),
-                                         float(us[worst[1]])))
-                    return EclipseCertificate(False, alpha, ECLIPSE_SAMPLES,
-                                              clear, witness)
-    return EclipseCertificate(True, alpha, ECLIPSE_SAMPLES, best_clear)
+                gap, theta = _separation(table, j, (i, k))
+                if not gap > 0.0:
+                    return EclipseCertificate(False, alpha, gap,
+                                              (i, j, k, theta))
+                margin = min(margin, gap)
+    return EclipseCertificate(True, alpha, margin)
 
 
 @dataclass(frozen=True)
@@ -578,10 +563,11 @@ def phi_max_from_observation(phi_obs: float) -> float:
 def _certify(family: DeformationFamily, alpha: float) -> tuple[float, float]:
     """Certify the table at one alpha: positive semi-axes, finite
     centres, curvature at least KAPPA_FLOOR on BOUNDS_SAMPLES points per
-    obstacle, and in general mode the no-eclipse condition.  Each check
-    is written so that NaN fails it.  Raises GeometryError /
-    ConvexityError / EclipseError on the first failure; returns the
-    sampled curvature range (kappa_min, kappa_max)."""
+    obstacle, then the no-eclipse condition in general mode (it implies
+    that the obstacles are disjoint) or a positive separation of the
+    pair in period2 mode.  Each check is written so that NaN fails it.
+    Raises GeometryError / ConvexityError / EclipseError on the first
+    failure; returns the sampled curvature range (kappa_min, kappa_max)."""
     table = table_at(family, alpha)
     us = np.linspace(0.0, 2.0 * np.pi, BOUNDS_SAMPLES, endpoint=False)
     kap_lo = math.inf
@@ -607,12 +593,14 @@ def _certify(family: DeformationFamily, alpha: float) -> tuple[float, float]:
             raise EclipseError(
                 f"no-eclipse condition fails at alpha = {alpha}: "
                 f"witness {cert.witness}", cert)
+    else:
+        _pair_gap(table, 1, 2, alpha)
     return kap_lo, kap_hi
 
 
 def table_bounds(family: DeformationFamily, alpha: float,
                  phi_max_override: Optional[float] = None, *,
-                 phi_observer: Optional[Callable] = None) -> TableBounds:
+                 phi_cache: Optional[dict] = None) -> TableBounds:
     """Certify the table at alpha and assemble the global bounds d_min,
     d_max, kappa range, phi_max, k range.
 
@@ -623,7 +611,8 @@ def table_bounds(family: DeformationFamily, alpha: float,
     is the whole trapped set.  phi_max comes from the override if given,
     is exactly 0 in period2 mode, and otherwise is estimated from
     periodic orbits of low period plus sampled itineraries, with a
-    safety factor on the cosine.
+    safety factor on the cosine; ``phi_cache`` is the warm-start cache of
+    ``_default_phi_observation``.
     """
     kap_lo, kap_hi = _certify(family, alpha)
 
@@ -641,8 +630,8 @@ def table_bounds(family: DeformationFamily, alpha: float,
     elif family.mode == "period2":
         phi_max = 0.0
     else:
-        observe = phi_observer or _default_phi_observation
-        phi_max = phi_max_from_observation(observe(family, alpha))
+        phi_max = phi_max_from_observation(
+            _default_phi_observation(family, alpha, phi_cache))
     if phi_max >= math.pi / 2:
         raise GeometryError(f"phi_max = {phi_max:.6f} >= pi/2; k_max undefined")
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from billiard_lab import (AlphaRangeError, ConvexityError, DeformationFamily,
@@ -351,6 +351,44 @@ def test_eclipse_detected_for_collinear_triple():
         table_bounds(fam, 0.0)
 
 
+def _bitangent_clearance(c1, r1, c3, r3, cj, rj):
+    """Signed distance from circle j to the outer common tangent of
+    circles 1 and 3 on its side: negative when j cuts into their hull."""
+    dist = math.hypot(*(c3 - c1))
+    e = (c3 - c1) / dist
+    side = math.copysign(1.0, e[0] * (cj - c1)[1] - e[1] * (cj - c1)[0])
+    cos = (r1 - r3) / dist
+    n = cos * e + math.sqrt(1.0 - cos * cos) * side * np.array([-e[1], e[0]])
+    return float(n @ cj) - rj - (float(n @ c1) + r1)
+
+
+@settings(max_examples=60)
+@given(r1=st.floats(0.8, 1.5), r3=st.floats(0.8, 1.5), dist=st.floats(6.0, 8.0),
+       rj=st.floats(0.5, 1.0), frac=st.floats(0.45, 0.55),
+       gap=st.floats(1e-5, 1e-3), inside=st.booleans(),
+       turn=st.floats(0.0, 2.0 * math.pi))
+@example(r1=1.0, r3=1.3, dist=6.0, rj=1.0, frac=0.5, gap=1e-4, inside=True,
+         turn=0.0245)
+def test_no_eclipse_near_threshold_matches_closed_form(r1, r3, dist, rj, frac,
+                                                      gap, inside, turn):
+    # a middle circle at signed distance +-gap from the outer pair's
+    # common tangent, the whole table rotated by ``turn``
+    s = -gap if inside else gap
+    cos = (r1 - r3) / dist
+    n = np.array([cos, -math.sqrt(1.0 - cos * cos)])      # tangent normal
+    along = np.array([-n[1], n[0]])
+    cj = frac * dist * along + (r1 + s + rj) * n
+    rot = np.array([[math.cos(turn), -math.sin(turn)],
+                    [math.sin(turn), math.cos(turn)]])
+    c1, c3, cj = rot @ np.zeros(2), rot @ np.array([dist, 0.0]), rot @ cj
+    fam = DeformationFamily((circle(*c1, r1), circle(*cj, rj),
+                             circle(*c3, r3)), 0.1)
+    clearance = _bitangent_clearance(c1, r1, c3, r3, cj, rj)
+    cert = check_no_eclipse(fam, 0.0)
+    assert cert.holds == (clearance > 0.0)
+    assert cert.margin == pytest.approx(clearance, rel=0, abs=1e-8)
+
+
 def test_table_bounds_two_circle_exact():
     tb = table_bounds(static_two_circle(), 0.0)
     assert tb.d_min == pytest.approx(2.0, abs=1e-10)
@@ -483,8 +521,11 @@ def _pair(first, second):
     # period2 curvature reads no centre and skips the eclipse check
     (_pair(circle(0.0, 0.0, 1.0), circle(math.nan, 0.0, 1.0)), 0.0,
      GeometryError, "non-finite centre"),
+    # the no-eclipse check implies disjointness; period2 checks it alone
+    (_pair(circle(0.0, 0.0, 1.0), circle(1.5, 0.0, 1.0)), 0.0,
+     GeometryError, "obstacles 1 and 2 overlap"),
 ], ids=["vanishing-axis", "below-floor", "nan-radius", "nan-centre",
-        "nan-centre-period2"])
+        "nan-centre-period2", "overlap-period2"])
 def test_table_bounds_refuses_what_validate_family_refuses(family, alpha,
                                                           error, needle):
     with pytest.raises(error, match=needle):
