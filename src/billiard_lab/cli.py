@@ -74,9 +74,9 @@ def cmd_orbit(args) -> int:
     orbit = solve_word(cfg, word, args.alpha)
     print(f"word {ident} ({orbit.kind}), alpha={args.alpha:g}, "
           f"{len(orbit.records)} reflections, residual {orbit.residual:.3e}")
-    if orbit.kind == "segment" and not math.isnan(orbit.shadow_gap):
-        print(f"truncation check: core moved {orbit.shadow_gap:.3e} "
-              "under deeper padding")
+    if orbit.kind == "segment":
+        print(f"truncation bound {orbit.shadow_gap:.3e} at padding "
+              f"{orbit.core_start}")
     print(f"{'j':>4} {'obst':>4} {'u':>18} {'x':>18} {'y':>18} "
           f"{'flight':>18} {'phi':>12} {'kappa':>12}")
     for j, r in enumerate(orbit.records):

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (DeformationFamily, GeometryError, curvature,
+from .geometry import (DeformationFamily, GeometryError, _pair_gap, curvature,
                        outward_normal, partial_jet, table_at)
 
 GRAZING_TOL = 1e-9        # |cos| of the incidence below which a hit is tangential
@@ -92,19 +92,13 @@ def reflect(v: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _coarse_gap(family: DeformationFamily) -> float:
-    """Crude lower bound on the inter-obstacle gap, used to scale the
-    minimum admissible flight time."""
-    best = math.inf
-    pts = {}
-    us = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    for i in range(1, family.z0 + 1):
-        pts[i] = partial_jet(family, i, us, 0.0, 0, 0)
-    for i in range(1, family.z0 + 1):
-        for k in range(i + 1, family.z0 + 1):
-            diff = pts[i][:, None, :] - pts[k][None, :, :]
-            best = min(best, float(np.sqrt((diff ** 2).sum(-1)).min()))
-    return best
+def _min_gap(family: DeformationFamily, alpha: float) -> float:
+    """The smallest distance between two obstacles at alpha, which scales
+    the minimum admissible flight time."""
+    table = table_at(family, alpha)
+    return min(_pair_gap(table, i, k, alpha)
+               for i in range(1, family.z0 + 1)
+               for k in range(i + 1, family.z0 + 1))
 
 
 def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
@@ -118,7 +112,7 @@ def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
     table = table_at(family, alpha)
     q = np.asarray(q, float)
     v = np.asarray(v, float)
-    t_floor = _T_FLOOR_REL * _coarse_gap(family)
+    t_floor = _T_FLOOR_REL * _min_gap(family, alpha)
 
     best_t = math.inf
     best = None

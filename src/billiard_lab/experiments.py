@@ -75,39 +75,18 @@ class SweepResult:
     failures: list = field(default_factory=list)
 
 
-class _BoundsSweeper:
-    """Per-alpha table bounds with the angle-estimation corpus chains
-    warm-started across the grid."""
-
-    def __init__(self, family, phi_max_override=None):
-        self.family = family
-        self.override = phi_max_override
-        self._phi_cache = {}
-
-    def bounds(self, alpha: float) -> TableBounds:
-        return table_bounds(self.family, alpha, phi_max_override=self.override,
-                            phi_cache=self._phi_cache)
-
-
 def _bounds_row(tb: TableBounds) -> BoundsRow:
     lo, hi = lyapunov_bounds(tb)
     return BoundsRow(tb.alpha, tb.d_min, tb.d_max, tb.kappa_min, tb.kappa_max,
                      tb.phi_max, tb.k_min, tb.k_max, lo, hi)
 
 
-def solve_word(cfg: LabConfig, word: Word, alpha: float, init=None,
-               shadow_check: bool = True):
+def solve_word(cfg: LabConfig, word: Word, alpha: float, init=None):
     if word.cyclic:
         return find_periodic_orbit(word, cfg.family, alpha, init=init,
                                    tol=cfg.tol_orbit)
-    if init is not None:
-        # a warm start from a deeper-padded solve: keep the central part
-        extra = len(init) - (len(word.symbols) + 2 * cfg.padding)
-        if extra > 0 and extra % 2 == 0:
-            init = np.asarray(init)[extra // 2:len(init) - extra // 2]
     return find_orbit_segment(word, cfg.family, alpha, padding=cfg.padding,
-                              init=init, tol=cfg.tol_orbit,
-                              shadow_check=shadow_check)
+                              init=init, tol=cfg.tol_orbit)
 
 
 def effective_burn_in(orbit, cfg: LabConfig) -> int:
@@ -173,8 +152,9 @@ def run_sweep(cfg: LabConfig) -> SweepResult:
     word across the alpha grid, plus per-alpha table bounds."""
     _require_smoothness(cfg, (4, 2), "the sweep's derivative columns")
     grid = cfg.alpha_grid
-    sweeper = _BoundsSweeper(cfg.family, cfg.phi_max)
-    bounds_list = [sweeper.bounds(float(a)) for a in grid]
+    cache = {}
+    bounds_list = [table_bounds(cfg.family, float(a), cfg.phi_max,
+                                phi_cache=cache) for a in grid]
     bounds_rows = [_bounds_row(tb) for tb in bounds_list]
 
     all_rows = []
@@ -311,8 +291,10 @@ def run_derivative(cfg: LabConfig, ident: str):
 def run_check(cfg: LabConfig):
     """Bounds and certificates across the grid (validation already ran
     at load time; this recomputes and reports)."""
-    sweeper = _BoundsSweeper(cfg.family, cfg.phi_max)
-    return [_bounds_row(sweeper.bounds(float(a))) for a in cfg.alpha_grid]
+    cache = {}
+    return [_bounds_row(table_bounds(cfg.family, float(a), cfg.phi_max,
+                                     phi_cache=cache))
+            for a in cfg.alpha_grid]
 
 
 def _fmt(value) -> str:

@@ -10,8 +10,8 @@ iteration with a gradient-descent fallback converges from crude seeds.
 Finite trapped-orbit pieces are produced by padding the requested word
 on both sides and discarding the pads; the boundary condition at the cut
 ends contaminates the core only through the stable/unstable contraction,
-so the core converges exponentially in the padding depth.  A consistency
-check against a deeper padding certifies the truncation error.
+so the core converges exponentially in the padding depth; a first-order
+bound read off the solved chain sets how deep to pad.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .dynamics import ReflectionRecord
 # partial_jet is not called here but stays bound: the benchmark's tracer
@@ -30,7 +31,8 @@ from .geometry import (DeformationFamily, curvature_partials,  # noqa: F401
                        partial_jet, table_at)
 
 TOL_ORBIT = 1e-11       # convergence threshold on the sup-norm of the length gradient
-TOL_SHADOW = 1e-9       # admissible core displacement under a padding increase
+TOL_SHADOW = 1e-9       # admissible first-order truncation bound of a core
+MAX_PADDING = 64        # open chains are deepened by 4 pads up to this depth
 COND_LIMIT = 1e12       # chain Hessians worse than this are rejected for derivatives
 _GD_TRIGGER = 0.5       # seed residual above which gradient descent runs first
 
@@ -392,8 +394,8 @@ class BilliardOrbit:
     ``records`` covers the core reflections only; ``chain_symbols`` and
     ``chain_us`` keep the full solved chain (pads included) for warm
     restarts and implicit differentiation.  ``kind`` is "periodic" or
-    "segment"; ``shadow_gap`` is the measured core displacement under a
-    deeper padding (segments only, nan when the check was skipped).
+    "segment"; ``shadow_gap`` is a segment's first-order truncation bound
+    and ``core_start`` its pad depth (nan bound when the check is skipped).
     """
 
     word: Word
@@ -486,14 +488,31 @@ def _pad_symbols(symbols, padding):
 
 def _segment_solve(word, table, padding, init, tol):
     symbols = _pad_symbols(word.symbols, padding)
-    if init is not None:
-        us0 = np.asarray(init, float)
-        if len(us0) != len(symbols):
-            raise ValueError("init length must match the padded chain length")
-    else:
-        us0 = _seed_chain(table, symbols, cyclic=False)
+    us0 = _seed_chain(table, symbols, cyclic=False) if init is None else init
     us, residual = _solve_chain(table, symbols, us0, False, tol)
     return symbols, us, residual
+
+
+def _truncation_bound(table, symbols, us, padding, m):
+    """First-order bound on how far the core points of a converged open
+    chain lie from those of the chain padded without end: pads beyond an
+    end change only the end node's gradient, by e.t, so by at most the
+    largest semi-axis max(A, B) of its obstacle.  Columns 0 and end of the
+    inverse tridiagonal Hessian carry that change to the core, decaying
+    exponentially (Demko, Moss & Smith 1984)."""
+    symbols = np.asarray(symbols)
+    hess = _chain_system(table, symbols, us, False).hess
+    n = len(us)
+    bands = np.zeros((3, n))
+    bands[0, 1:] = np.diagonal(hess, 1)
+    bands[1] = np.diagonal(hess)
+    bands[2, :-1] = np.diagonal(hess, -1)
+    ends = np.zeros((n, 2))
+    ends[0, 0] = ends[-1, 1] = 1.0
+    core = slice(padding, padding + m)
+    cols = np.abs(solve_banded((1, 1), bands, ends)[core])
+    speed = np.sqrt((table.jet(symbols[core], us[core], 1, 0) ** 2).sum(-1))
+    return float((speed * (cols @ table.axes[symbols[[0, -1]]].max(-1))).max())
 
 
 def find_orbit_segment(word: Word, family: DeformationFamily, alpha: float,
@@ -501,11 +520,12 @@ def find_orbit_segment(word: Word, family: DeformationFamily, alpha: float,
                        shadow_check: bool = True) -> BilliardOrbit:
     """Trapped-orbit piece realizing an open word.
 
-    The word is padded on both sides, the open chain is solved, and only
-    the core reflections are reported.  With ``shadow_check`` (and
-    padding of at least 8) the chain is re-solved 4 symbols deeper and
-    the deeper core is returned; the displacement between the two cores
-    must stay below TOL_SHADOW, which certifies the truncation error.
+    The word is padded on both sides, the open chain is solved once, and
+    only the core reflections are reported.  ``padding`` is the minimum
+    depth (a warm start holding more pads keeps its depth).  With
+    ``shadow_check``, ``shadow_gap`` is ``_truncation_bound``; while it
+    exceeds TOL_SHADOW the chain is re-solved 4 pads deeper, and past
+    MAX_PADDING ShadowingError is raised.
     """
     if word.cyclic:
         raise ValueError("find_orbit_segment needs an open word")
@@ -515,29 +535,32 @@ def find_orbit_segment(word: Word, family: DeformationFamily, alpha: float,
         raise ValueError("padding must be at least 1")
     table = table_at(family, alpha)
     m = len(word.symbols)
-    core = np.asarray(word.symbols)
+    depth = padding
+    if init is not None:
+        init = np.asarray(init, float)
+        depth, odd = divmod(len(init) - m, 2)
+        if odd or depth < padding:
+            raise ValueError(f"init length {len(init)} is not the word length "
+                             f"{m} plus at least {padding} pads on each side")
 
-    symbols, us, residual = _segment_solve(word, table, padding, init, tol)
+    symbols, us, residual = _segment_solve(word, table, depth, init, tol)
     gap = math.nan
-    core_start = padding
-    if shadow_check and padding >= 8:
-        deeper = padding + 4
-        outer_seed = _seed_chain(table, _pad_symbols(word.symbols, deeper),
-                                 cyclic=False)
-        seed = np.concatenate([outer_seed[:4], us, outer_seed[-4:]])
-        symbols2, us2, residual2 = _segment_solve(word, table, deeper, seed, tol)
-        gap = float(np.sqrt((
-            (table.jet(core, us[padding:padding + m], 0, 0)
-             - table.jet(core, us2[deeper:deeper + m], 0, 0)) ** 2).sum(-1)).max())
-        if gap > TOL_SHADOW:
+    while shadow_check:
+        gap = _truncation_bound(table, symbols, us, depth, m)
+        if gap <= TOL_SHADOW:
+            break
+        if depth + 4 > MAX_PADDING:
             raise ShadowingError(
-                f"core moved {gap:.3e} under deeper padding (tolerance "
-                f"{TOL_SHADOW:.1e}); word {word.label} at alpha = {alpha}")
-        symbols, us, residual = symbols2, us2, residual2
-        core_start = deeper
-    records = _build_records(table, symbols, us, core_start, m, False)
+                f"truncation bound {gap:.3e} exceeds {TOL_SHADOW:.1e} at "
+                f"padding {depth}; word {word.label} at alpha = {alpha}")
+        depth += 4
+        outer = _seed_chain(table, _pad_symbols(word.symbols, depth),
+                            cyclic=False)
+        seed = np.concatenate([outer[:4], us, outer[-4:]])
+        symbols, us, residual = _segment_solve(word, table, depth, seed, tol)
+    records = _build_records(table, symbols, us, depth, m, False)
     return BilliardOrbit(word, alpha, records, residual, "segment",
-                         symbols, tuple(us), core_start, gap)
+                         symbols, tuple(us), depth, gap)
 
 
 def max_collision_angles(words, table, padding: int, chains):

@@ -18,9 +18,9 @@ from billiard_lab import (Word, front_expansion_check,
                           periodic_curvature_fixed_point, propagate_curvature,
                           sample_itinerary)
 from billiard_lab.cli import main
-from billiard_lab.experiments import (_BoundsSweeper, analyze_orbit,
-                                      effective_burn_in, run_derivative,
-                                      run_sweep, solve_word)
+from billiard_lab.experiments import (analyze_orbit, effective_burn_in,
+                                      run_derivative, run_sweep, solve_word)
+from billiard_lab.geometry import table_bounds
 
 from conftest import CONFIGS
 
@@ -107,10 +107,10 @@ def test_criterion_05_bracket_membership(two_circle_cfg, breathe_cfg,
     t0 = time.perf_counter()
     checked = 0
     for cfg in (two_circle_cfg, breathe_cfg, mixed_cfg):
-        sweeper = _BoundsSweeper(cfg.family, cfg.phi_max)
+        cache = {}
         b = cfg.family.alpha_max
         for alpha in (0.0, 0.5 * b, b):
-            tb = sweeper.bounds(alpha)
+            tb = table_bounds(cfg.family, alpha, cfg.phi_max, phi_cache=cache)
             lo, hi = lyapunov_bounds(tb)
             for ident, word in cfg.words:
                 orbit = solve_word(cfg, word, alpha)
@@ -130,7 +130,7 @@ def test_criterion_06_seed_forgetting(two_circle_cfg, breathe_cfg, mixed_cfg):
     orbits = 0
     for cfg, n_words in ((two_circle_cfg, 1), (breathe_cfg, 3),
                          (mixed_cfg, 2)):
-        tb = _BoundsSweeper(cfg.family, cfg.phi_max).bounds(0.0)
+        tb = table_bounds(cfg.family, 0.0, cfg.phi_max, phi_cache={})
         beta_max = 1.0 / (1.0 + tb.d_min * tb.k_min) ** 2
         gap0 = tb.k_max - tb.k_min
         for seed in range(n_words):
@@ -247,10 +247,8 @@ def test_criterion_10_implicit_derivative_oracle(two_circle_cfg, breathe_cfg,
                 orbit = solve_word(cfg, word, alpha, init=init)
                 init = np.asarray(orbit.chain_us)
                 derivs = orbit_alpha_derivatives(orbit, cfg.family)
-                op = solve_word(cfg, word, alpha + h, init=init,
-                                shadow_check=False)
-                om = solve_word(cfg, word, alpha - h, init=init,
-                                shadow_check=False)
+                op = solve_word(cfg, word, alpha + h, init=init)
+                om = solve_word(cfg, word, alpha - h, init=init)
                 fd = _fd_record_fields(op, om, h)
                 exact = (derivs.u_dot, derivs.d_dot, derivs.kappa_dot,
                          derivs.cosphi_dot, derivs.g_dot)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from billiard_lab import cli
+from billiard_lab import cli, symbolic
 from billiard_lab.cli import main
 
 from conftest import CONFIGS
@@ -67,7 +67,7 @@ def test_orbit_table(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "word open:1-2-1 (segment)" in out
-    assert "truncation check" in out
+    assert "truncation bound " in out and " at padding 12" in out
     data = [l.split() for l in out.splitlines()
             if l.strip() and l.split()[0].isdigit()]
     assert [row[1] for row in data] == ["1", "2", "1"]
@@ -183,3 +183,48 @@ def test_eclipsing_table_exits_3(tmp_path, capsys):
     rc = main(["check", "--config", str(p)])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+SIDE3_CFG = """
+mode = "general"
+alpha_max = 0.1
+alpha_grid = [0.0, 0.1, 2]
+words = ["open:1,2,3,1,2,3"]
+obstacle1.kind = "circle"
+obstacle1.center_x = 0.0
+obstacle1.center_y = 0.0
+obstacle1.radius = 1.0
+obstacle2.kind = "circle"
+obstacle2.center_x = 3.0
+obstacle2.center_y = 0.0
+obstacle2.radius = 1.0
+obstacle3.kind = "circle"
+obstacle3.center_x = 1.5
+obstacle3.center_y = 2.598076211353316
+obstacle3.radius = 1.0
+"""
+
+
+def test_orbit_prints_the_depth_it_reached(tmp_path, capsys):
+    # a side-3 triangle sits near the no-eclipse threshold: padding 12
+    # leaves a truncation bound above 1e-9, so the chain deepens
+    p = tmp_path / "side3.cfg"
+    p.write_text(SIDE3_CFG)
+    assert main(["orbit", "--config", str(p),
+                 "--word", "open:1,2,3,1,2,3"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("truncation bound "))
+    bound, depth = float(line.split()[2]), int(line.split()[-1])
+    assert bound <= 1e-9
+    assert depth > 12 and depth % 4 == 0
+
+
+def test_truncation_bound_past_the_cap_exits_4(tmp_path, capsys,
+                                                monkeypatch):
+    monkeypatch.setattr(symbolic, "MAX_PADDING", 12)
+    p = tmp_path / "side3.cfg"
+    p.write_text(SIDE3_CFG)
+    rc = main(["orbit", "--config", str(p), "--word", "open:1,2,3,1,2,3"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "truncation bound" in err and "at padding 12" in err

@@ -13,6 +13,9 @@ from billiard_lab import (DeformationFamily, GeometryError, GrazingError,
                           first_intersection, partial_jet, reflect,
                           trajectory)
 
+from billiard_lab.dynamics import _min_gap
+from billiard_lab.geometry import table_bounds
+
 from conftest import static_three_circle, static_two_circle
 
 
@@ -158,3 +161,13 @@ def test_trajectory_escapes_from_open_table():
     traj = trajectory(PhaseState(1, math.pi, (-1.0, 0.0), 0.0), fam, 10)
     assert traj.escaped
     assert len(traj.records) == 1
+
+
+@pytest.mark.parametrize("alpha,gap", [(0.0, 4.20127), (0.4, 4.07448)])
+def test_flight_floor_scales_with_the_exact_gap(mixed_cfg, alpha, gap):
+    # the ray caster's flight-time floor reads the exact smallest pair
+    # distance at the ray's alpha, as table_bounds does
+    family = mixed_cfg.family
+    got = _min_gap(family, alpha)
+    assert got == table_bounds(family, alpha, phi_max_override=0.5).d_min
+    assert got == pytest.approx(gap, abs=1e-5)

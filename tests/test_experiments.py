@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from billiard_lab import EclipseError, Word, find_orbit_segment
+from billiard_lab import (EclipseError, Word, experiments,
+                          find_orbit_segment, symbolic)
 from billiard_lab.config import ConfigError, load_config
 from billiard_lab.experiments import (BOUNDS_HEADER, SWEEP_HEADER,
                                       analyze_orbit, effective_burn_in,
@@ -54,15 +55,44 @@ def test_solve_word_dispatch(small_cfg):
     assert len(seg.records) == 4
 
 
-def test_solve_word_trims_deep_warm_start(small_cfg):
+def test_solve_word_keeps_deep_warm_start(small_cfg):
     word = Word((1, 2, 1, 2, 1, 2), cyclic=False)
     deep = find_orbit_segment(word, small_cfg.family, 0.1,
                               padding=small_cfg.padding + 4)
     warm = solve_word(small_cfg, word, 0.1, init=np.asarray(deep.chain_us))
     cold = solve_word(small_cfg, word, 0.1)
-    assert warm.core_start == cold.core_start
+    assert warm.core_start == small_cfg.padding + 4
+    assert cold.core_start == small_cfg.padding
     np.testing.assert_allclose(
         [r.u for r in warm.records], [r.u for r in cold.records], atol=1e-9)
+
+
+def test_breathe_sweep_solves_each_open_word_once(breathe_cfg, monkeypatch):
+    # every find_orbit_segment call (sweep words and the cold phi corpus
+    # alike) makes exactly one chain solve: no workload deepens
+    solves = []
+
+    def count_solves(fn):
+        def wrapper(*args, **kwargs):
+            solves[-1] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def count_finds(fn):
+        def wrapper(*args, **kwargs):
+            solves.append(0)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(symbolic, "_segment_solve",
+                        count_solves(symbolic._segment_solve))
+    finder = count_finds(symbolic.find_orbit_segment)
+    monkeypatch.setattr(symbolic, "find_orbit_segment", finder)
+    monkeypatch.setattr(experiments, "find_orbit_segment", finder)
+    result = run_sweep(breathe_cfg)
+    assert not result.failures
+    assert set(solves) == {1}
+    assert len(solves) == 620
 
 
 def test_effective_burn_in_clips(small_cfg):

@@ -20,7 +20,6 @@ from billiard_lab import (AlphaRangeError, ConvexityError, DeformationFamily,
                           lyapunov_bounds, outward_normal, partial_jet,
                           perimeter, phi_max_from_observation, table_bounds,
                           validate_family)
-from billiard_lab.experiments import _BoundsSweeper
 from billiard_lab.geometry import PHI_PADDING, _phi_corpus, table_at
 
 from conftest import (growing_two_circle, static_three_circle,
@@ -443,14 +442,15 @@ def _phi_one_word_at_a_time(family, alpha, chains):
 
 
 def test_sweeper_phi_max_equals_table_bounds(breathe_cfg, mixed_cfg):
-    # the sweeper's warm batches give exactly the word-by-word estimate;
+    # the sweep's warm batches give exactly the word-by-word estimate;
     # against the cold default observer, warm starts move phi_max by a
     # few ulps (largest seen over the shipped grids: 8.6e-16 relative)
     for cfg in (breathe_cfg, mixed_cfg):
-        sweeper = _BoundsSweeper(cfg.family)
+        cache = {}
         chains = {}
         for k, alpha in enumerate((0.0, 0.1, 0.2)):
-            warm = sweeper.bounds(alpha).phi_max
+            warm = table_bounds(cfg.family, alpha, None,
+                                phi_cache=cache).phi_max
             cold = table_bounds(cfg.family, alpha).phi_max
             assert warm == _phi_one_word_at_a_time(cfg.family, alpha, chains)
             if k == 0:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from billiard_lab import (ShadowingError, SolveError, Word,
@@ -14,9 +14,11 @@ from billiard_lab import (ShadowingError, SolveError, Word,
                           orbit_alpha_derivatives, sample_itinerary,
                           theta_metric)
 from billiard_lab.geometry import PHI_PADDING, _phi_corpus, table_at
-from billiard_lab.symbolic import (TOL_ORBIT, _chain_length, _chain_system,
-                                   _newton_steps, _pad_symbols, _seed_chain,
-                                   _solve_chains)
+from billiard_lab import symbolic
+from billiard_lab.symbolic import (TOL_ORBIT, TOL_SHADOW, _chain_length,
+                                   _chain_system, _newton_steps, _pad_symbols,
+                                   _seed_chain, _solve_chains,
+                                   _truncation_bound)
 
 from conftest import (growing_two_circle, static_three_circle,
                       static_two_circle, translate_two_circle)
@@ -273,11 +275,11 @@ def test_segment_core_and_shadow_certificate():
     assert orb.kind == "segment"
     assert len(orb.records) == 20
     assert [r.obstacle for r in orb.records] == list(word.symbols)
-    assert orb.core_start == 16            # returned chain is 4 deeper
-    assert len(orb.chain_us) == 20 + 2 * 16
-    assert orb.shadow_gap <= 1e-9
+    assert orb.core_start == 12            # one solve, at the requested depth
+    assert len(orb.chain_us) == 20 + 2 * 12
+    assert orb.shadow_gap <= TOL_SHADOW
     assert orb.residual <= 1e-11
-    # the certificate gap really is tiny: truncation decayed to rounding
+    # truncation has decayed to rounding: even the bound is below 1e-12
     assert orb.shadow_gap < 1e-12
 
 
@@ -292,7 +294,7 @@ def test_segment_without_shadow_check():
 
 def test_shallow_padding_is_a_worse_approximation():
     # deeper padding moves the core less: compare cores at padding 4 and 8
-    # against the certified depth-16 chain
+    # against the depth-12 chain, whose truncation bound meets TOL_SHADOW
     fam = static_three_circle()
     word = sample_itinerary(3, 12, seed=9)
     ref = find_orbit_segment(word, fam, 0.0, padding=12)
@@ -305,6 +307,98 @@ def test_shallow_padding_is_a_worse_approximation():
         gaps.append(gap)
     assert gaps[0] > gaps[1] > 0.0
     assert gaps[1] < 1e-6
+
+
+def _core_movement(orb, family, extras=(4, 8, 16)):
+    """Largest distance the core points move when the chain is re-solved
+    with ``extras`` more pads on each side."""
+    core = np.array([r.point for r in orb.records])
+    moved = 0.0
+    for extra in extras:
+        deeper = find_orbit_segment(orb.word, family, orb.alpha,
+                                    padding=orb.core_start + extra,
+                                    shadow_check=False)
+        pts = np.array([r.point for r in deeper.records])
+        moved = max(moved, float(np.sqrt(((pts - core) ** 2).sum(-1)).max()))
+    return moved
+
+
+def test_truncation_bound_covers_shipped_words(breathe_cfg, mixed_cfg):
+    for cfg in (breathe_cfg, mixed_cfg):
+        for ident, word in cfg.words:
+            if word.cyclic:
+                continue
+            for alpha in (0.0, 0.2, 0.4):
+                orb = find_orbit_segment(word, cfg.family, alpha,
+                                         padding=cfg.padding)
+                assert orb.shadow_gap <= TOL_SHADOW, (ident, alpha)
+                assert _core_movement(orb, cfg.family) <= orb.shadow_gap, (
+                    ident, alpha)
+
+
+@settings(max_examples=20)
+@given(side=st.floats(2.4, 6.0), seed=st.integers(0, 1000),
+       shallow=st.sampled_from([2, 4, 6]))
+@example(side=2.4, seed=0, shallow=2)
+def test_truncation_bound_covers_core_movement_near_eclipse(side, seed,
+                                                            shallow):
+    # down to side 2.4, just above the no-eclipse threshold 4/sqrt(3):
+    # the returned orbit meets TOL_SHADOW, deepening itself where needed
+    fam = static_three_circle(side)
+    word = sample_itinerary(3, 10, seed=seed)
+    orb = find_orbit_segment(word, fam, 0.0, padding=12)
+    assert orb.shadow_gap <= TOL_SHADOW
+    assert _core_movement(orb, fam) <= orb.shadow_gap
+    # and where truncation still shows, at a shallow unchecked depth
+    raw = find_orbit_segment(word, fam, 0.0, padding=shallow,
+                             shadow_check=False)
+    bound = _truncation_bound(table_at(fam, 0.0), raw.chain_symbols,
+                              np.asarray(raw.chain_us), shallow, len(word))
+    assert _core_movement(raw, fam) <= bound
+
+
+def test_truncation_bound_reads_both_ends():
+    # a reversed word solves the reversed chain, so the bound, which
+    # reads columns 0 and end of the inverse Hessian, must not change;
+    # the word's ends sit on different obstacles (ellipse 3, circle 1)
+    fam = mixed_family()
+    word = Word((3, 1, 2, 3, 2, 1, 2), cyclic=False)
+    bounds = []
+    for w in (word, Word(word.symbols[::-1], cyclic=False)):
+        orb = find_orbit_segment(w, fam, 0.2, padding=4, shadow_check=False)
+        bounds.append(_truncation_bound(table_at(fam, 0.2), orb.chain_symbols,
+                                        np.asarray(orb.chain_us), 4, len(w)))
+    assert bounds[0] == pytest.approx(bounds[1], rel=1e-9)
+
+
+def test_tables_near_eclipse_deepen_their_padding():
+    word = sample_itinerary(3, 12, seed=0)
+    orb = find_orbit_segment(word, static_three_circle(3.0), 0.0, padding=12)
+    assert orb.core_start > 12
+    assert orb.core_start % 4 == 0
+    assert len(orb.chain_us) == 12 + 2 * orb.core_start
+    assert orb.shadow_gap <= TOL_SHADOW
+
+
+def test_truncation_bound_past_the_cap_raises(monkeypatch):
+    monkeypatch.setattr(symbolic, "MAX_PADDING", 12)
+    word = sample_itinerary(3, 12, seed=0)
+    with pytest.raises(ShadowingError,
+                       match=r"truncation bound \S+ exceeds .* at padding 12"):
+        find_orbit_segment(word, static_three_circle(3.0), 0.0, padding=12)
+
+
+def test_segment_warm_start_sets_a_minimum_depth():
+    fam = static_three_circle()
+    word = sample_itinerary(3, 10, seed=2)
+    deep = find_orbit_segment(word, fam, 0.0, padding=16)
+    assert deep.core_start == 16
+    with pytest.raises(ValueError, match="at least 20 pads"):
+        find_orbit_segment(word, fam, 0.0, padding=20,
+                           init=np.asarray(deep.chain_us))
+    with pytest.raises(ValueError):
+        find_orbit_segment(word, fam, 0.0, padding=12,
+                           init=np.asarray(deep.chain_us)[1:])
 
 
 # -------------------------------------------------- alpha-derivatives
