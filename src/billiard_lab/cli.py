@@ -2,8 +2,12 @@
 
 Exit codes: 0 success; 2 configuration, geometry or usage errors;
 3 no-eclipse certification failure; 4 orbit solver failures (including
-shadowing and grazing); 5 filesystem errors.  Any other exception is an
-internal error: it propagates with its traceback (Python exits 1).
+shadowing and grazing); 5 filesystem errors; 6 an experiment ran to the
+end and its check failed (``sweep``: the continuity modulus is violated
+or an orbit was lost; ``derivative``: the differentiability check
+failed), with the summary printed and the outputs written as usual.
+Any other exception is an internal error: it propagates with its
+traceback (Python exits 1).
 """
 
 from __future__ import annotations
@@ -12,13 +16,11 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .config import (ConfigError, LabConfig, literal_word, load_config,
                      sample_tail)
 from .dynamics import GrazingError
-from .experiments import (analyze_orbit, effective_burn_in, emit_outputs,
-                          run_check, run_derivative, run_sweep, solve_word,
+from .experiments import (analyze_orbit, emit_outputs, run_check,
+                          run_derivative, run_sweep, solve_word,
                           write_bounds_csv)
 from .geometry import EclipseError, GeometryError, table_bounds
 from .lyapunov import jacobian_lyapunov_oracle, lyapunov_bounds, lyapunov_estimate
@@ -154,7 +156,7 @@ def cmd_sweep(args) -> int:
     if not s["continuity_ok"]:
         print("WARNING: continuity modulus violated; inspect the sweep")
     print("wrote " + ", ".join(str(p) for p in paths))
-    return 0
+    return 0 if s["continuity_ok"] and not result.failures else 6
 
 
 def cmd_derivative(args) -> int:
@@ -176,7 +178,7 @@ def cmd_derivative(args) -> int:
               "(linear shrinkage expects >= 0.9)")
     print("differentiability check "
           + ("passed" if summary["ok"] else "FAILED"))
-    return 0
+    return 0 if summary["ok"] else 6
 
 
 def build_parser() -> argparse.ArgumentParser:

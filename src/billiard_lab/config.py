@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,6 @@ class LabConfig:
     phi_max: float | None = None
     seed: int = 0
     output_dir: str = "results"
-    extras: dict = field(default_factory=dict)
 
 
 def _strip_comment(line: str) -> str:

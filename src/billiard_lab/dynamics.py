@@ -16,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (DeformationFamily, GeometryError, _pair_gap, curvature,
-                       outward_normal, partial_jet, table_at)
+from .geometry import (TABLE_CACHE_SIZE, DeformationFamily, GeometryError,
+                       _pair_gap, curvature, outward_normal, partial_jet,
+                       table_at)
 
 GRAZING_TOL = 1e-9        # |cos| of the incidence below which a hit is tangential
 _T_FLOOR_REL = 1e-9       # relative floor on flight time, scaled by the table gap
@@ -91,7 +92,7 @@ def reflect(v: np.ndarray, n: np.ndarray) -> np.ndarray:
     return v - 2.0 * vn * n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _min_gap(family: DeformationFamily, alpha: float) -> float:
     """The smallest distance between two obstacles at alpha, which scales
     the minimum admissible flight time."""

@@ -20,8 +20,7 @@ import numpy as np
 
 from .dynamics import first_intersection, reflect
 from .geometry import DeformationFamily, GeometryError, TableBounds, partial_jet
-from .symbolic import (AlphaDerivatives, BilliardOrbit, SolveError, Word,
-                       find_orbit_segment, find_periodic_orbit)
+from .symbolic import AlphaDerivatives, BilliardOrbit, SolveError, Word
 
 _FIXED_POINT_TOL = 1e-13
 _DEFAULT_BURN_IN = 10     # flights discarded before averaging, open words only
@@ -61,8 +60,6 @@ class LyapunovReport:
     upper: float
     seed_sensitivity: float
     trace: CurvatureTrace
-    F_m: Optional[float] = None
-    oracle_lambda: Optional[float] = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -138,19 +135,30 @@ def lyapunov_bounds(bounds: TableBounds) -> tuple[float, float]:
             math.log1p(bounds.d_max * bounds.k_max))
 
 
-def lyapunov_estimate(orbit: BilliardOrbit, k0: Optional[float] = None,
-                      burn_in: Optional[int] = None, m: Optional[int] = None,
-                      *, bounds: Optional[TableBounds] = None) -> LyapunovReport:
+def _check_full_period(orbit: BilliardOrbit, burn_in: Optional[int],
+                       m: Optional[int]) -> None:
+    """A periodic orbit is averaged over its full period: refuse a window
+    that asks for anything else."""
+    p = len(orbit.records)
+    if burn_in not in (None, 0) or m not in (None, p):
+        raise ValueError(f"periodic word {orbit.word.label} is averaged over "
+                         f"its full period {p}; got burn_in={burn_in}, m={m}")
+
+
+def lyapunov_estimate(orbit: BilliardOrbit, burn_in: Optional[int] = None,
+                      m: Optional[int] = None, *,
+                      bounds: Optional[TableBounds] = None) -> LyapunovReport:
     """Finite-orbit exponent estimate.
 
     Periodic orbits use the cycle fixed point (exact per-period mean, no
-    seed, no burn-in).  Segments propagate from the seed and discard
-    ``burn_in`` flights; ``seed_sensitivity`` is the estimate spread
-    under seeds k0/2 and 2 k0.
+    seed, no burn-in; any other window is refused).  Segments propagate
+    from the default seed k0 and discard ``burn_in`` flights;
+    ``seed_sensitivity`` is the estimate spread under seeds k0/2 and 2 k0.
     """
     lower, upper = lyapunov_bounds(bounds) if bounds is not None \
         else (math.nan, math.nan)
     if orbit.kind == "periodic":
+        _check_full_period(orbit, burn_in, m)
         trace = periodic_curvature_fixed_point(orbit)
         terms = -np.log(trace.delta)
         lam = float(terms.mean())
@@ -165,7 +173,7 @@ def lyapunov_estimate(orbit: BilliardOrbit, k0: Optional[float] = None,
     burn = _DEFAULT_BURN_IN if burn_in is None else burn_in
     if not 0 <= burn < m_use:
         raise ValueError("burn-in must leave at least one flight")
-    k_seed = default_seed_curvature(orbit) if k0 is None else k0
+    k_seed = default_seed_curvature(orbit)
 
     def estimate(seed):
         trace = propagate_curvature(orbit, seed, m_use)
@@ -234,7 +242,8 @@ def f_derivative_sum(orbit: BilliardOrbit, derivs: AlphaDerivatives,
     d = np.array([r.d for r in orbit.records])[:steps]
     f_dot = (derivs.d_dot[:steps] * trace.k + d * kdot.k_dot) * trace.delta
     if orbit.kind == "periodic":
-        burn = 0 if burn_in is None else burn_in
+        _check_full_period(orbit, burn_in, m)
+        burn = 0
     else:
         burn = _DEFAULT_BURN_IN if burn_in is None else burn_in
     m_use = steps if m is None else m
@@ -322,27 +331,29 @@ def _outgoing_vt(family, orbit, j, alpha):
 
 def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float,
                              m: Optional[int] = None, h: float = 1e-6, *,
-                             k0: Optional[float] = None,
-                             orbit: Optional[BilliardOrbit] = None,
+                             orbit: BilliardOrbit,
                              burn_in: int = 0) -> float:
     """Exponent from finite-difference Jacobians of the boundary map.
 
-    Shares nothing with the curvature recursion beyond the solved orbit:
-    each step's 2x2 Jacobian in (u, v_t) coordinates is differenced from
-    the literal flight-and-reflect map.  Cyclic words use the spectral
-    radius of the once-around product; open words push a front-seeded
-    tangent vector and average the growth of the physical front width
-    |T| cos(phi) du.
+    Shares nothing with the curvature recursion beyond the solved
+    ``orbit``, which must be ``word``'s orbit at ``alpha``: each step's
+    2x2 Jacobian in (u, v_t) coordinates is differenced from the literal
+    flight-and-reflect map.  Cyclic words use the spectral radius of the
+    once-around product (full period only); open words push a tangent
+    vector seeded with the default front curvature and average the
+    growth of the physical front width |T| cos(phi) du.
     """
     if not 1e-7 <= h <= 1e-4:
         raise ValueError("step h must lie in [1e-7, 1e-4]")
-    if orbit is None:
-        orbit = find_periodic_orbit(word, family, alpha) if word.cyclic \
-            else find_orbit_segment(word, family, alpha)
+    if orbit.word != word or orbit.alpha != alpha:
+        raise ValueError(
+            f"orbit of {orbit.word.label} at alpha = {orbit.alpha} given for "
+            f"{word.label} at alpha = {alpha}")
     records = orbit.records
     p = len(records)
 
     if word.cyclic:
+        _check_full_period(orbit, burn_in, m)
         mat = np.eye(2)
         scale_log = 0.0
         for j in range(p):
@@ -368,8 +379,8 @@ def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float
     # past the core comes from the padded chain
     nodes = [_node_data(family, orbit, j, alpha) for j in range(m_use + 1)]
     speed0, c0 = nodes[0][3], nodes[0][4]
-    seed = default_seed_curvature(orbit) if k0 is None else k0
-    # unit-width front with curvature k0, in (du, dv_t) coordinates
+    seed = default_seed_curvature(orbit)
+    # unit-width front with the seed curvature, in (du, dv_t) coordinates
     x = np.array([1.0 / (speed0 * c0), seed * c0 - orbit.records[0].kappa])
     scale_log = 0.0
 

@@ -161,7 +161,7 @@ class ChainEval:
 
     length: np.ndarray
     grad: np.ndarray
-    hess: Optional[np.ndarray]
+    hess: np.ndarray
     g_alpha: Optional[np.ndarray]
     degenerate: np.ndarray
 
@@ -185,8 +185,7 @@ def _chain_length(table, symbols, us, cyclic):
     return np.sqrt(((p[..., ib, :] - p[..., ia, :]) ** 2).sum(-1)).sum(-1)
 
 
-def _chain_system(table, symbols, us, cyclic, want_hess=True,
-                  want_alpha=False) -> ChainEval:
+def _chain_system(table, symbols, us, cyclic, want_alpha=False) -> ChainEval:
     """Chain length and its derivatives for chains of any leading shape;
     ``symbols`` is an integer array shaped like ``us``."""
     p = table.jet(symbols, us, 0, 0)
@@ -207,19 +206,17 @@ def _chain_system(table, symbols, us, cyclic, want_hess=True,
     grad[..., ia] -= e_ta
     grad[..., ib] += e_tb
 
-    hess = None
-    if want_hess:
-        u2 = table.jet(symbols, us, 2, 0)
-        haa = ((t_a ** 2).sum(-1) - _dot(v, u2[..., ia, :])) / d - e_ta ** 2 / d
-        hbb = ((t_b ** 2).sum(-1) + _dot(v, u2[..., ib, :])) / d - e_tb ** 2 / d
-        hab = -_dot(t_a, t_b) / d + e_ta * e_tb / d
-        # tridiagonal (cyclic: plus corners), each entry the sum of its
-        # edge terms in edge order
-        hess = np.zeros(us.shape + us.shape[-1:])
-        hess[..., ia, ia] += haa
-        hess[..., ib, ib] += hbb
-        hess[..., ia, ib] += hab
-        hess[..., ib, ia] += hab
+    u2 = table.jet(symbols, us, 2, 0)
+    haa = ((t_a ** 2).sum(-1) - _dot(v, u2[..., ia, :])) / d - e_ta ** 2 / d
+    hbb = ((t_b ** 2).sum(-1) + _dot(v, u2[..., ib, :])) / d - e_tb ** 2 / d
+    hab = -_dot(t_a, t_b) / d + e_ta * e_tb / d
+    # tridiagonal (cyclic: plus corners), each entry the sum of its edge
+    # terms in edge order
+    hess = np.zeros(us.shape + us.shape[-1:])
+    hess[..., ia, ia] += haa
+    hess[..., ib, ib] += hbb
+    hess[..., ia, ib] += hab
+    hess[..., ib, ia] += hab
 
     g_alpha = None
     if want_alpha:
@@ -626,10 +623,13 @@ def orbit_alpha_derivatives(orbit: BilliardOrbit,
     succ = (core + 1) % len(us)
     kap, kap_u, kap_a = curvature_partials(family, sym[core], us[core], alpha)
     table = table_at(family, alpha)
-    ev = _chain_system(table, sym, us, cyclic, want_hess=True, want_alpha=True)
+    ev = _chain_system(table, sym, us, cyclic, want_alpha=True)
     if ev.degenerate:
         raise SolveError(_DEGENERATE, orbit.residual)
-    cond = float(np.linalg.cond(ev.hess))
+    # the Hessian is symmetric: cond_2 = max |eigenvalue| / min |eigenvalue|
+    eig = np.abs(np.linalg.eigvalsh(ev.hess))
+    with np.errstate(divide="ignore"):
+        cond = float(eig.max() / eig.min())
     if not cond < COND_LIMIT:
         raise SolveError(
             f"chain Hessian condition number {cond:.3e} exceeds {COND_LIMIT:.1e}; "

@@ -101,6 +101,50 @@ def test_derivative_output(capsys):
     assert "fitted defect constant K" in out
 
 
+def _spoil(monkeypatch, name, spoil):
+    """Patch the CLI's experiment ``name`` to run for real and then pass
+    its result through ``spoil``."""
+    real = getattr(cli, name)
+
+    def spoiled(cfg, *args):
+        result = real(cfg, *args)
+        spoil(result)
+        return result
+
+    monkeypatch.setattr(cli, name, spoiled)
+
+
+def _violate_modulus(result):
+    result.summary["continuity_ok"] = False
+    result.summary["words"]["1-2"]["continuity_ok"] = False
+
+
+def _lose_an_orbit(result):
+    result.failures.append(("1-2", 0.1, "solver did not converge"))
+
+
+@pytest.mark.parametrize("spoil, needle", [
+    (_violate_modulus, "VIOLATED"),
+    (_lose_an_orbit, "1 orbit losses"),
+])
+def test_failed_sweep_exits_6_and_still_writes(tmp_path, capsys, monkeypatch,
+                                               spoil, needle):
+    _spoil(monkeypatch, "run_sweep", spoil)
+    rc = main(["sweep", "--config", TWO, "--out", str(tmp_path)])
+    assert rc == 6
+    assert needle in capsys.readouterr().out
+    for name in ("sweep.csv", "bounds.csv", "plot.gp"):
+        assert (tmp_path / name).exists()
+
+
+def test_failed_derivative_exits_6(capsys, monkeypatch):
+    _spoil(monkeypatch, "run_derivative",
+           lambda result: result[1].update(ok=False))
+    rc = main(["derivative", "--config", TWO, "--word", "1-2"])
+    assert rc == 6
+    assert "differentiability check FAILED" in capsys.readouterr().out
+
+
 def test_missing_config_exits_5(capsys):
     rc = main(["check", "--config", "/nonexistent/nowhere.cfg"])
     assert rc == 5

@@ -14,9 +14,10 @@ from billiard_lab import (DeformationFamily, GeometryError, GrazingError,
                           trajectory)
 
 from billiard_lab.dynamics import _min_gap
-from billiard_lab.geometry import table_bounds
+from billiard_lab.geometry import TABLE_CACHE_SIZE, table_bounds
 
-from conftest import static_three_circle, static_two_circle
+from conftest import (static_three_circle, static_two_circle,
+                      translate_two_circle)
 
 
 def test_reflect_head_on_and_oblique():
@@ -171,3 +172,12 @@ def test_flight_floor_scales_with_the_exact_gap(mixed_cfg, alpha, gap):
     got = _min_gap(family, alpha)
     assert got == table_bounds(family, alpha, phi_max_override=0.5).d_min
     assert got == pytest.approx(gap, abs=1e-5)
+
+
+def test_min_gap_memo_is_bounded():
+    # a stream of fresh alphas must not grow the memo without limit
+    family = translate_two_circle()
+    for alpha in np.linspace(0.0, 0.5, 300):
+        assert _min_gap(family, float(alpha)) == pytest.approx(2.0 + alpha,
+                                                               abs=1e-9)
+    assert _min_gap.cache_info().currsize <= TABLE_CACHE_SIZE

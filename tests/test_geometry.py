@@ -5,7 +5,11 @@ Frozen reference numbers come from scripts/reproduce_closed_forms.py
 """
 
 import math
+import os
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,9 +24,10 @@ from billiard_lab import (AlphaRangeError, ConvexityError, DeformationFamily,
                           lyapunov_bounds, outward_normal, partial_jet,
                           perimeter, phi_max_from_observation, table_bounds,
                           validate_family)
+from billiard_lab import geometry
 from billiard_lab.geometry import PHI_PADDING, _phi_corpus, table_at
 
-from conftest import (growing_two_circle, static_three_circle,
+from conftest import (ROOT, growing_two_circle, static_three_circle,
                       static_two_circle, translate_two_circle)
 
 
@@ -252,13 +257,34 @@ def test_outward_normal_is_unit_and_outward(u, alpha):
     assert np.linalg.norm(p + 1e-3 * n - c) > np.linalg.norm(p - c)
 
 
-def test_perimeter_circle_and_ellipse():
+def test_perimeter_circle_and_ellipse(monkeypatch):
     fam = DeformationFamily((ellipse(0.0, 0.0, 2.0, 1.0),
                              circle(8.0, 0.0, 1.5)), 0.1, mode="period2")
     assert perimeter(fam, 2, 0.0) == pytest.approx(3.0 * math.pi, abs=1e-10)
     # 8 E(3/4), from the closed-forms script
     assert perimeter(fam, 1, 0.0) == pytest.approx(9.688448220547675,
                                                    abs=1e-10)
+    # A/B = 100 puts the speed's complex singularities 0.01 from the real
+    # axis, so the trapezoid rule needs thousands of nodes
+    thin = DeformationFamily((ellipse(0.0, 0.0, 100.0, 1.0, 0.3),
+                              circle(400.0, 0.0, 1.0)), 0.1, mode="period2")
+    exact = float(400 * mpmath.ellipe(1 - 1e-4))
+    assert perimeter(thin, 1, 0.0) == pytest.approx(exact, rel=1e-14)
+    monkeypatch.setattr(geometry, "PERIMETER_MAX_NODES", 512)
+    with pytest.raises(GeometryError, match="did not converge on 512 nodes"):
+        perimeter(thin, 1, 0.0)
+
+
+def test_import_leaves_scipy_quadrature_and_optimizers_unloaded():
+    code = ("import sys, billiard_lab; print(sorted(m for m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.special') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ------------------------------------------------- distances and bounds

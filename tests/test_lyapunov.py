@@ -242,6 +242,40 @@ def test_oracle_validates_inputs():
         jacobian_lyapunov_oracle(word, fam, 0.0, m=5, burn_in=5, orbit=orb)
 
 
+def test_oracle_refuses_an_orbit_of_another_word_or_alpha():
+    fam, word, orb = _segment_fixture(length=20, seed=4)
+    other = sample_itinerary(3, 20, seed=5)
+    with pytest.raises(ValueError, match="given for"):
+        jacobian_lyapunov_oracle(other, fam, 0.0, orbit=orb)
+    with pytest.raises(ValueError, match="given for"):
+        jacobian_lyapunov_oracle(word, fam, 0.1, orbit=orb)
+
+
+@pytest.mark.parametrize("window", [dict(m=1), dict(burn_in=1),
+                                    dict(m=2, burn_in=1)])
+def test_periodic_orbits_refuse_a_partial_window(window):
+    # a two-circle orbit has period 2; averaging it over anything but the
+    # full period would silently ignore the window
+    fam, orb = _two_circle_orbit()
+    tr = periodic_curvature_fixed_point(orb)
+    dv = orbit_alpha_derivatives(orb, fam)
+    kd = kdot_trace(orb, dv, tr)
+    with pytest.raises(ValueError, match="full period"):
+        lyapunov_estimate(orb, **window)
+    with pytest.raises(ValueError, match="full period"):
+        f_derivative_sum(orb, dv, tr, kd, **window)
+    with pytest.raises(ValueError, match="full period"):
+        jacobian_lyapunov_oracle(Word((1, 2)), fam, 0.0, orbit=orb, **window)
+    # the full period, spelled out, is accepted
+    full = dict(m=2, burn_in=0)
+    assert lyapunov_estimate(orb, **full).lambda_m \
+        == lyapunov_estimate(orb).lambda_m
+    assert f_derivative_sum(orb, dv, tr, kd, **full)[0] \
+        == f_derivative_sum(orb, dv, tr, kd)[0]
+    assert jacobian_lyapunov_oracle(Word((1, 2)), fam, 0.0, orbit=orb, **full) \
+        == jacobian_lyapunov_oracle(Word((1, 2)), fam, 0.0, orbit=orb)
+
+
 # -------------------------------------------------------- front check
 
 def test_front_check_two_circle_tight():

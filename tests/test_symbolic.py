@@ -155,12 +155,11 @@ def test_chain_hessian_and_alpha_gradient_match_fd(cyclic):
         up, um = us.copy(), us.copy()
         up[j] += h
         um[j] -= h
-        col = (_chain_system(table, symbols, up, cyclic, want_hess=False).grad
-               - _chain_system(table, symbols, um, cyclic,
-                               want_hess=False).grad) / (2.0 * h)
+        col = (_chain_system(table, symbols, up, cyclic).grad
+               - _chain_system(table, symbols, um, cyclic).grad) / (2.0 * h)
         np.testing.assert_allclose(ev.hess[:, j], col, atol=2e-8)
-    shifted = [_chain_system(table_at(fam, 0.15 + s), symbols, us, cyclic,
-                             want_hess=False).grad for s in (h, -h)]
+    shifted = [_chain_system(table_at(fam, 0.15 + s), symbols, us,
+                             cyclic).grad for s in (h, -h)]
     np.testing.assert_allclose(ev.g_alpha, (shifted[0] - shifted[1]) / (2.0 * h),
                                atol=2e-8)
 
