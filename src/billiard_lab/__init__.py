@@ -5,15 +5,15 @@ from .geometry import (AlphaRangeError, ConvexityError, DeformationFamily,
                        EclipseCertificate, EclipseError, GeometryError,
                        ObstacleSpec, SmoothnessError, TableBounds,
                        boundary_pair_extremes, circle, check_no_eclipse,
-                       curvature, curvature_partials, ellipse, eval_jet,
-                       outward_normal, partial_jet, perimeter,
-                       phi_max_from_observation, table_bounds, validate_family)
-from .dynamics import (GrazingError, Hit, PhaseState, ReflectionRecord,
-                       Trajectory, billiard_step, first_intersection, reflect,
-                       trajectory)
-from .symbolic import (AlphaDerivatives, BilliardOrbit, ShadowingError,
-                       SolveError, Word, enumerate_cyclic_words,
-                       find_orbit_segment, find_periodic_orbit, is_admissible,
+                       curvature, curvature_partials, ellipse, outward_normal,
+                       partial_jet, perimeter, phi_max_from_observation,
+                       table_bounds, validate_family)
+from .dynamics import (GrazingError, Hit, boundary_map, first_intersection,
+                       reflect)
+from .symbolic import (AlphaDerivatives, BilliardOrbit, ReflectionRecord,
+                       ShadowingError, SolveError, Word,
+                       enumerate_cyclic_words, find_orbit_segment,
+                       find_periodic_orbit, is_admissible,
                        orbit_alpha_derivatives, sample_itinerary, theta_metric)
 from .lyapunov import (CurvatureTrace, FrontExpansionReport, KdotTrace,
                        LyapunovReport, curvature_between,

@@ -1,10 +1,14 @@
-"""Billiard flow on a deformable obstacle table.
+"""The billiard map on a deformable obstacle table.
 
 Straight free flight between obstacles, specular reflection at the
-boundaries.  Intersections are found in closed form per obstacle (every
-boundary is an affine image of the unit circle) and polished with a
-joint Newton step, so hits are accurate to machine precision even after
-long flights.
+boundaries.  ``boundary_map`` is the one flight-and-reflect step, in the
+boundary coordinates (u, v_t) of Chernov & Markarian, *Chaotic
+Billiards*, ch. 2; the Jacobian oracle and the two-ray front check in
+``lyapunov`` run it, the orbit solver does not.  A tangential departure
+or hit raises ``GrazingError``.  Intersections are found in closed form
+per obstacle (every boundary is an affine image of the unit circle) and
+polished with a joint Newton step, so hits are accurate to machine
+precision even after long flights.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (TABLE_CACHE_SIZE, DeformationFamily, GeometryError,
-                       _pair_gap, curvature, outward_normal, partial_jet,
-                       table_at)
+                       _pair_gap, outward_normal, partial_jet, table_at)
 
 GRAZING_TOL = 1e-9        # |cos| of the incidence below which a hit is tangential
 _T_FLOOR_REL = 1e-9       # relative floor on flight time, scaled by the table gap
@@ -29,54 +32,10 @@ class GrazingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PhaseState:
-    """Outgoing state: obstacle index (1-based), boundary parameter u,
-    unit direction just after reflection, and the deformation parameter."""
-
-    obstacle: int
-    u: float
-    direction: tuple[float, float]
-    alpha: float
-
-    def __post_init__(self):
-        vx, vy = self.direction
-        if abs(math.hypot(vx, vy) - 1.0) > 1e-9:
-            raise GeometryError("phase state direction must be a unit vector")
-
-    def point(self, family: DeformationFamily) -> np.ndarray:
-        return partial_jet(family, self.obstacle, self.u, self.alpha, 0, 0)
-
-
-@dataclass(frozen=True)
-class ReflectionRecord:
-    """One reflection: where it happened and the local data the curvature
-    recursion consumes.  ``t`` is the cumulative path length from the
-    seed, ``d`` the flight length to the next reflection (nan when that
-    flight was never computed, i.e. for the final record), ``phi`` the
-    angle between the outgoing ray and the outward normal."""
-
-    obstacle: int
-    u: float
-    point: tuple[float, float]
-    t: float
-    d: float
-    phi: float
-    kappa: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    records: tuple[ReflectionRecord, ...]
-    escaped: bool
-    grazing: bool
-
-
-@dataclass(frozen=True)
 class Hit:
     obstacle: int
     u: float
     t: float
-    point: tuple[float, float]
     grazing: bool
 
 
@@ -161,72 +120,41 @@ def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
 
     n = outward_normal(family, i, u, alpha)
     grazing = abs(float(v @ n)) < GRAZING_TOL
-    p = partial_jet(family, i, u, alpha, 0, 0)
-    return Hit(i, float(u), float(t), (float(p[0]), float(p[1])), grazing)
+    return Hit(i, float(u), float(t), grazing)
 
 
-def billiard_step(state: PhaseState, family: DeformationFamily):
-    """One bounce.  Returns (next_state, hit) or (None, None) on escape.
+def _tangent_frame(family, i, u, alpha):
+    """(|T|, unit tangent, outward unit normal) at u on obstacle i."""
+    t = partial_jet(family, i, u, alpha, 1, 0)
+    speed = math.hypot(t[0], t[1])
+    that = t / speed
+    nhat = np.array([that[1], -that[0]])
+    return speed, that, nhat
 
-    Raises GrazingError on a tangential hit."""
-    q = state.point(family)
-    v = np.asarray(state.direction, float)
-    n = outward_normal(family, state.obstacle, state.u, state.alpha)
-    if float(v @ n) < -1e-12:
-        raise GeometryError("phase state direction points into its obstacle")
-    hit = first_intersection(q, v, family, state.alpha, exclude=state.obstacle)
+
+def boundary_map(family: DeformationFamily, i: int, u: float, vt: float,
+                 alpha: float) -> Optional[tuple[int, float, float]]:
+    """The billiard map in boundary coordinates (u, v_t).
+
+    Leaves obstacle i at parameter u with velocity component vt along
+    the unit tangent, flies to the first obstacle hit and reflects there.
+    Returns the next (obstacle, u, vt), or None when the ray escapes.
+    Raises GrazingError on a tangential departure (|vt| >= 1) or a
+    tangential hit.
+    """
+    _, that, nhat = _tangent_frame(family, i, u, alpha)
+    vn = 1.0 - vt * vt
+    if vn <= 0.0:
+        raise GrazingError(
+            f"tangential departure from obstacle {i} at u = {u:.6f}")
+    v = vt * that + math.sqrt(vn) * nhat
+    q = partial_jet(family, i, u, alpha, 0, 0)
+    hit = first_intersection(q, v, family, alpha, exclude=i)
     if hit is None:
-        return None, None
+        return None
     if hit.grazing:
         raise GrazingError(
             f"tangential hit on obstacle {hit.obstacle} at u = {hit.u:.6f}")
-    n_hit = outward_normal(family, hit.obstacle, hit.u, state.alpha)
-    v_out = reflect(v, n_hit)
-    nxt = PhaseState(hit.obstacle, hit.u, (float(v_out[0]), float(v_out[1])),
-                     state.alpha)
-    return nxt, hit
-
-
-def _record(family, state: PhaseState, t: float, d: float) -> ReflectionRecord:
-    n = outward_normal(family, state.obstacle, state.u, state.alpha)
-    v = np.asarray(state.direction, float)
-    cphi = min(1.0, max(-1.0, float(v @ n)))
-    kap = curvature(family, state.obstacle, state.u, state.alpha)
-    p = state.point(family)
-    return ReflectionRecord(state.obstacle, state.u, (float(p[0]), float(p[1])),
-                            t, d, math.acos(cphi), kap)
-
-
-def trajectory(state: PhaseState, family: DeformationFamily, m: int) -> Trajectory:
-    """Shoot m bounces from an outgoing state.
-
-    Returns up to m + 1 reflection records including the seed.  Stops
-    early with ``escaped`` when the ray leaves the table, or with
-    ``grazing`` on a tangential hit (without raising).
-    """
-    if m < 0:
-        raise GeometryError("bounce count must be nonnegative")
-    records = []
-    cum_t = 0.0
-    cur = state
-    escaped = False
-    grazing = False
-    pending = []  # (state, cumulative t); d filled once the next hit is known
-    pending.append((cur, cum_t))
-    for _ in range(m):
-        try:
-            nxt, hit = billiard_step(cur, family)
-        except GrazingError:
-            grazing = True
-            break
-        if nxt is None:
-            escaped = True
-            break
-        st, t0 = pending.pop()
-        records.append(_record(family, st, t0, hit.t))
-        cum_t = t0 + hit.t
-        cur = nxt
-        pending.append((cur, cum_t))
-    st, t0 = pending.pop()
-    records.append(_record(family, st, t0, math.nan))
-    return Trajectory(tuple(records), escaped, grazing)
+    _, that2, nhat2 = _tangent_frame(family, hit.obstacle, hit.u, alpha)
+    v2 = reflect(v, nhat2)
+    return hit.obstacle, hit.u, float(v2 @ that2)

@@ -99,8 +99,7 @@ def effective_burn_in(orbit, cfg: LabConfig) -> int:
 def analyze_orbit(cfg: LabConfig, orbit, bounds: Optional[TableBounds] = None):
     """Estimate, derivatives and diagnostics for one solved orbit."""
     burn = effective_burn_in(orbit, cfg)
-    report = lyapunov_estimate(orbit, burn_in=None if orbit.kind == "periodic"
-                               else burn, bounds=bounds)
+    report = lyapunov_estimate(orbit, burn_in=burn, bounds=bounds)
     derivs = orbit_alpha_derivatives(orbit, cfg.family)
     # the estimate ran with the default seed and window, so its trace
     # covers every record, as kdot_trace needs

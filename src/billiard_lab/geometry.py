@@ -287,19 +287,6 @@ def partial_jet(family: DeformationFamily, obstacle_index: int, u, alpha: float,
     return table.jet(obstacle_index, np.asarray(u, float), du_order, dalpha_order)
 
 
-def eval_jet(family: DeformationFamily, obstacle_index: int, u, alpha: float,
-             max_u_order: int, max_alpha_order: int) -> np.ndarray:
-    """All mixed partials up to the requested orders.
-
-    ``out[l, m]`` is d^l_u d^m_alpha phi, so the full result has shape
-    (max_u_order + 1, max_alpha_order + 1) + u.shape + (2,).
-    """
-    _check_orders(family, max_u_order, max_alpha_order)
-    return np.array([[partial_jet(family, obstacle_index, u, alpha, l, m)
-                      for m in range(max_alpha_order + 1)]
-                     for l in range(max_u_order + 1)])
-
-
 def curvature(family: DeformationFamily, obstacle_index: int, u, alpha: float):
     """Signed curvature (x' y'' - y' x'') / |phi'|^3; must be positive."""
     t = partial_jet(family, obstacle_index, u, alpha, 1, 0)

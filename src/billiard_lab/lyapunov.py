@@ -8,17 +8,21 @@ orbit gives the exponent as the mean of log(1 + d_j k_j), its
 alpha-derivative as the mean of the exactly differentiated terms, and
 two independent cross-checks: a finite-difference Jacobian product of
 the boundary-coordinate billiard map, and a literal two-ray pencil.
+Both cross-checks run ``dynamics.boundary_map`` along the solved
+orbit's itinerary.  The estimate, its derivative and the Jacobian
+oracle average one window: a periodic orbit's full period, or a
+segment's first m flights after a burn-in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import first_intersection, reflect
+from .dynamics import _tangent_frame, boundary_map
 from .geometry import DeformationFamily, GeometryError, TableBounds, partial_jet
 from .symbolic import AlphaDerivatives, BilliardOrbit, SolveError, Word
 
@@ -60,7 +64,6 @@ class LyapunovReport:
     upper: float
     seed_sensitivity: float
     trace: CurvatureTrace
-    diagnostics: dict = field(default_factory=dict)
 
 
 def curvature_between(k: float, tau: float) -> float:
@@ -135,14 +138,28 @@ def lyapunov_bounds(bounds: TableBounds) -> tuple[float, float]:
             math.log1p(bounds.d_max * bounds.k_max))
 
 
-def _check_full_period(orbit: BilliardOrbit, burn_in: Optional[int],
-                       m: Optional[int]) -> None:
-    """A periodic orbit is averaged over its full period: refuse a window
-    that asks for anything else."""
+def _window(orbit: BilliardOrbit, burn_in: Optional[int],
+            m: Optional[int]) -> tuple[int, int]:
+    """The averaging window (burn, m): flights burn..m-1 are averaged.
+
+    A periodic orbit is averaged over its full period, and a window that
+    asks for anything else is refused.  A segment averages its first m
+    flights (default all) less ``burn_in`` (default ``_DEFAULT_BURN_IN``).
+    """
     p = len(orbit.records)
-    if burn_in not in (None, 0) or m not in (None, p):
-        raise ValueError(f"periodic word {orbit.word.label} is averaged over "
-                         f"its full period {p}; got burn_in={burn_in}, m={m}")
+    if orbit.kind == "periodic":
+        if burn_in not in (None, 0) or m not in (None, p):
+            raise ValueError(
+                f"periodic word {orbit.word.label} is averaged over its full "
+                f"period {p}; got burn_in={burn_in}, m={m}")
+        return 0, p
+    m_use = p if m is None else m
+    if not 1 <= m_use <= p:
+        raise ValueError(f"m must lie in 1..{p}")
+    burn = _DEFAULT_BURN_IN if burn_in is None else burn_in
+    if not 0 <= burn < m_use:
+        raise ValueError("burn-in must leave at least one flight")
+    return burn, m_use
 
 
 def lyapunov_estimate(orbit: BilliardOrbit, burn_in: Optional[int] = None,
@@ -157,40 +174,21 @@ def lyapunov_estimate(orbit: BilliardOrbit, burn_in: Optional[int] = None,
     """
     lower, upper = lyapunov_bounds(bounds) if bounds is not None \
         else (math.nan, math.nan)
+    burn, m_use = _window(orbit, burn_in, m)
     if orbit.kind == "periodic":
-        _check_full_period(orbit, burn_in, m)
         trace = periodic_curvature_fixed_point(orbit)
-        terms = -np.log(trace.delta)
-        lam = float(terms.mean())
-        return LyapunovReport(lam, len(terms), lower, upper, 0.0, trace,
-                              diagnostics={"kind": "periodic",
-                                           "residual": orbit.residual})
+        lam = float((-np.log(trace.delta)).mean())
+        return LyapunovReport(lam, m_use, lower, upper, 0.0, trace)
 
-    p = len(orbit.records)
-    m_use = p if m is None else m
-    if not 1 <= m_use <= p:
-        raise ValueError(f"m must lie in 1..{p}")
-    burn = _DEFAULT_BURN_IN if burn_in is None else burn_in
-    if not 0 <= burn < m_use:
-        raise ValueError("burn-in must leave at least one flight")
     k_seed = default_seed_curvature(orbit)
 
     def estimate(seed):
         trace = propagate_curvature(orbit, seed, m_use)
-        terms = -np.log(trace.delta)
-        return float(terms[burn:].mean()), terms, trace
+        return float((-np.log(trace.delta))[burn:].mean()), trace
 
-    lam, terms, trace = estimate(k_seed)
-    lam_lo, _, _ = estimate(0.5 * k_seed)
-    lam_hi, _, _ = estimate(2.0 * k_seed)
-    sens = abs(lam_hi - lam_lo)
-    running = np.cumsum(terms[burn:]) / np.arange(1, m_use - burn + 1)
-    return LyapunovReport(lam, m_use - burn, lower, upper, sens, trace,
-                          diagnostics={"kind": "segment",
-                                       "residual": orbit.residual,
-                                       "burn_in": burn,
-                                       "seed_k0": k_seed,
-                                       "running_mean": running})
+    lam, trace = estimate(k_seed)
+    sens = abs(estimate(2.0 * k_seed)[0] - estimate(0.5 * k_seed)[0])
+    return LyapunovReport(lam, m_use - burn, lower, upper, sens, trace)
 
 
 def kdot_trace(orbit: BilliardOrbit, derivs: AlphaDerivatives,
@@ -236,47 +234,23 @@ def f_derivative_sum(orbit: BilliardOrbit, derivs: AlphaDerivatives,
                      burn_in: Optional[int] = None,
                      m: Optional[int] = None):
     """(F_m, per-flight f_dot): exact alpha-derivative of the exponent
-    estimate, f_dot[j] = (d_dot[j] k[j] + d[j] k_dot[j]) / (1 + d[j] k[j])."""
-    p = len(orbit.records)
-    steps = len(trace.k)
-    d = np.array([r.d for r in orbit.records])[:steps]
-    f_dot = (derivs.d_dot[:steps] * trace.k + d * kdot.k_dot) * trace.delta
-    if orbit.kind == "periodic":
-        _check_full_period(orbit, burn_in, m)
-        burn = 0
-    else:
-        burn = _DEFAULT_BURN_IN if burn_in is None else burn_in
-    m_use = steps if m is None else m
-    if not 0 <= burn < m_use <= steps:
-        raise ValueError("window must leave at least one flight")
+    estimate, f_dot[j] = (d_dot[j] k[j] + d[j] k_dot[j]) / (1 + d[j] k[j]),
+    averaged over the same window as ``lyapunov_estimate``."""
+    burn, m_use = _window(orbit, burn_in, m)
+    d = np.array([r.d for r in orbit.records])
+    f_dot = (derivs.d_dot * trace.k + d * kdot.k_dot) * trace.delta
     return float(f_dot[burn:m_use].mean()), f_dot
 
 
-def _tangent_frame(family, i, u, alpha):
-    t = partial_jet(family, i, u, alpha, 1, 0)
-    speed = math.hypot(t[0], t[1])
-    that = t / speed
-    nhat = np.array([that[1], -that[0]])
-    return speed, that, nhat
-
-
 def _uvt_step(family, i, u, vt, alpha, expected):
-    """One billiard bounce in boundary coordinates (u, tangential velocity)."""
-    speed, that, nhat = _tangent_frame(family, i, u, alpha)
-    vn = 1.0 - vt * vt
-    if vn <= 0.0:
-        raise SolveError("tangential component leaves no outgoing direction")
-    v = vt * that + math.sqrt(vn) * nhat
-    q = partial_jet(family, i, u, alpha, 0, 0)
-    hit = first_intersection(q, v, family, alpha, exclude=i)
-    if hit is None:
+    """``boundary_map`` along the orbit's itinerary: an escape or a hit
+    on any obstacle but ``expected`` is a SolveError."""
+    nxt = boundary_map(family, i, u, vt, alpha)
+    if nxt is None:
         raise SolveError("ray escaped during map evaluation")
-    if expected is not None and hit.obstacle != expected:
-        raise SolveError(
-            f"ray hit obstacle {hit.obstacle} instead of {expected}")
-    n2 = _tangent_frame(family, hit.obstacle, hit.u, alpha)
-    v2 = reflect(v, n2[2])
-    return hit.obstacle, hit.u, float(v2 @ n2[1])
+    if nxt[0] != expected:
+        raise SolveError(f"ray hit obstacle {nxt[0]} instead of {expected}")
+    return nxt
 
 
 def _wrap_angle(x: float) -> float:
@@ -332,7 +306,7 @@ def _outgoing_vt(family, orbit, j, alpha):
 def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float,
                              m: Optional[int] = None, h: float = 1e-6, *,
                              orbit: BilliardOrbit,
-                             burn_in: int = 0) -> float:
+                             burn_in: Optional[int] = None) -> float:
     """Exponent from finite-difference Jacobians of the boundary map.
 
     Shares nothing with the curvature recursion beyond the solved
@@ -341,7 +315,9 @@ def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float
     flight-and-reflect map.  Cyclic words use the spectral radius of the
     once-around product (full period only); open words push a tangent
     vector seeded with the default front curvature and average the
-    growth of the physical front width |T| cos(phi) du.
+    growth of the physical front width |T| cos(phi) du over the same
+    window as ``lyapunov_estimate``.  A tangential hit raises
+    ``GrazingError``.
     """
     if not 1e-7 <= h <= 1e-4:
         raise ValueError("step h must lie in [1e-7, 1e-4]")
@@ -351,9 +327,9 @@ def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float
             f"{word.label} at alpha = {alpha}")
     records = orbit.records
     p = len(records)
+    burn, m_use = _window(orbit, burn_in, m)
 
     if word.cyclic:
-        _check_full_period(orbit, burn_in, m)
         mat = np.eye(2)
         scale_log = 0.0
         for j in range(p):
@@ -368,12 +344,6 @@ def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float
                 mat /= nrm
         rho = float(np.abs(np.linalg.eigvals(mat)).max())
         return (math.log(rho) + scale_log) / p
-
-    m_use = p if m is None else m
-    if not 1 <= m_use <= p:
-        raise ValueError(f"m must lie in 1..{p}")
-    if not 0 <= burn_in < m_use:
-        raise ValueError("burn-in must leave at least one flight")
 
     # node j holds (obstacle, u, point, |T|, cos phi, v_t); the node one
     # past the core comes from the padded chain
@@ -403,7 +373,7 @@ def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float
         cur = width_log(j + 1, x, scale_log)
         terms.append(cur - prev)
         prev = cur
-    return float(np.mean(terms[burn_in:]))
+    return float(np.mean(terms[burn:]))
 
 
 @dataclass(frozen=True)
@@ -429,7 +399,7 @@ def front_expansion_check(orbit: BilliardOrbit, family: DeformationFamily,
     through the literal dynamics, renormalized back to width ~eps after
     every flight so linearization error stays first order in eps.  If
     the companion escapes or breaks the itinerary the check retries once
-    with eps/10.
+    with eps/10; a tangential departure or hit raises ``GrazingError``.
     """
     p = len(orbit.records)
     # periodic orbits cycle, so any pencil length is available

@@ -24,7 +24,6 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .dynamics import ReflectionRecord
 # partial_jet is not called here but stays bound: the benchmark's tracer
 # patches it at every binding site, and its tests check this one
 from .geometry import (DeformationFamily, curvature_partials,  # noqa: F401
@@ -385,6 +384,21 @@ def _solve_chain(table, symbols, us0, cyclic, tol):
 
 
 @dataclass(frozen=True)
+class ReflectionRecord:
+    """One reflection: where it happened and the local data the curvature
+    recursion consumes.  ``d`` is the flight length to the next
+    reflection, ``phi`` the angle between the outgoing ray and the
+    outward normal."""
+
+    obstacle: int
+    u: float
+    point: tuple[float, float]
+    d: float
+    phi: float
+    kappa: float
+
+
+@dataclass(frozen=True)
 class BilliardOrbit:
     """A solved orbit piece.
 
@@ -446,12 +460,11 @@ def _build_records(table, symbols, us, core_start, core_len, cyclic):
     if not physical:
         raise SolveError("chain converged to a nonphysical configuration "
                          "(a tangent or penetrating edge)")
-    cum = np.concatenate([[0.0], np.cumsum(d[:-1])])
     idxs = range(core_start, core_start + core_len)
     return tuple(
         ReflectionRecord(symbols[idx], float(us[idx]) % (2.0 * math.pi),
-                         (float(p[idx][0]), float(p[idx][1])), float(cum[j]),
-                         float(d[j]), math.acos(min(1.0, float(c_out[j]))),
+                         (float(p[idx][0]), float(p[idx][1])), float(d[j]),
+                         math.acos(min(1.0, float(c_out[j]))),
                          float(kappa[idx]))
         for j, idx in enumerate(idxs))
 

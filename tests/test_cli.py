@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from billiard_lab import cli, symbolic
+from billiard_lab import cli, dynamics, symbolic
 from billiard_lab.cli import main
 
 from conftest import CONFIGS
@@ -261,6 +261,16 @@ def test_orbit_prints_the_depth_it_reached(tmp_path, capsys):
     bound, depth = float(line.split()[2]), int(line.split()[-1])
     assert bound <= 1e-9
     assert depth > 12 and depth % 4 == 0
+
+
+def test_tangential_hit_exits_4(capsys, monkeypatch):
+    # with every hit counted as tangential, the oracle's boundary map
+    # raises GrazingError, an orbit failure
+    monkeypatch.setattr(dynamics, "GRAZING_TOL", 1.0)
+    breathe = str(CONFIGS / "three_circles_breathe.cfg")
+    rc = main(["lyapunov", "--config", breathe, "--word", "1-2-3", "--oracle"])
+    assert rc == 4
+    assert "error: tangential hit" in capsys.readouterr().err
 
 
 def test_truncation_bound_past_the_cap_exits_4(tmp_path, capsys,

@@ -1,5 +1,5 @@
-"""Flight-and-reflect dynamics: closed-form hits, reflection law,
-escape and grazing handling."""
+"""Flight-and-reflect dynamics: closed-form hits, reflection law, and the
+boundary map with its escape and grazing handling."""
 
 import math
 
@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from billiard_lab import (DeformationFamily, GeometryError, GrazingError,
-                          PhaseState, billiard_step, circle, ellipse,
-                          first_intersection, partial_jet, reflect,
-                          trajectory)
+                          boundary_map, circle, ellipse, first_intersection,
+                          partial_jet, reflect)
 
 from billiard_lab.dynamics import _min_gap
 from billiard_lab.geometry import TABLE_CACHE_SIZE, table_bounds
@@ -116,52 +115,34 @@ def test_hits_land_on_the_boundary(ang, off):
     assert hit.t > 0.0
 
 
-def test_billiard_step_period_two():
+def test_boundary_map_period_two():
+    # normal incidence between two unit circles 4 apart: the ray lands at
+    # u = pi on obstacle 2 and comes straight back to u = 0 on obstacle 1
     fam = static_two_circle()
-    state = PhaseState(1, 0.0, (1.0, 0.0), 0.0)
-    nxt, hit = billiard_step(state, fam)
-    assert hit.obstacle == 2
-    assert hit.t == pytest.approx(2.0, abs=1e-12)
-    assert nxt.u == pytest.approx(math.pi, abs=1e-12)
-    np.testing.assert_allclose(nxt.direction, [-1.0, 0.0], atol=1e-12)
+    i, u, vt = boundary_map(fam, 1, 0.0, 0.0, 0.0)
+    assert i == 2
+    assert u == pytest.approx(math.pi, abs=1e-12)
+    assert vt == pytest.approx(0.0, abs=1e-12)
+    i, u, vt = boundary_map(fam, i, u, vt, 0.0)
+    assert i == 1
+    assert math.remainder(u, 2.0 * math.pi) == pytest.approx(0.0, abs=1e-12)
+    assert vt == pytest.approx(0.0, abs=1e-12)
 
 
-def test_billiard_step_escape_and_grazing():
-    fam = static_two_circle()
-    away = PhaseState(1, math.pi / 2, (0.0, 1.0), 0.0)
-    assert billiard_step(away, fam) == (None, None)
-    u = math.pi / 2 - 1e-13   # leaves almost tangentially toward obstacle 2
-    state = PhaseState(1, u, (1.0, 0.0), 0.0)
-    with pytest.raises((GrazingError, GeometryError)):
-        for _ in range(4):
-            state, _ = billiard_step(state, fam)
+def test_boundary_map_escape_returns_none():
+    # straight out from the far side of obstacle 1
+    assert boundary_map(static_two_circle(), 1, math.pi, 0.0, 0.0) is None
 
 
-def test_phase_state_validates_direction():
-    with pytest.raises(GeometryError):
-        PhaseState(1, 0.0, (1.0, 1.0), 0.0)
-
-
-def test_trajectory_period_two_bounce():
-    fam = static_two_circle()
-    traj = trajectory(PhaseState(1, 0.0, (1.0, 0.0), 0.0), fam, 6)
-    assert not traj.escaped and not traj.grazing
-    assert len(traj.records) == 7
-    for j, rec in enumerate(traj.records):
-        assert rec.obstacle == 1 + j % 2
-        assert rec.kappa == pytest.approx(1.0, abs=1e-12)
-        assert rec.t == pytest.approx(2.0 * j, abs=1e-10)
-    assert math.isnan(traj.records[-1].d)
-    assert traj.records[0].d == pytest.approx(2.0, abs=1e-12)
-    assert traj.records[2].phi == pytest.approx(0.0, abs=1e-7)
-
-
-def test_trajectory_escapes_from_open_table():
-    fam = static_three_circle()
-    # fire outward from the far side of obstacle 1
-    traj = trajectory(PhaseState(1, math.pi, (-1.0, 0.0), 0.0), fam, 10)
-    assert traj.escaped
-    assert len(traj.records) == 1
+def test_boundary_map_refuses_tangential_motion():
+    # the ray leaving (1, 0) along +x touches the circle about (5, 1) at
+    # (5, 0); every coordinate is exact, so the hit is tangential
+    fam = DeformationFamily((circle(0.0, 0.0, 1.0), circle(5.0, 1.0, 1.0)),
+                            0.5, mode="period2")
+    with pytest.raises(GrazingError, match="tangential hit on obstacle 2"):
+        boundary_map(fam, 1, 0.0, 0.0, 0.0)
+    with pytest.raises(GrazingError, match="tangential departure"):
+        boundary_map(fam, 1, 0.0, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("alpha,gap", [(0.0, 4.20127), (0.4, 4.07448)])

@@ -19,11 +19,10 @@ from billiard_lab import (AlphaRangeError, ConvexityError, DeformationFamily,
                           EclipseError, GeometryError, ObstacleSpec,
                           SmoothnessError, SolveError, boundary_pair_extremes,
                           check_no_eclipse, circle, curvature,
-                          curvature_partials, ellipse, eval_jet,
-                          find_orbit_segment, find_periodic_orbit,
-                          lyapunov_bounds, outward_normal, partial_jet,
-                          perimeter, phi_max_from_observation, table_bounds,
-                          validate_family)
+                          curvature_partials, ellipse, find_orbit_segment,
+                          find_periodic_orbit, lyapunov_bounds, outward_normal,
+                          partial_jet, perimeter, phi_max_from_observation,
+                          table_bounds, validate_family)
 from billiard_lab import geometry
 from billiard_lab.geometry import PHI_PADDING, _phi_corpus, table_at
 
@@ -81,18 +80,6 @@ def test_vectorized_jet_matches_scalar():
         np.testing.assert_allclose(batch[j],
                                    partial_jet(fam, 3, float(u), 0.15, 1, 1),
                                    rtol=0, atol=1e-15)
-
-
-def test_eval_jet_table_shape_and_content():
-    fam = deformed_ellipse_family()
-    us = np.linspace(0.0, 2.0 * np.pi, 5)
-    table = eval_jet(fam, 3, us, 0.1, 2, 1)
-    assert table.shape == (3, 2, 5, 2)
-    for lu in range(3):
-        for la in range(2):
-            np.testing.assert_allclose(
-                table[lu, la], partial_jet(fam, 3, us, 0.1, lu, la),
-                rtol=0, atol=0)
 
 
 @settings(max_examples=60)
