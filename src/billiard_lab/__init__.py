@@ -5,9 +5,9 @@ from .geometry import (AlphaRangeError, ConvexityError, DeformationFamily,
                        EclipseCertificate, EclipseError, GeometryError,
                        ObstacleSpec, SmoothnessError, TableBounds,
                        boundary_pair_extremes, circle, check_no_eclipse,
-                       curvature, curvature_partials, ellipse, outward_normal,
-                       partial_jet, perimeter, phi_max_from_observation,
-                       table_bounds, validate_family)
+                       curvature, curvature_partials, ellipse, partial_jet,
+                       perimeter, phi_max_from_observation, table_bounds,
+                       validate_family)
 from .dynamics import (GrazingError, Hit, boundary_map, first_intersection,
                        reflect)
 from .symbolic import (AlphaDerivatives, BilliardOrbit, ReflectionRecord,

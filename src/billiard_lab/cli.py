@@ -1,5 +1,8 @@
 """Command line interface.
 
+``lyapunov --oracle`` runs the Jacobian oracle on the window the printed
+``lambda`` averages and prints the difference between the two.
+
 Exit codes: 0 success; 2 configuration, geometry or usage errors;
 3 no-eclipse certification failure; 4 orbit solver failures (including
 shadowing and grazing); 5 filesystem errors; 6 an experiment ran to the
@@ -23,7 +26,7 @@ from .experiments import (analyze_orbit, emit_outputs, run_check,
                           run_derivative, run_sweep, solve_word,
                           write_bounds_csv)
 from .geometry import EclipseError, GeometryError, table_bounds
-from .lyapunov import jacobian_lyapunov_oracle, lyapunov_bounds, lyapunov_estimate
+from .lyapunov import jacobian_lyapunov_oracle, lyapunov_bounds
 from .symbolic import ShadowingError, SolveError, sample_itinerary
 
 
@@ -60,7 +63,9 @@ def cmd_check(args) -> int:
     write_bounds_csv(Path(outdir) / "bounds.csv", rows)
     print(f"table admissible: {cfg.family.z0} obstacles, mode "
           f"{cfg.family.mode}, alpha in [0, {cfg.family.alpha_max:g}]")
-    print(f"no-eclipse certified on {len(rows)} grid points")
+    certified = ("no-eclipse" if cfg.family.mode == "general"
+                 else "pair separation")
+    print(f"{certified} certified on {len(rows)} grid points")
     first, last = rows[0], rows[-1]
     for r, tag in ((first, "first"), (last, "last")):
         print(f"{tag}: alpha={r.alpha:.6g} d=[{r.d_min:.9g}, {r.d_max:.9g}] "
@@ -92,12 +97,6 @@ def cmd_lyapunov(args) -> int:
     cfg = load_config(args.config)
     ident, word = _resolve_word(cfg, args.word, args.seed)
     orbit = solve_word(cfg, word, args.alpha)
-    if args.m is not None and orbit.kind == "periodic":
-        raise ConfigError(f"--m applies to segments; periodic word {ident} "
-                          "is averaged over its full period")
-    if args.m is not None and not 1 <= args.m <= len(orbit.records):
-        raise ConfigError(f"--m {args.m} outside 1..{len(orbit.records)}, "
-                          f"the reflections of word {ident}")
     tb = table_bounds(cfg.family, args.alpha, phi_max_override=cfg.phi_max)
     res = analyze_orbit(cfg, orbit, bounds=tb)
     rep = res["report"]
@@ -111,25 +110,12 @@ def cmd_lyapunov(args) -> int:
     inside = rep.lower - 1e-12 <= rep.lambda_m <= rep.upper + 1e-12
     print(f"estimate within a priori bracket: {'yes' if inside else 'NO'}")
     if args.oracle:
-        if orbit.kind == "periodic":
-            lam_o = jacobian_lyapunov_oracle(word, cfg.family, args.alpha,
-                                             h=cfg.h_fd, orbit=orbit)
-            lam_c = rep.lambda_m
-        else:
-            m_cmp = len(orbit.records) if args.m is None else args.m
-            lam_o = jacobian_lyapunov_oracle(word, cfg.family, args.alpha,
-                                             m=m_cmp, h=cfg.h_fd, orbit=orbit,
-                                             burn_in=0)
-            lam_c = lyapunov_estimate(orbit, burn_in=0, m=m_cmp).lambda_m
-        print(f"independent Jacobian oracle: {lam_o:.12g}  "
-              f"(recursion on same window {lam_c:.12g}, "
-              f"difference {abs(lam_o - lam_c):.3e})")
+        lam_o = jacobian_lyapunov_oracle(word, cfg.family, args.alpha,
+                                         h=cfg.h_fd, orbit=orbit,
+                                         burn_in=res["burn_in"])
+        print(f"independent Jacobian oracle: {lam_o:.12g}  (same window "
+              f"as lambda, difference {abs(lam_o - rep.lambda_m):.3e})")
     return 0
-
-
-def cmd_oracle(args) -> int:
-    args.oracle = True
-    return cmd_lyapunov(args)
 
 
 def cmd_sweep(args) -> int:
@@ -161,8 +147,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_derivative(args) -> int:
     cfg = load_config(args.config)
-    ident, _ = _resolve_word(cfg, args.word, args.seed)
-    rows, summary = run_derivative(cfg, ident)
+    ident, word = _resolve_word(cfg, args.word, args.seed)
+    rows, summary = run_derivative(cfg, word)
     print(f"word {ident}: exact derivative at 0 is {summary['F0']:.12g}")
     print(f"{'alpha':>14} {'lambda':>18} {'F':>18} {'secant slope':>18} "
           f"{'defect':>12}")
@@ -188,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "orbits, Lyapunov exponents along deformations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, word=False, alpha=False, out=False, extra_m=False):
+    def common(p, word=False, alpha=False, out=False):
         p.add_argument("--config", required=True, help="table configuration")
         if word:
             p.add_argument("--word", required=True,
@@ -202,9 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", default=None,
                            help="output directory (default from config)")
-        if extra_m:
-            p.add_argument("--m", type=int, default=None,
-                           help="flights to average (segments only)")
 
     p = sub.add_parser("check", help="certify the table and write bounds.csv")
     common(p, out=True)
@@ -215,14 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("lyapunov", help="exponent estimate for one word")
-    common(p, word=True, alpha=True, extra_m=True)
+    common(p, word=True, alpha=True)
     p.add_argument("--oracle", action="store_true",
-                   help="also run the finite-difference Jacobian oracle")
+                   help="also run the finite-difference Jacobian oracle on "
+                        "the estimate's window")
     p.set_defaults(func=cmd_lyapunov)
-
-    p = sub.add_parser("oracle", help="exponent with the Jacobian oracle")
-    common(p, word=True, alpha=True, extra_m=True)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("sweep", help="full alpha sweep; writes sweep.csv, "
                                      "bounds.csv, plot.gp")

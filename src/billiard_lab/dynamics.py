@@ -5,7 +5,8 @@ boundaries.  ``boundary_map`` is the one flight-and-reflect step, in the
 boundary coordinates (u, v_t) of Chernov & Markarian, *Chaotic
 Billiards*, ch. 2; the Jacobian oracle and the two-ray front check in
 ``lyapunov`` run it, the orbit solver does not.  A tangential departure
-or hit raises ``GrazingError``.  Intersections are found in closed form
+or hit raises ``GrazingError``; ``boundary_map`` judges it from the same
+tangent frame it reflects in.  Intersections are found in closed form
 per obstacle (every boundary is an affine image of the unit circle) and
 polished with a joint Newton step, so hits are accurate to machine
 precision even after long flights.
@@ -15,16 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .geometry import (TABLE_CACHE_SIZE, DeformationFamily, GeometryError,
-                       _pair_gap, outward_normal, partial_jet, table_at)
+from .geometry import DeformationFamily, GeometryError, partial_jet, table_at
 
 GRAZING_TOL = 1e-9        # |cos| of the incidence below which a hit is tangential
-_T_FLOOR_REL = 1e-9       # relative floor on flight time, scaled by the table gap
 
 
 class GrazingError(RuntimeError):
@@ -36,7 +34,6 @@ class Hit:
     obstacle: int
     u: float
     t: float
-    grazing: bool
 
 
 def reflect(v: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -51,28 +48,19 @@ def reflect(v: np.ndarray, n: np.ndarray) -> np.ndarray:
     return v - 2.0 * vn * n
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _min_gap(family: DeformationFamily, alpha: float) -> float:
-    """The smallest distance between two obstacles at alpha, which scales
-    the minimum admissible flight time."""
-    table = table_at(family, alpha)
-    return min(_pair_gap(table, i, k, alpha)
-               for i in range(1, family.z0 + 1)
-               for k in range(i + 1, family.z0 + 1))
-
-
 def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
                        alpha: float, exclude: Optional[int] = None) -> Optional[Hit]:
     """First obstacle hit by the ray q + t v, or None if it escapes.
 
     ``exclude`` skips the obstacle the ray just left; convexity rules
     out an immediate self re-hit, and skipping it avoids a spurious
-    root at t = 0.
+    root at t = 0.  Every other obstacle lies at least the certified
+    pair gap from a ray leaving obstacle ``exclude``, so any positive
+    root is a genuine flight.
     """
     table = table_at(family, alpha)
     q = np.asarray(q, float)
     v = np.asarray(v, float)
-    t_floor = _T_FLOOR_REL * _min_gap(family, alpha)
 
     best_t = math.inf
     best = None
@@ -95,7 +83,7 @@ def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
         if qq != 0.0:
             cands = [qq / aa, cc / qq]
         for t in cands:
-            if t_floor < t < best_t:
+            if 0.0 < t < best_t:
                 best_t = t
                 u0 = math.atan2(qn[1] + t * vn[1], qn[0] + t * vn[0])
                 best = (i, u0 % (2.0 * math.pi))
@@ -117,10 +105,7 @@ def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
             break
         t += dt
         u = (u + du) % (2.0 * math.pi)
-
-    n = outward_normal(family, i, u, alpha)
-    grazing = abs(float(v @ n)) < GRAZING_TOL
-    return Hit(i, float(u), float(t), grazing)
+    return Hit(i, float(u), float(t))
 
 
 def _tangent_frame(family, i, u, alpha):
@@ -152,9 +137,9 @@ def boundary_map(family: DeformationFamily, i: int, u: float, vt: float,
     hit = first_intersection(q, v, family, alpha, exclude=i)
     if hit is None:
         return None
-    if hit.grazing:
+    _, that2, nhat2 = _tangent_frame(family, hit.obstacle, hit.u, alpha)
+    if abs(float(v @ nhat2)) < GRAZING_TOL:
         raise GrazingError(
             f"tangential hit on obstacle {hit.obstacle} at u = {hit.u:.6f}")
-    _, that2, nhat2 = _tangent_frame(family, hit.obstacle, hit.u, alpha)
     v2 = reflect(v, nhat2)
     return hit.obstacle, hit.u, float(v2 @ that2)

@@ -230,7 +230,7 @@ class DerivativeRow:
 _PROBE_FRACTIONS = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 
 
-def run_derivative(cfg: LabConfig, ident: str):
+def run_derivative(cfg: LabConfig, word: Word):
     """Differentiability probe for one word: compare secant slopes
     (lambda(a) - lambda(0))/a against the exact derivative at 0.
 
@@ -239,10 +239,6 @@ def run_derivative(cfg: LabConfig, ident: str):
     and the log-log decay rate of the defect.
     """
     _require_smoothness(cfg, (5, 3), "the differentiability report")
-    matches = [w for wid, w in cfg.words if wid == ident]
-    if not matches:
-        raise ConfigError(f"word {ident!r} is not in the configuration")
-    word = matches[0]
     b = cfg.family.alpha_max
     probes = [0.0] + [f * b for f in _PROBE_FRACTIONS]
 
@@ -281,7 +277,7 @@ def run_derivative(cfg: LabConfig, ident: str):
     # fitted linear-defect constant: smallest K with defect <= K alpha
     k_fit = max(r.defect / r.alpha for r in rows[1:])
     ok = (math.isnan(decay_rate) or decay_rate >= 0.9) and math.isfinite(k_fit)
-    summary = {"word": ident, "F0": f0, "c2_obs": c2_obs, "k_fit": k_fit,
+    summary = {"F0": f0, "c2_obs": c2_obs, "k_fit": k_fit,
                "decay_rate": decay_rate, "ok": ok,
                "rows": rows}
     return rows, summary

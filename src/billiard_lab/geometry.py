@@ -327,16 +327,6 @@ def curvature_partials(family: DeformationFamily, obstacle_index, u, alpha: floa
     return kap, kap_u, kap_a
 
 
-def outward_normal(family: DeformationFamily, obstacle_index: int, u, alpha: float):
-    """Unit outward normal: the tangent rotated by -pi/2, normalized."""
-    t = partial_jet(family, obstacle_index, u, alpha, 1, 0)
-    speed = np.sqrt(t[..., 0] ** 2 + t[..., 1] ** 2)
-    if np.min(speed) < 1e-12:
-        raise GeometryError(
-            f"degenerate tangent on obstacle {obstacle_index} at alpha = {alpha}")
-    return np.stack([t[..., 1], -t[..., 0]], axis=-1) / speed[..., None]
-
-
 def perimeter(family: DeformationFamily, obstacle_index: int, alpha: float) -> float:
     """Arc length of the boundary by the trapezoid rule on equispaced u.
 

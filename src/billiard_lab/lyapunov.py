@@ -9,7 +9,8 @@ alpha-derivative as the mean of the exactly differentiated terms, and
 two independent cross-checks: a finite-difference Jacobian product of
 the boundary-coordinate billiard map, and a literal two-ray pencil.
 Both cross-checks run ``dynamics.boundary_map`` along the solved
-orbit's itinerary.  The estimate, its derivative and the Jacobian
+orbit's itinerary, from node data (point, |T|, cos phi, v_t, outgoing
+chord) built once per reflection.  The estimate, its derivative and the Jacobian
 oracle average one window: a periodic orbit's full period, or a
 segment's first m flights after a burn-in.
 """
@@ -279,8 +280,9 @@ def _chain_index(orbit, j):
 
 
 def _node_data(family, orbit, j, alpha):
-    """(obstacle, u, point, |T|, cos phi, v_t) at reflection j, taken from
-    the solved chain so pad successors are available."""
+    """(obstacle, u, point, |T|, cos phi, v_t, e) at reflection j, with e
+    the outgoing unit chord, taken from the solved chain so pad
+    successors are available."""
     n = len(orbit.chain_us)
     idx = _chain_index(orbit, j)
     succ = _chain_index(orbit, j + 1) if orbit.kind == "periodic" \
@@ -296,11 +298,7 @@ def _node_data(family, orbit, j, alpha):
     e = q2 - q
     e /= math.hypot(e[0], e[1])
     speed, that, nhat = _tangent_frame(family, i, u, alpha)
-    return i, float(u), q, speed, float(e @ nhat), float(e @ that)
-
-
-def _outgoing_vt(family, orbit, j, alpha):
-    return _node_data(family, orbit, j, alpha)[5]
+    return i, float(u), q, speed, float(e @ nhat), float(e @ that), e
 
 
 def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float,
@@ -328,15 +326,20 @@ def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float
     records = orbit.records
     p = len(records)
     burn, m_use = _window(orbit, burn_in, m)
+    # node j holds (obstacle, u, point, |T|, cos phi, v_t, e); an open
+    # word also needs the node one past its window, from the padded chain
+    nodes = [_node_data(family, orbit, j, alpha)
+             for j in range(m_use if word.cyclic else m_use + 1)]
 
     if word.cyclic:
         mat = np.eye(2)
         scale_log = 0.0
         for j in range(p):
+            # obstacle and u from the records: the chain's u is unwrapped,
+            # and starting from it moves the product in its last bits
             rec = records[j]
-            vt = _outgoing_vt(family, orbit, j, alpha)
-            jac = _step_jacobian(family, rec.obstacle, rec.u, vt, alpha,
-                                 records[(j + 1) % p].obstacle, h)
+            jac = _step_jacobian(family, rec.obstacle, rec.u, nodes[j][5],
+                                 alpha, records[(j + 1) % p].obstacle, h)
             mat = jac @ mat
             nrm = float(np.abs(mat).max())
             if nrm > 1e12:
@@ -345,9 +348,6 @@ def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float
         rho = float(np.abs(np.linalg.eigvals(mat)).max())
         return (math.log(rho) + scale_log) / p
 
-    # node j holds (obstacle, u, point, |T|, cos phi, v_t); the node one
-    # past the core comes from the padded chain
-    nodes = [_node_data(family, orbit, j, alpha) for j in range(m_use + 1)]
     speed0, c0 = nodes[0][3], nodes[0][4]
     seed = default_seed_curvature(orbit)
     # unit-width front with the seed curvature, in (du, dv_t) coordinates
@@ -363,7 +363,7 @@ def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float
     prev = width_log(0, x, scale_log)
     terms = []
     for j in range(m_use):
-        obst, u, _, _, _, vt = nodes[j]
+        obst, u, _, _, _, vt, _ = nodes[j]
         jac = _step_jacobian(family, obst, u, vt, alpha, nodes[j + 1][0], h)
         x = jac @ x
         if (j + 1) % _RENORM_EVERY == 0:
@@ -428,29 +428,23 @@ def _front_check_run(orbit, family, trace, eps, n):
             cache[key] = _node_data(family, orbit, key, alpha)
         return cache[key]
 
-    def outgoing_dir(j):
-        i, u, _, _, _, vt = node(j)
-        _, that, nhat = _tangent_frame(family, i, u, alpha)
-        return vt * that + math.sqrt(max(0.0, 1.0 - vt * vt)) * nhat
-
     def width(j, du, flight_dir):
-        i, u, qa, _, _, _ = node(j)
+        i, u, qa, _, _, _, _ = node(j)
         qb = partial_jet(family, i, u + du, alpha, 0, 0)
         dq = qb - qa
         return float(-dq[0] * flight_dir[1] + dq[1] * flight_dir[0])
 
-    _, _, _, speed0, c0, _ = node(0)
+    _, _, _, speed0, c0, _, _ = node(0)
     k_seed = trace.k[0]
     delta_uvt = eps * np.array([1.0 / (speed0 * c0),
                                 k_seed * c0 - orbit.records[0].kappa])
 
     measured_log = 0.0
     for j in range(n):
-        v_out = outgoing_dir(j)
+        ia, ua, _, _, _, vta, v_out = node(j)
         w_cur = width(j, delta_uvt[0], v_out)
         if w_cur == 0.0:
             raise SolveError("pencil width vanished at the seed")
-        ia, ua, _, _, _, vta = node(j)
         _, ub, vtb = _uvt_step(family, ia, ua + delta_uvt[0],
                                vta + delta_uvt[1], alpha, node(j + 1)[0])
         du_next = _wrap_angle(ub - node(j + 1)[1])

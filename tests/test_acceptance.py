@@ -197,7 +197,7 @@ def test_criterion_09_differentiability(two_circle_cfg, breathe_cfg,
     probes = [(two_circle_cfg, "1-2"), (breathe_cfg, "1-2"),
               (breathe_cfg, "sample:40:7"), (mixed_cfg, "1-2-3")]
     for cfg, ident in probes:
-        rows, summary = run_derivative(cfg, ident)
+        rows, summary = run_derivative(cfg, dict(cfg.words)[ident])
         assert summary["ok"], ident
         assert math.isfinite(summary["k_fit"])
         b = cfg.family.alpha_max

@@ -12,6 +12,7 @@ from billiard_lab.cli import main
 from conftest import CONFIGS
 
 TWO = str(CONFIGS / "two_circles_translate.cfg")
+BREATHE = str(CONFIGS / "three_circles_breathe.cfg")
 
 ECLIPSE_CFG = """
 mode = "general"
@@ -53,12 +54,25 @@ def test_lyapunov_literal_and_adhoc_words(capsys):
 
 
 def test_oracle_subcommand(capsys):
-    rc = main(["oracle", "--config", TWO, "--word", "1-2"])
+    rc = main(["lyapunov", "--config", TWO, "--word", "1-2", "--oracle"])
     out = capsys.readouterr().out
     assert rc == 0
     line = next(l for l in out.splitlines() if "independent Jacobian" in l)
     diff = float(line.rsplit("difference ", 1)[1].rstrip(")"))
     assert diff < 1e-8
+
+
+def test_oracle_runs_on_the_printed_window(capsys):
+    # a 40-reflection segment: the oracle averages the flights the
+    # printed lambda averages, after the same burn-in
+    rc = main(["lyapunov", "--config", BREATHE, "--word", "sample:40:7",
+               "--alpha", "0.2", "--oracle"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    lines = out.splitlines()
+    lam = float(next(l for l in lines if l.startswith("lambda = ")).split()[2])
+    line = next(l for l in lines if "independent Jacobian" in l)
+    assert float(line.split()[3]) == pytest.approx(lam, abs=1e-8)
 
 
 def test_orbit_table(capsys):
@@ -80,6 +94,8 @@ def test_check_writes_bounds(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "table admissible: 2 obstacles" in out
+    # period2 mode certifies the pair separation, not no-eclipse
+    assert "pair separation certified on 65 grid points" in out
     assert (tmp_path / "bounds.csv").exists()
 
 
@@ -99,6 +115,13 @@ def test_derivative_output(capsys):
     assert rc == 0
     assert "differentiability check passed" in out
     assert "fitted defect constant K" in out
+
+
+def test_derivative_accepts_a_literal_word(capsys):
+    rc = main(["derivative", "--config", BREATHE, "--word", "2,3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "word 2-3: exact derivative at 0" in out
 
 
 def _spoil(monkeypatch, name, spoil):
@@ -201,21 +224,6 @@ def test_internal_value_error_is_not_a_config_error(monkeypatch):
         main(["check", "--config", TWO])
 
 
-@pytest.mark.parametrize("word, m, rc, needle", [
-    # sample:6:3 is a 6-reflection segment
-    ("sample:6:3", "0", 2, "--m 0 outside 1..6"),
-    ("sample:6:3", "7", 2, "--m 7 outside 1..6"),
-    ("sample:6:3", "6", 0, None),
-    # a periodic word is always averaged over its full period
-    ("1-2", "1", 2, "--m applies to segments"),
-])
-def test_oracle_m_must_fit_the_segment(capsys, word, m, rc, needle):
-    assert main(["lyapunov", "--config", TWO, "--word", word,
-                 "--oracle", "--m", m]) == rc
-    if needle is not None:
-        assert needle in capsys.readouterr().err
-
-
 def test_out_of_range_alpha_exits_2(capsys):
     rc = main(["orbit", "--config", TWO, "--word", "1-2", "--alpha", "0.9"])
     assert rc == 2
@@ -267,8 +275,7 @@ def test_tangential_hit_exits_4(capsys, monkeypatch):
     # with every hit counted as tangential, the oracle's boundary map
     # raises GrazingError, an orbit failure
     monkeypatch.setattr(dynamics, "GRAZING_TOL", 1.0)
-    breathe = str(CONFIGS / "three_circles_breathe.cfg")
-    rc = main(["lyapunov", "--config", breathe, "--word", "1-2-3", "--oracle"])
+    rc = main(["lyapunov", "--config", BREATHE, "--word", "1-2-3", "--oracle"])
     assert rc == 4
     assert "error: tangential hit" in capsys.readouterr().err
 

@@ -20,10 +20,11 @@ from billiard_lab import (AlphaRangeError, ConvexityError, DeformationFamily,
                           SmoothnessError, SolveError, boundary_pair_extremes,
                           check_no_eclipse, circle, curvature,
                           curvature_partials, ellipse, find_orbit_segment,
-                          find_periodic_orbit, lyapunov_bounds, outward_normal,
-                          partial_jet, perimeter, phi_max_from_observation,
-                          table_bounds, validate_family)
+                          find_periodic_orbit, lyapunov_bounds, partial_jet,
+                          perimeter, phi_max_from_observation, table_bounds,
+                          validate_family)
 from billiard_lab import geometry
+from billiard_lab.dynamics import _tangent_frame
 from billiard_lab.geometry import PHI_PADDING, _phi_corpus, table_at
 
 from conftest import (ROOT, growing_two_circle, static_three_circle,
@@ -227,7 +228,7 @@ def test_growing_circle_curvature_derivative_exact():
 def test_outward_normal_circle_exact():
     fam = static_two_circle()
     for u in (0.0, 1.1, 4.0):
-        np.testing.assert_allclose(outward_normal(fam, 1, u, 0.0),
+        np.testing.assert_allclose(_tangent_frame(fam, 1, u, 0.0)[2],
                                    [math.cos(u), math.sin(u)], atol=1e-15)
 
 
@@ -236,7 +237,7 @@ def test_outward_normal_circle_exact():
        alpha=st.floats(0.0, 0.4))
 def test_outward_normal_is_unit_and_outward(u, alpha):
     fam = deformed_ellipse_family()
-    n = outward_normal(fam, 3, u, alpha)
+    n = _tangent_frame(fam, 3, u, alpha)[2]
     assert math.hypot(n[0], n[1]) == pytest.approx(1.0, abs=1e-12)
     # moving along the normal must increase the distance from the center
     p = partial_jet(fam, 3, u, alpha, 0, 0)
