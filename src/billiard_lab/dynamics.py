@@ -15,7 +15,7 @@ precision even after long flights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,9 +31,13 @@ class GrazingError(RuntimeError):
 
 @dataclass(frozen=True)
 class Hit:
+    """The first obstacle hit: its index, boundary parameter u, flight
+    time t and the boundary tangent at u."""
+
     obstacle: int
     u: float
     t: float
+    tangent: np.ndarray = field(compare=False, repr=False)
 
 
 def reflect(v: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -105,12 +109,19 @@ def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
             break
         t += dt
         u = (u + du) % (2.0 * math.pi)
-    return Hit(i, float(u), float(t))
+    else:
+        # the polish ran out: its last tangent belongs to the previous u
+        tan = partial_jet(family, i, u, alpha, 1, 0)
+    return Hit(i, float(u), float(t), tan)
 
 
 def _tangent_frame(family, i, u, alpha):
     """(|T|, unit tangent, outward unit normal) at u on obstacle i."""
-    t = partial_jet(family, i, u, alpha, 1, 0)
+    return _frame(partial_jet(family, i, u, alpha, 1, 0))
+
+
+def _frame(t):
+    """(|T|, unit tangent, outward unit normal) of the tangent T."""
     speed = math.hypot(t[0], t[1])
     that = t / speed
     nhat = np.array([that[1], -that[0]])
@@ -137,7 +148,7 @@ def boundary_map(family: DeformationFamily, i: int, u: float, vt: float,
     hit = first_intersection(q, v, family, alpha, exclude=i)
     if hit is None:
         return None
-    _, that2, nhat2 = _tangent_frame(family, hit.obstacle, hit.u, alpha)
+    _, that2, nhat2 = _frame(hit.tangent)
     if abs(float(v @ nhat2)) < GRAZING_TOL:
         raise GrazingError(
             f"tangential hit on obstacle {hit.obstacle} at u = {hit.u:.6f}")

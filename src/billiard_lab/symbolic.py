@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 # partial_jet is not called here but stays bound: the benchmark's tracer
 # patches it at every binding site, and its tests check this one
@@ -154,13 +155,20 @@ def enumerate_cyclic_words(z0: int, max_period: int):
 @dataclass(frozen=True)
 class ChainEval:
     """Length and derivatives of chains with leading (batch) shape S:
-    length S, grad and g_alpha S + (m,), hess S + (m, m).  ``degenerate``
-    (shape S) marks chains with coincident reflection points; their other
-    values are meaningless."""
+    length S, grad and g_alpha S + (m,).
+
+    The Hessian is kept as bands: ``hess`` (S + (m,)) is its diagonal and
+    ``off`` (S + (edges,)) holds, for each edge k from node k to node
+    k + 1 (mod m), the entry coupling those two nodes.  An open chain has
+    m - 1 edges and a tridiagonal Hessian; a cyclic chain has m edges,
+    the last one adding the two corners (for m = 2 both edges couple
+    nodes 0 and 1).  ``degenerate`` (shape S) marks chains with
+    coincident reflection points; their other values are meaningless."""
 
     length: np.ndarray
     grad: np.ndarray
     hess: np.ndarray
+    off: np.ndarray
     g_alpha: Optional[np.ndarray]
     degenerate: np.ndarray
 
@@ -209,13 +217,10 @@ def _chain_system(table, symbols, us, cyclic, want_alpha=False) -> ChainEval:
     haa = ((t_a ** 2).sum(-1) - _dot(v, u2[..., ia, :])) / d - e_ta ** 2 / d
     hbb = ((t_b ** 2).sum(-1) + _dot(v, u2[..., ib, :])) / d - e_tb ** 2 / d
     hab = -_dot(t_a, t_b) / d + e_ta * e_tb / d
-    # tridiagonal (cyclic: plus corners), each entry the sum of its edge
-    # terms in edge order
-    hess = np.zeros(us.shape + us.shape[-1:])
-    hess[..., ia, ia] += haa
-    hess[..., ib, ib] += hbb
-    hess[..., ia, ib] += hab
-    hess[..., ib, ia] += hab
+    # each diagonal entry is the sum of its edge terms in edge order
+    hess = np.zeros(us.shape)
+    hess[..., ia] += haa
+    hess[..., ib] += hbb
 
     g_alpha = None
     if want_alpha:
@@ -229,7 +234,7 @@ def _chain_system(table, symbols, us, cyclic, want_alpha=False) -> ChainEval:
         g_alpha[..., ia] += ga_a
         g_alpha[..., ib] += ga_b
 
-    return ChainEval(d.sum(-1), grad, hess, g_alpha, degenerate)
+    return ChainEval(d.sum(-1), grad, hess, hab, g_alpha, degenerate)
 
 
 def _seed_chain(table, symbols, cyclic) -> np.ndarray:
@@ -255,21 +260,94 @@ def _seed_chain(table, symbols, cyclic) -> np.ndarray:
                       symbols.shape)
 
 
-def _newton_steps(hess, grad, mu):
-    """Damped Newton steps -(H + mu I)^-1 g for a batch, and a mask of the
-    chains whose damped Hessian is singular (their step is zero)."""
-    a = hess + mu[:, None, None] * np.eye(hess.shape[-1])
-    singular = np.zeros(len(a), bool)
-    try:
-        return np.linalg.solve(a, -grad[..., None])[..., 0], singular
-    except np.linalg.LinAlgError:
-        steps = np.zeros_like(grad)
-        for b in range(len(a)):
-            try:
-                steps[b] = np.linalg.solve(a[b], -grad[b])
-            except np.linalg.LinAlgError:
-                singular[b] = True
-        return steps, singular
+def _hessian_matrix(diag, off, cyclic):
+    """The dense (m, m) chain Hessian of one chain's bands."""
+    ia, ib = _edge_index(len(diag), cyclic)
+    hess = np.diag(diag)
+    hess[ia, ib] += off
+    hess[ib, ia] += off
+    return hess
+
+
+def _open_solve(diag, off, rhs):
+    """Tridiagonal solves for a batch of open chains: diag (B, n), off
+    (B, n - 1), finite rhs (B, n, k).  The batch is one block-diagonal
+    system with zero coupling between chains, solved by one dgtsv call;
+    no pivot crosses a zero coupling, so each chain's arithmetic is that
+    of its solve alone.  On a zero pivot the chains are solved one by
+    one.  Returns (x, singular)."""
+    nb, n, k = rhs.shape
+    if n == 1:      # dgtsv refuses the empty band of a lone node
+        singular = diag[:, 0] == 0.0
+        return rhs / np.where(diag == 0.0, 1.0, diag)[..., None], singular
+    singular = np.zeros(nb, bool)
+    if not nb:
+        return np.zeros(rhs.shape), singular
+    coupling = np.zeros((nb, n))
+    coupling[:, :-1] = off
+    coupling = coupling.ravel()[:-1]
+    x, info = dgtsv(coupling, diag.ravel(), coupling,
+                    rhs.reshape(nb * n, k))[3:]
+    if not info:
+        return x.reshape(rhs.shape), singular
+    x = np.zeros(rhs.shape)
+    for b in range(nb):
+        xb, info = dgtsv(off[b], diag[b], off[b], rhs[b])[3:]
+        singular[b] = info > 0
+        x[b] = xb
+    return x, singular
+
+
+def _tridiag_solve(diag, off, rhs, cyclic):
+    """Solve H x = rhs for a batch of chain Hessians held as bands.
+
+    ``diag`` (B, m) and ``off`` (B, edges) are as in ChainEval, ``rhs``
+    is (B, m) or (B, m, k).  Returns (x, bad): x shaped like ``rhs``, and
+    a mask of the chains with a non-finite input or a singular system,
+    whose x is nan.  Non-finite chains are left out of the joint solve,
+    since across a zero coupling 0 * nan and 0 * inf still reach the
+    neighbouring chain.  A cyclic chain borders its last node: the
+    leading (m - 1) block is tridiagonal (positive definite whenever H
+    is) and is solved for rhs and the border column at once, and the
+    last unknown comes from its Schur complement.
+    """
+    b = rhs if rhs.ndim == 3 else rhs[..., None]
+    bad = ~(np.isfinite(diag).all(-1) & np.isfinite(off).all(-1)
+            & np.isfinite(b).all((-2, -1)))
+    ok = np.flatnonzero(~bad)
+    diag, off, b = diag[ok], off[ok], b[ok]
+    if not cyclic:
+        x, singular = _open_solve(diag, off, b)
+    else:
+        m, k = b.shape[-2:]
+        # the border column c couples the last node to nodes 0 and m - 2
+        c = np.zeros((len(ok), m - 1, 1))
+        c[:, 0, 0] = off[:, m - 1]
+        c[:, m - 2, 0] += off[:, m - 2]     # m = 2: both edges meet node 0
+        touched = (0,) if m == 2 else (0, m - 2)
+
+        def border_dot(w):
+            return sum(c[:, j] * w[:, j] for j in touched)
+
+        yz, singular = _open_solve(diag[:, :-1], off[:, :m - 2],
+                                   np.concatenate([b[:, :-1], c], axis=-1))
+        y, z = yz[..., :k], yz[..., k:]
+        schur = diag[:, -1, None] - border_dot(z)
+        singular |= schur[:, 0] == 0.0
+        schur[singular] = 1.0
+        last = (b[:, -1] - border_dot(y)) / schur
+        x = np.concatenate([y - z * last[:, None], last[:, None]], axis=1)
+    bad[ok[singular]] = True
+    out = np.full((len(bad),) + b.shape[1:], math.nan)
+    out[ok[~singular]] = x[~singular]
+    return (out if rhs.ndim == 3 else out[..., 0]), bad
+
+
+def _newton_steps(diag, off, grad, mu, cyclic):
+    """Damped Newton steps -(H + mu I)^-1 g for a batch of band Hessians,
+    and a mask of the chains whose damped Hessian is singular or not
+    finite (their step is nan)."""
+    return _tridiag_solve(diag + mu[:, None], off, -grad, cyclic)
 
 
 def _escalate(mu):
@@ -288,7 +366,7 @@ def _solve_chains(table, symbols, us0, cyclic, tol):
     us = np.array(us0, float)
     errors = [None] * len(us)
     ev = _chain_system(table, symbols, us, cyclic)
-    length, grad, hess = ev.length, ev.grad, ev.hess
+    length, grad, hess, off = ev.length, ev.grad, ev.hess, ev.off
     ginf = np.abs(grad).max(-1)
     failed = ev.degenerate.copy()
     for b in np.flatnonzero(failed):
@@ -308,6 +386,7 @@ def _solve_chains(table, symbols, us0, cyclic, tol):
         length[rows] = ev.length[keep]
         grad[rows] = ev.grad[keep]
         hess[rows] = ev.hess[keep]
+        off[rows] = ev.off[keep]
         ginf[rows] = g_new[keep]
 
     # crude seeds first descend the length directly
@@ -348,7 +427,8 @@ def _solve_chains(table, symbols, us0, cyclic, tol):
         for _ in range(15):
             if not todo.size:
                 break
-            steps, singular = _newton_steps(hess[todo], grad[todo], mu[todo])
+            steps, singular = _newton_steps(hess[todo], off[todo], grad[todo],
+                                            mu[todo], cyclic)
             mu[todo[singular]] = _escalate(mu[todo[singular]])
             r = todo[~singular]
             cand = us[r] + steps[~singular]
@@ -511,16 +591,12 @@ def _truncation_bound(table, symbols, us, padding, m):
     inverse tridiagonal Hessian carry that change to the core, decaying
     exponentially (Demko, Moss & Smith 1984)."""
     symbols = np.asarray(symbols)
-    hess = _chain_system(table, symbols, us, False).hess
-    n = len(us)
-    bands = np.zeros((3, n))
-    bands[0, 1:] = np.diagonal(hess, 1)
-    bands[1] = np.diagonal(hess)
-    bands[2, :-1] = np.diagonal(hess, -1)
-    ends = np.zeros((n, 2))
-    ends[0, 0] = ends[-1, 1] = 1.0
+    ev = _chain_system(table, symbols, us, False)
+    ends = np.zeros((1, len(us), 2))
+    ends[0, 0, 0] = ends[0, -1, 1] = 1.0
     core = slice(padding, padding + m)
-    cols = np.abs(solve_banded((1, 1), bands, ends)[core])
+    cols = np.abs(_tridiag_solve(ev.hess[None], ev.off[None], ends,
+                                 False)[0][0, core])
     speed = np.sqrt((table.jet(symbols[core], us[core], 1, 0) ** 2).sum(-1))
     return float((speed * (cols @ table.axes[symbols[[0, -1]]].max(-1))).max())
 
@@ -639,15 +715,21 @@ def orbit_alpha_derivatives(orbit: BilliardOrbit,
     ev = _chain_system(table, sym, us, cyclic, want_alpha=True)
     if ev.degenerate:
         raise SolveError(_DEGENERATE, orbit.residual)
-    # the Hessian is symmetric: cond_2 = max |eigenvalue| / min |eigenvalue|
-    eig = np.abs(np.linalg.eigvalsh(ev.hess))
+    # the Hessian is symmetric: cond_2 = max |eigenvalue| / min |eigenvalue|;
+    # a cyclic Hessian's corners leave only the dense eigensolver
+    if cyclic:
+        eig = np.linalg.eigvalsh(_hessian_matrix(ev.hess, ev.off, True))
+    else:
+        eig = eigvalsh_tridiagonal(ev.hess, ev.off)
+    eig = np.abs(eig)
     with np.errstate(divide="ignore"):
         cond = float(eig.max() / eig.min())
     if not cond < COND_LIMIT:
         raise SolveError(
             f"chain Hessian condition number {cond:.3e} exceeds {COND_LIMIT:.1e}; "
             "implicit derivative rejected", orbit.residual)
-    udot_full = np.linalg.solve(ev.hess, -ev.g_alpha)
+    udot_full = _tridiag_solve(ev.hess[None], ev.off[None], -ev.g_alpha[None],
+                               cyclic)[0][0]
 
     p, t, u2, pa, ta = (table.jet(sym, us, lu, la) for lu, la in
                         [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])

@@ -12,6 +12,7 @@ from billiard_lab import (DeformationFamily, GeometryError, GrazingError,
                           boundary_map, circle, ellipse, first_intersection,
                           partial_jet, reflect)
 
+from billiard_lab import dynamics
 from billiard_lab.dynamics import GRAZING_TOL, _tangent_frame
 
 from conftest import static_three_circle, static_two_circle
@@ -106,6 +107,31 @@ def test_hits_land_on_the_boundary(ang, off):
     p = partial_jet(fam, hit.obstacle, hit.u, 0.0, 0, 0)
     np.testing.assert_allclose(p, q + hit.t * v, atol=1e-10)
     assert hit.t > 0.0
+
+
+@pytest.mark.parametrize("start", [-4.0, -1e4])
+def test_a_hit_carries_the_tangent_at_its_point(start):
+    # from 1e4 away rounding keeps the polish from converging, so all 5
+    # steps run and the tangent is evaluated afresh at the final u
+    fam = static_three_circle()
+    hit = first_intersection(np.array([start, 0.3]), np.array([1.0, 0.0]),
+                             fam, 0.0)
+    np.testing.assert_array_equal(
+        hit.tangent, partial_jet(fam, hit.obstacle, hit.u, 0.0, 1, 0))
+
+
+def test_a_map_step_makes_four_jet_calls(breathe_cfg, monkeypatch):
+    # the departure frame, the departure point, one polish step (point
+    # and tangent) and nothing more: the hit frame reuses the tangent
+    calls = []
+
+    def counted(*args):
+        calls.append(args[4])
+        return partial_jet(*args)
+
+    monkeypatch.setattr(dynamics, "partial_jet", counted)
+    assert boundary_map(breathe_cfg.family, 1, 0.9, 0.1, 0.0) is not None
+    assert calls == [1, 0, 0, 1]
 
 
 def test_boundary_map_period_two():

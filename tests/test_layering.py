@@ -63,3 +63,30 @@ def test_lru_caches_are_pinned():
         cached |= {f"{path.stem}.{name}"
                    for name in _lru_cached(ast.parse(path.read_text()))}
     assert cached == {"geometry.table_at", "geometry._phi_corpus"}
+
+
+def _dotted_names(tree):
+    """Every dotted name ``tree`` reads (``np.linalg.solve``) or imports
+    (``numpy.linalg.solve`` for ``from numpy.linalg import solve``)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found |= {f"{node.module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, (ast.Attribute, ast.Name)):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name):
+                found.add(".".join([node.id] + parts[::-1]))
+    return found
+
+
+def test_chain_systems_have_no_dense_solve():
+    # every chain system goes through the tridiagonal kernel: a dense
+    # solve, an identity matrix or a banded solver is a second path
+    names = _dotted_names(ast.parse((PACKAGE / "symbolic.py").read_text()))
+    dense = {name for name in names
+             if name.endswith("linalg.solve")
+             or name.rsplit(".", 1)[-1] in {"eye", "solve_banded"}}
+    assert dense == set()

@@ -16,8 +16,9 @@ from billiard_lab import (ShadowingError, SolveError, Word,
 from billiard_lab.geometry import PHI_PADDING, _phi_corpus, table_at
 from billiard_lab import symbolic
 from billiard_lab.symbolic import (TOL_ORBIT, TOL_SHADOW, _chain_length,
-                                   _chain_system, _newton_steps, _pad_symbols,
-                                   _seed_chain, _solve_chains,
+                                   _chain_system, _hessian_matrix,
+                                   _newton_steps, _pad_symbols, _seed_chain,
+                                   _solve_chains, _tridiag_solve,
                                    _truncation_bound)
 
 from conftest import (growing_two_circle, static_three_circle,
@@ -150,6 +151,7 @@ def test_chain_hessian_and_alpha_gradient_match_fd(cyclic):
     us = _seed_chain(table, symbols, cyclic=cyclic) \
         + rng.uniform(-0.05, 0.05, 6)
     ev = _chain_system(table, symbols, us, cyclic, want_alpha=True)
+    hess = _hessian_matrix(ev.hess, ev.off, cyclic)
     h = 1e-6
     for j in range(len(us)):
         up, um = us.copy(), us.copy()
@@ -157,7 +159,7 @@ def test_chain_hessian_and_alpha_gradient_match_fd(cyclic):
         um[j] -= h
         col = (_chain_system(table, symbols, up, cyclic).grad
                - _chain_system(table, symbols, um, cyclic).grad) / (2.0 * h)
-        np.testing.assert_allclose(ev.hess[:, j], col, atol=2e-8)
+        np.testing.assert_allclose(hess[:, j], col, atol=2e-8)
     shifted = [_chain_system(table_at(fam, 0.15 + s), symbols, us,
                              cyclic).grad for s in (h, -h)]
     np.testing.assert_allclose(ev.g_alpha, (shifted[0] - shifted[1]) / (2.0 * h),
@@ -210,10 +212,95 @@ def test_only_the_bad_chain_of_a_batch_fails():
 
 
 def test_a_singular_damped_hessian_flags_only_its_chain():
-    hess = np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3)])
-    steps, singular = _newton_steps(hess, np.ones((3, 3)), np.zeros(3))
+    diag = np.array([[2.0] * 3, [0.0] * 3, [1.0] * 3])
+    steps, singular = _newton_steps(diag, np.zeros((3, 2)), np.ones((3, 3)),
+                                    np.zeros(3), False)
     assert singular.tolist() == [False, True, False]
     np.testing.assert_array_equal(steps[[0, 2]], [[-0.5] * 3, [-1.0] * 3])
+
+
+# ------------------------------------------------- tridiagonal kernel
+
+def _random_bands(rng, batch, m, cyclic, kind):
+    """Bands of random nonsingular chain systems: symmetric positive
+    definite (a random band shifted past its lowest eigenvalue) or
+    strictly diagonally dominant with diagonal entries of either sign."""
+    off = rng.uniform(-1.0, 1.0, (batch, m if cyclic else m - 1))
+    if kind == "spd":
+        diag = rng.uniform(-1.0, 1.0, (batch, m))
+        for b in range(batch):
+            low = np.linalg.eigvalsh(_hessian_matrix(diag[b], off[b],
+                                                     cyclic))[0]
+            diag[b] += rng.uniform(0.1, 1.0) - low
+    else:
+        row = np.array([np.abs(_hessian_matrix(np.zeros(m), o, cyclic)).sum(-1)
+                        for o in off])
+        diag = (row + rng.uniform(0.5, 1.0, (batch, m))) \
+            * rng.choice([-1.0, 1.0], (batch, m))
+    return diag, off
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+@pytest.mark.parametrize("m", [2, 3, 4, 57])
+@pytest.mark.parametrize("kind", ["spd", "dominant"])
+def test_tridiag_solve_matches_dense_solve(cyclic, m, kind):
+    rng = np.random.default_rng(m + 100 * cyclic)
+    diag, off = _random_bands(rng, 5, m, cyclic, kind)
+    for rhs in (rng.normal(size=(5, m)), rng.normal(size=(5, m, 2))):
+        kept = rhs.copy()
+        x, bad = _tridiag_solve(diag, off, rhs, cyclic)
+        np.testing.assert_array_equal(rhs, kept)
+        assert x.shape == rhs.shape and not bad.any()
+        for b in range(5):
+            ref = np.linalg.solve(_hessian_matrix(diag[b], off[b], cyclic),
+                                  rhs[b])
+            np.testing.assert_allclose(x[b], ref, rtol=1e-12,
+                                       atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+@pytest.mark.parametrize("with_singular", [False, True])
+def test_tridiag_solve_isolates_bad_chains(cyclic, with_singular):
+    # a nan diagonal, an inf right-hand side and (optionally) a zero
+    # matrix between good chains: each good chain's solution is its solve
+    # alone, bit for bit, and only the bad chains are flagged
+    rng = np.random.default_rng(5)
+    m = 6
+    diag, off = _random_bands(rng, 7, m, cyclic, "spd")
+    rhs = rng.normal(size=(7, m))
+    diag[1, 2] = np.nan
+    rhs[3, 0] = np.inf
+    if with_singular:
+        diag[5] = 0.0
+        off[5] = 0.0
+    expect = [False, True, False, True, False, with_singular, False]
+    x, bad = _tridiag_solve(diag, off, rhs, cyclic)
+    for b in (0, 2, 4, 6):
+        alone = _tridiag_solve(diag[b:b + 1], off[b:b + 1], rhs[b:b + 1],
+                               cyclic)[0][0]
+        np.testing.assert_array_equal(x[b], alone)
+    assert bad.tolist() == expect
+    assert np.isnan(x[bad]).all()
+
+
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_alpha_derivatives_and_cond_match_dense_algebra(mixed_cfg, cyclic):
+    # the banded u_dot and condition number on the shipped cyclic word
+    # 1,2,3 and the shipped open word, against the dense solve and eigvalsh
+    word = next(w for _, w in mixed_cfg.words if w.cyclic == cyclic)
+    fam = mixed_cfg.family
+    orb = find_periodic_orbit(word, fam, 0.2) if word.cyclic \
+        else find_orbit_segment(word, fam, 0.2, padding=mixed_cfg.padding)
+    derivs = orbit_alpha_derivatives(orb, fam)
+    ev = _chain_system(table_at(fam, 0.2), np.asarray(orb.chain_symbols),
+                       np.asarray(orb.chain_us), word.cyclic, want_alpha=True)
+    hess = _hessian_matrix(ev.hess, ev.off, word.cyclic)
+    core = slice(orb.core_start, orb.core_start + orb.period)
+    udot = np.linalg.solve(hess, -ev.g_alpha)[core]
+    np.testing.assert_allclose(derivs.u_dot, udot, rtol=0,
+                               atol=1e-13 * np.abs(udot).max())
+    eig = np.abs(np.linalg.eigvalsh(hess))
+    assert derivs.cond == pytest.approx(eig.max() / eig.min(), rel=1e-13)
 
 
 def test_pad_symbols_alternates_off_the_core():
