@@ -10,10 +10,10 @@ import sympy as sp
 
 from billiard_lab import (DeformationFamily, ObstacleSpec, Word,
                           boundary_pair_extremes, check_no_eclipse, circle,
-                          ellipse, curvature, curvature_between,
-                          find_periodic_orbit, f_derivative_sum, kdot_trace,
-                          lyapunov_estimate, orbit_alpha_derivatives,
-                          perimeter, periodic_curvature_fixed_point)
+                          ellipse, curvature, find_periodic_orbit,
+                          f_derivative_sum, kdot_trace, lyapunov_estimate,
+                          orbit_alpha_derivatives,
+                          periodic_curvature_fixed_point)
 
 CHECKS = []
 
@@ -140,8 +140,7 @@ def closed_form_triangle():
 
 
 def closed_form_ellipse():
-    # axis-ratio ellipse (a,b): curvature a b / speed^3 and perimeter
-    # 4 a E(1 - b^2/a^2)
+    # axis-ratio ellipse (a,b): curvature a b / speed^3
     a, b, u = sp.symbols("a b u", positive=True)
     x = a * sp.cos(u)
     y = b * sp.sin(u)
@@ -150,22 +149,12 @@ def closed_form_ellipse():
     kap = sp.simplify(num / speed2 ** sp.Rational(3, 2))
     kap_0 = kap.subs({a: 2, b: 1, u: 0})
     kap_90 = kap.subs({a: 2, b: 1, u: sp.pi / 2})
-    per = 4 * 2 * sp.elliptic_e(sp.Rational(3, 4))
 
     fam = DeformationFamily((ellipse(0.0, 0.0, 2.0, 1.0),
                              circle(8.0, 0.0, 1.0)), 0.1, mode="period2")
     check("ellipse kappa(0)", sp.N(kap_0, 30), curvature(fam, 1, 0.0, 0.0))
     check("ellipse kappa(pi/2)", sp.N(kap_90, 30),
           curvature(fam, 1, math.pi / 2, 0.0))
-    check("ellipse perimeter", sp.N(per, 30), perimeter(fam, 1, 0.0))
-    print(f"  [frozen] ellipse(2,1) perimeter  = {float(sp.N(per, 20)):.16g}")
-
-
-def closed_form_front_transport():
-    # k -> k/(1 + tau k) along a flight
-    check("transport 2 over 1", sp.Rational(2, 3), curvature_between(2.0, 1.0))
-    check("transport fixed chain", sp.N(sp.sqrt(2) - 1, 30),
-          curvature_between(1.0 + math.sqrt(2), 2.0))
 
 
 def closed_form_pair_extremes():
@@ -207,7 +196,6 @@ def main():
     closed_form_three_circle_pair()
     closed_form_triangle()
     closed_form_ellipse()
-    closed_form_front_transport()
     closed_form_pair_extremes()
     closed_form_breathe_eclipse_margin()
 

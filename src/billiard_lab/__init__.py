@@ -6,7 +6,7 @@ from .geometry import (AlphaRangeError, ConvexityError, DeformationFamily,
                        ObstacleSpec, SmoothnessError, TableBounds,
                        boundary_pair_extremes, circle, check_no_eclipse,
                        curvature, curvature_partials, ellipse, partial_jet,
-                       perimeter, phi_max_from_observation, table_bounds,
+                       phi_max_from_observation, table_bounds,
                        validate_family)
 from .dynamics import (GrazingError, Hit, boundary_map, first_intersection,
                        reflect)
@@ -14,12 +14,12 @@ from .symbolic import (AlphaDerivatives, BilliardOrbit, ReflectionRecord,
                        ShadowingError, SolveError, Word,
                        enumerate_cyclic_words, find_orbit_segment,
                        find_periodic_orbit, is_admissible,
-                       orbit_alpha_derivatives, sample_itinerary, theta_metric)
+                       orbit_alpha_derivatives, sample_itinerary)
 from .lyapunov import (CurvatureTrace, FrontExpansionReport, KdotTrace,
-                       LyapunovReport, curvature_between,
-                       default_seed_curvature, f_derivative_sum,
-                       front_expansion_check, jacobian_lyapunov_oracle,
-                       kdot_trace, lyapunov_bounds, lyapunov_estimate,
-                       periodic_curvature_fixed_point, propagate_curvature)
+                       LyapunovReport, default_seed_curvature,
+                       f_derivative_sum, front_expansion_check,
+                       jacobian_lyapunov_oracle, kdot_trace, lyapunov_bounds,
+                       lyapunov_estimate, periodic_curvature_fixed_point,
+                       propagate_curvature)
 
 __version__ = "0.1.0"

@@ -19,29 +19,23 @@ import argparse
 import math
 import sys
 
-from .config import (ConfigError, LabConfig, literal_word, load_config,
-                     sample_tail)
+from .config import ConfigError, LabConfig, load_config, parse_word
 from .dynamics import GrazingError
 from .experiments import (analyze_orbit, emit_outputs, run_check,
                           run_derivative, run_sweep, solve_word,
                           write_bounds_csv)
 from .geometry import EclipseError, GeometryError, table_bounds
 from .lyapunov import jacobian_lyapunov_oracle, lyapunov_bounds
-from .symbolic import ShadowingError, SolveError, sample_itinerary
+from .symbolic import ShadowingError, SolveError
 
 
-def _resolve_word(cfg: LabConfig, text: str, seed: int | None):
-    """A configured identifier, an ad hoc sample spec, or a literal word."""
+def _resolve_word(cfg: LabConfig, text: str):
+    """A configured identifier, otherwise the word spec ``text`` with the
+    config's seed."""
     for ident, word in cfg.words:
         if ident == text:
             return ident, word
-    if text.startswith("sample:"):
-        length, s = sample_tail(text, text.split(":")[1:],
-                                cfg.seed if seed is None else seed)
-        word = sample_itinerary(cfg.family.z0, length, s)
-        return f"sample:{length}:{s}", word
-    word = literal_word(text, cfg.family.z0)
-    return word.label.replace(",", "-"), word
+    return parse_word(text, cfg.family.z0, cfg.seed)
 
 
 def _print_bounds(tb) -> None:
@@ -77,7 +71,7 @@ def cmd_check(args) -> int:
 
 def cmd_orbit(args) -> int:
     cfg = load_config(args.config)
-    ident, word = _resolve_word(cfg, args.word, args.seed)
+    ident, word = _resolve_word(cfg, args.word)
     orbit = solve_word(cfg, word, args.alpha)
     print(f"word {ident} ({orbit.kind}), alpha={args.alpha:g}, "
           f"{len(orbit.records)} reflections, residual {orbit.residual:.3e}")
@@ -95,7 +89,7 @@ def cmd_orbit(args) -> int:
 
 def cmd_lyapunov(args) -> int:
     cfg = load_config(args.config)
-    ident, word = _resolve_word(cfg, args.word, args.seed)
+    ident, word = _resolve_word(cfg, args.word)
     orbit = solve_word(cfg, word, args.alpha)
     tb = table_bounds(cfg.family, args.alpha, phi_max_override=cfg.phi_max)
     res = analyze_orbit(cfg, orbit, bounds=tb)
@@ -147,7 +141,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_derivative(args) -> int:
     cfg = load_config(args.config)
-    ident, word = _resolve_word(cfg, args.word, args.seed)
+    ident, word = _resolve_word(cfg, args.word)
     rows, summary = run_derivative(cfg, word)
     print(f"word {ident}: exact derivative at 0 is {summary['F0']:.12g}")
     print(f"{'alpha':>14} {'lambda':>18} {'F':>18} {'secant slope':>18} "
@@ -179,9 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
         if word:
             p.add_argument("--word", required=True,
                            help="configured word id, literal word like '1,2' "
-                                "or 'open:1,2,1', or 'sample:LENGTH[:SEED]'")
-            p.add_argument("--seed", type=int, default=None,
-                           help="seed for ad hoc sample words")
+                                "or 'open:1,2,1', or 'sample:LENGTH[:SEED]' "
+                                "(LENGTH >= 1, SEED defaults to the config's "
+                                "seed)")
         if alpha:
             p.add_argument("--alpha", type=float, default=0.0,
                            help="deformation parameter (default 0)")

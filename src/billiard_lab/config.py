@@ -36,13 +36,13 @@ class LabConfig:
     family: DeformationFamily
     words: tuple[tuple[str, Word], ...]   # (identifier, word) pairs
     alpha_grid: np.ndarray
-    tol_orbit: float = TOL_ORBIT
-    padding: int = 12
-    burn_in: int = 10
-    h_fd: float = 1e-6
-    phi_max: float | None = None
-    seed: int = 0
-    output_dir: str = "results"
+    tol_orbit: float
+    padding: int
+    burn_in: int
+    h_fd: float
+    phi_max: float | None
+    seed: int
+    output_dir: str
 
 
 def _strip_comment(line: str) -> str:
@@ -152,25 +152,30 @@ def _build_obstacle(idx: int, fields: dict) -> ObstacleSpec:
                         rotation=polys.get("rotation", (0.0,)))
 
 
-def sample_tail(text: str, tail: list, default_seed: int) -> tuple[int, int]:
-    """(length, seed) from the ``LENGTH[:SEED]`` tail of the sample spec
-    ``text``, already split on ':'; the seed defaults to ``default_seed``."""
-    if len(tail) == 1:
-        tail = [tail[0], default_seed]
-    if len(tail) != 2:
-        raise ConfigError(f"bad sample spec {text!r}")
+def _spec_ints(text: str, parts) -> list:
+    """The ':'-separated integers of the sample spec ``text``."""
     try:
-        length, seed = (int(p) for p in tail)
+        return [int(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"bad sample spec {text!r}") from exc
-    if length < 1 or seed < 0:
-        raise ConfigError(f"sample spec {text!r} needs length >= 1, seed >= 0")
-    return length, seed
 
 
-def literal_word(text: str, z0: int) -> Word:
-    """The word spelled by ``text`` (``1,2`` or ``open:1,2,1``); ConfigError
-    unless it parses and is admissible over the symbols 1..z0."""
+def parse_word(text: str, z0: int, seed: int) -> tuple[str, Word]:
+    """(identifier, word) for a literal word (``1,2`` or ``open:1,2,1``)
+    or a ``sample:LENGTH[:SEED]`` spec whose seed defaults to ``seed``.
+
+    ConfigError unless a sample has length >= 1 and seed >= 0, and a
+    literal word parses and is admissible over the symbols 1..z0."""
+    if text.startswith("sample:"):
+        tail = _spec_ints(text, text.split(":")[1:])
+        if len(tail) not in (1, 2):
+            raise ConfigError(f"bad sample spec {text!r}; "
+                              "expected sample:LENGTH[:SEED]")
+        length, seed = (tail + [seed])[:2]
+        if length < 1 or seed < 0:
+            raise ConfigError(
+                f"sample spec {text!r} needs length >= 1, seed >= 0")
+        return f"sample:{length}:{seed}", sample_itinerary(z0, length, seed)
     try:
         word = Word.parse(text)
         admissible = is_admissible(word, z0)
@@ -178,35 +183,28 @@ def literal_word(text: str, z0: int) -> Word:
         raise ConfigError(str(exc)) from exc
     if not admissible:
         raise ConfigError(f"word {text!r} repeats a symbol consecutively")
-    return word
+    return word.label.replace(",", "-"), word
 
 
 def _expand_words(raw, z0: int, default_seed: int):
+    """Configured words; ``sample:COUNT:LENGTH[:SEED]`` stands for the
+    COUNT sample specs ``sample:LENGTH:SEED+i``."""
     if not isinstance(raw, list) or not raw \
             or not all(isinstance(w, str) for w in raw):
         raise ConfigError("words must be a nonempty list of strings")
     out = []
     for text in raw:
         text = text.strip()
-        if text.startswith("sample:"):
-            parts = text.split(":")[1:]
-            if len(parts) not in (2, 3):
-                raise ConfigError(f"bad sample spec {text!r}; "
-                                  "expected sample:count:length[:seed]")
-            try:
-                count = int(parts[0])
-            except ValueError as exc:
-                raise ConfigError(f"bad sample spec {text!r}") from exc
-            length, seed = sample_tail(text, parts[1:], default_seed)
-            if count < 1 or length < 2:
-                raise ConfigError(f"sample spec {text!r} needs count >= 1, "
-                                  "length >= 2")
-            for i in range(count):
-                word = sample_itinerary(z0, length, seed + i)
-                out.append((f"sample:{length}:{seed + i}", word))
-        else:
-            word = literal_word(text, z0)
-            out.append((word.label.replace(",", "-"), word))
+        if not text.startswith("sample:"):
+            out.append(parse_word(text, z0, default_seed))
+            continue
+        count, *tail = _spec_ints(text, text.split(":")[1:])
+        if len(tail) not in (1, 2) or count < 1:
+            raise ConfigError(f"bad sample spec {text!r}; expected "
+                              "sample:COUNT:LENGTH[:SEED] with COUNT >= 1")
+        length, seed = (tail + [default_seed])[:2]
+        out.extend(parse_word(f"sample:{length}:{seed + i}", z0, default_seed)
+                   for i in range(count))
     ids = [ident for ident, _ in out]
     if len(set(ids)) != len(ids):
         raise ConfigError("word list expands to duplicate identifiers")

@@ -23,6 +23,7 @@ import numpy as np
 from .geometry import DeformationFamily, GeometryError, partial_jet, table_at
 
 GRAZING_TOL = 1e-9        # |cos| of the incidence below which a hit is tangential
+ROUNDING = 2e-15          # a few ulps, relative to a coordinate's size
 
 
 class GrazingError(RuntimeError):
@@ -78,10 +79,15 @@ def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
         aa = float(vn @ vn)
         bb = 2.0 * float(qn @ vn)
         cc = float(qn @ qn) - 1.0
-        disc = bb * bb - 4.0 * aa * cc
-        if disc < 0.0:
+        # the discriminant bb^2 - 4 aa cc = 4 (aa - cross^2) by Lagrange's
+        # identity, without the cancellation that leaves it an error of
+        # eps |qn|^2 on long flights; a line that misses the disc by less
+        # than the rounding of qn touches it
+        cross = float(qn[0] * vn[1] - qn[1] * vn[0])
+        gap = aa - cross * cross
+        if gap < -ROUNDING * aa * math.hypot(qn[0], qn[1]):
             continue
-        root = math.sqrt(disc)
+        root = 2.0 * math.sqrt(max(gap, 0.0))
         qq = -0.5 * (bb + math.copysign(root, bb)) if bb != 0.0 else 0.5 * root
         cands = []
         if qq != 0.0:
@@ -96,11 +102,14 @@ def first_intersection(q: np.ndarray, v: np.ndarray, family: DeformationFamily,
 
     i, u = best
     t = best_t
+    # q + t v is exact only to the rounding of the flight's coordinate
+    # size, so long flights stop as early as short ones
+    q_size = math.hypot(q[0], q[1])
     for _ in range(5):
         p = partial_jet(family, i, u, alpha, 0, 0)
         tan = partial_jet(family, i, u, alpha, 1, 0)
         res = q + t * v - p
-        if float(res @ res) < 1e-28:
+        if float(res @ res) < (ROUNDING * (q_size + t)) ** 2:
             break
         jac = np.array([[v[0], -tan[0]], [v[1], -tan[1]]])
         try:

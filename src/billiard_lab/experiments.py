@@ -30,10 +30,6 @@ from .lyapunov import (f_derivative_sum, kdot_trace, lyapunov_bounds,
 from .symbolic import (ShadowingError, SolveError, Word, find_orbit_segment,
                        find_periodic_orbit, orbit_alpha_derivatives)
 
-SWEEP_HEADER = ("alpha,word_id,m,lambda_m,F_m,fd_slope,lower,upper,"
-                "max_udot,max_kdot,residual,cond")
-BOUNDS_HEADER = ("alpha,d_min,d_max,kappa_min,kappa_max,phi_max,k_min,k_max,"
-                 "lower,upper")
 _FLOAT_FMT = "%.12e"
 
 
@@ -65,6 +61,15 @@ class BoundsRow:
     k_max: float
     lower: float
     upper: float
+
+
+def _columns(row_type) -> list:
+    """CSV columns of a row type: its fields, in declaration order."""
+    return [f.name for f in dataclasses.fields(row_type)]
+
+
+SWEEP_HEADER = ",".join(_columns(SweepRow))
+BOUNDS_HEADER = ",".join(_columns(BoundsRow))
 
 
 @dataclass
@@ -118,17 +123,17 @@ def _require_smoothness(cfg, need, what):
             f"table declares C^({r},{rp})")
 
 
-def _sweep_one_word(cfg, ident, word, grid, bounds_list):
+def _sweep_one_word(cfg, ident, word, bounds):
     rows = {}
     failures = []
     cd_obs = 0.0
     ck_obs = 0.0
     init = None
-    for gi, alpha in enumerate(grid):
+    for gi, b in enumerate(bounds):
         try:
-            orbit = solve_word(cfg, word, float(alpha), init=init)
+            orbit = solve_word(cfg, word, b.alpha, init=init)
         except (SolveError, ShadowingError) as exc:
-            failures.append((ident, float(alpha), str(exc)))
+            failures.append((ident, b.alpha, str(exc)))
             init = None
             continue
         init = np.asarray(orbit.chain_us)
@@ -136,10 +141,9 @@ def _sweep_one_word(cfg, ident, word, grid, bounds_list):
         derivs = res["derivs"]
         cd_obs = max(cd_obs, float(np.abs(derivs.d_dot).max()))
         ck_obs = max(ck_obs, float(np.abs(res["kdot"].k_dot).max()))
-        lo, hi = lyapunov_bounds(bounds_list[gi])
         rows[gi] = SweepRow(
-            float(alpha), ident, res["report"].m, res["report"].lambda_m,
-            res["F_m"], math.nan, lo, hi,
+            b.alpha, ident, res["report"].m, res["report"].lambda_m,
+            res["F_m"], math.nan, b.lower, b.upper,
             float(np.abs(derivs.u_dot).max()),
             float(np.abs(res["kdot"].k_dot).max()),
             orbit.residual, derivs.cond)
@@ -148,13 +152,10 @@ def _sweep_one_word(cfg, ident, word, grid, bounds_list):
 
 def run_sweep(cfg: LabConfig) -> SweepResult:
     """Exponent, exact derivative and diagnostics for every configured
-    word across the alpha grid, plus per-alpha table bounds."""
+    word across the alpha grid, plus the per-alpha table bounds of
+    ``run_check``."""
     _require_smoothness(cfg, (4, 2), "the sweep's derivative columns")
-    grid = cfg.alpha_grid
-    cache = {}
-    bounds_list = [table_bounds(cfg.family, float(a), cfg.phi_max,
-                                phi_cache=cache) for a in grid]
-    bounds_rows = [_bounds_row(tb) for tb in bounds_list]
+    bounds = run_check(cfg)
 
     all_rows = []
     failures = []
@@ -162,8 +163,7 @@ def run_sweep(cfg: LabConfig) -> SweepResult:
     ck_obs = 0.0
     per_word = {}
     for ident, word in cfg.words:
-        rows, fails, cd, ck = _sweep_one_word(cfg, ident, word, grid,
-                                              bounds_list)
+        rows, fails, cd, ck = _sweep_one_word(cfg, ident, word, bounds)
         failures.extend(fails)
         cd_obs = max(cd_obs, cd)
         ck_obs = max(ck_obs, ck)
@@ -181,10 +181,10 @@ def run_sweep(cfg: LabConfig) -> SweepResult:
 
     all_rows.sort(key=lambda r: (r.word_id, r.alpha))
 
-    d_min_min = min(tb.d_min for tb in bounds_list)
-    k_min_min = min(tb.k_min for tb in bounds_list)
-    d_max_max = max(tb.d_max for tb in bounds_list)
-    k_max_max = max(tb.k_max for tb in bounds_list)
+    d_min_min = min(b.d_min for b in bounds)
+    k_min_min = min(b.k_min for b in bounds)
+    d_max_max = max(b.d_max for b in bounds)
+    k_max_max = max(b.k_max for b in bounds)
     c0 = 1.0 / (1.0 + d_min_min * k_min_min)
     modulus_rate = c0 * (cd_obs * k_max_max + ck_obs * d_max_max)
 
@@ -215,7 +215,7 @@ def run_sweep(cfg: LabConfig) -> SweepResult:
                "modulus_rate": modulus_rate, "words": word_summaries,
                "continuity_ok": continuity_ok,
                "n_failures": len(failures)}
-    return SweepResult(all_rows, bounds_rows, summary, failures)
+    return SweepResult(all_rows, bounds, summary, failures)
 
 
 @dataclass(frozen=True)
@@ -284,8 +284,9 @@ def run_derivative(cfg: LabConfig, word: Word):
 
 
 def run_check(cfg: LabConfig):
-    """Bounds and certificates across the grid (validation already ran
-    at load time; this recomputes and reports)."""
+    """Table bounds and certificates at every grid alpha, warm-starting
+    the collision-angle observation along the grid (validation already
+    ran at load time; this recomputes and reports)."""
     cache = {}
     return [_bounds_row(table_bounds(cfg.family, float(a), cfg.phi_max,
                                      phi_cache=cache))
@@ -300,26 +301,20 @@ def _fmt(value) -> str:
     return _FLOAT_FMT % float(value)
 
 
-def write_sweep_csv(path, rows) -> None:
+def _write_csv(path, row_type, rows) -> None:
+    names = _columns(row_type)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_HEADER.split(","))
-        for r in rows:
-            writer.writerow([_fmt(v) for v in
-                             (r.alpha, r.word_id, r.m, r.lambda_m, r.F_m,
-                              r.fd_slope, r.lower, r.upper, r.max_udot,
-                              r.max_kdot, r.residual, r.cond)])
+        writer.writerow(names)
+        writer.writerows([_fmt(getattr(r, n)) for n in names] for r in rows)
+
+
+def write_sweep_csv(path, rows) -> None:
+    _write_csv(path, SweepRow, rows)
 
 
 def write_bounds_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(BOUNDS_HEADER.split(","))
-        for r in rows:
-            writer.writerow([_fmt(v) for v in
-                             (r.alpha, r.d_min, r.d_max, r.kappa_min,
-                              r.kappa_max, r.phi_max, r.k_min, r.k_max,
-                              r.lower, r.upper)])
+    _write_csv(path, BoundsRow, rows)
 
 
 def write_plot_script(path, result: SweepResult) -> None:

@@ -31,7 +31,6 @@ TABLE_CACHE_SIZE = 256    # per-alpha snapshots kept by table_at
 BOUNDS_SAMPLES = 512      # curvature samples per obstacle; seed directions of
                           # the support-function maxima (pair gaps, no-eclipse)
 VALIDATION_ALPHAS = 65    # alphas on which validate_family certifies the table
-PERIMETER_MAX_NODES = 1 << 18   # trapezoid nodes before perimeter gives up
 
 
 class GeometryError(ValueError):
@@ -325,36 +324,6 @@ def curvature_partials(family: DeformationFamily, obstacle_index, u, alpha: floa
     kap_u = (num_u * den - num * den_u) / den ** 2
     kap_a = (num_a * den - num * den_a) / den ** 2
     return kap, kap_u, kap_a
-
-
-def perimeter(family: DeformationFamily, obstacle_index: int, alpha: float) -> float:
-    """Arc length of the boundary by the trapezoid rule on equispaced u.
-
-    The speed |phi'(u)| is smooth and 2 pi-periodic, so the rule
-    converges geometrically (Trefethen & Weideman, SIAM Review 56, 2014);
-    the node count doubles from 64, adding the midpoints each time,
-    until two estimates agree to 1e-15 relative.
-    """
-    family.check_alpha(alpha)
-
-    def speed_sum(u):
-        t = partial_jet(family, obstacle_index, u, alpha, 1, 0)
-        return float(np.hypot(t[:, 0], t[:, 1]).sum())
-
-    n = 64
-    h = 2.0 * math.pi / n
-    total = speed_sum(h * np.arange(n))
-    estimate = h * total
-    while n < PERIMETER_MAX_NODES:
-        total += speed_sum(h * (np.arange(n) + 0.5))
-        n *= 2
-        h /= 2.0
-        prev, estimate = estimate, h * total
-        if abs(estimate - prev) <= 1e-15 * estimate:
-            return estimate
-    raise GeometryError(
-        f"perimeter of obstacle {obstacle_index} at alpha = {alpha} did not "
-        f"converge on {PERIMETER_MAX_NODES} nodes")
 
 
 def _support(table: TableAt, i: int, w: np.ndarray) -> np.ndarray:

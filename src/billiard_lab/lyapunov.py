@@ -67,14 +67,6 @@ class LyapunovReport:
     trace: CurvatureTrace
 
 
-def curvature_between(k: float, tau: float) -> float:
-    """Front curvature after free flight tau from a dispersing front k."""
-    denom = 1.0 + tau * k
-    if denom <= 0.0:
-        raise GeometryError("front focuses within the flight; not dispersing")
-    return k / denom
-
-
 def default_seed_curvature(orbit: BilliardOrbit) -> float:
     return 2.0 * orbit.records[0].kappa
 

@@ -97,28 +97,6 @@ def is_admissible(word: Word, z0: int) -> bool:
     return all(a != b for a, b in pairs)
 
 
-def theta_metric(xi, eta, theta: float) -> float:
-    """Symbol-space distance theta^n between two centered windows.
-
-    Both windows must share the same odd length; n is the smallest
-    offset from the center at which they disagree, and equal windows
-    have distance 0.
-    """
-    if not 0.0 < theta < 1.0:
-        raise ValueError("theta must lie strictly between 0 and 1")
-    a = np.asarray(xi, int)
-    b = np.asarray(eta, int)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("windows must be 1-d with equal length")
-    if a.shape[0] % 2 == 0:
-        raise ValueError("windows must have odd length (a center entry)")
-    diff = np.nonzero(a != b)[0]
-    if diff.size == 0:
-        return 0.0
-    center = a.shape[0] // 2
-    return float(theta) ** int(np.min(np.abs(diff - center)))
-
-
 def sample_itinerary(z0: int, length: int, seed: int) -> Word:
     """Reproducible random admissible open word."""
     if z0 < 2:
@@ -503,10 +481,6 @@ class BilliardOrbit:
     def period(self) -> int:
         return len(self.records)
 
-    def core_us(self) -> np.ndarray:
-        return np.asarray(
-            self.chain_us[self.core_start:self.core_start + len(self.records)])
-
 
 def _reflections(table, symbols, us, core_start, core_len, cyclic):
     """Reflection geometry at the core nodes of chains of any leading
@@ -715,15 +689,19 @@ def orbit_alpha_derivatives(orbit: BilliardOrbit,
     ev = _chain_system(table, sym, us, cyclic, want_alpha=True)
     if ev.degenerate:
         raise SolveError(_DEGENERATE, orbit.residual)
-    # the Hessian is symmetric: cond_2 = max |eigenvalue| / min |eigenvalue|;
-    # a cyclic Hessian's corners leave only the dense eigensolver
+    # a converged chain is a length minimum, so its Hessian is positive
+    # definite: cond_2 = largest / smallest eigenvalue, and a smallest
+    # eigenvalue <= 0 fails as an overflowing condition number does.  Open
+    # chains bisect the bands for the two extremes; a cyclic Hessian's
+    # corners leave only the dense eigensolver.
     if cyclic:
-        eig = np.linalg.eigvalsh(_hessian_matrix(ev.hess, ev.off, True))
+        lo, hi = np.linalg.eigvalsh(
+            _hessian_matrix(ev.hess, ev.off, True))[[0, -1]]
     else:
-        eig = eigvalsh_tridiagonal(ev.hess, ev.off)
-    eig = np.abs(eig)
-    with np.errstate(divide="ignore"):
-        cond = float(eig.max() / eig.min())
+        lo, hi = (eigvalsh_tridiagonal(ev.hess, ev.off, select="i",
+                                       select_range=(i, i))[0]
+                  for i in (0, len(us) - 1))
+    cond = float(hi / lo) if lo > 0 else math.inf
     if not cond < COND_LIMIT:
         raise SolveError(
             f"chain Hessian condition number {cond:.3e} exceeds {COND_LIMIT:.1e}; "

@@ -8,11 +8,13 @@ import pytest
 
 from billiard_lab import cli, dynamics, symbolic
 from billiard_lab.cli import main
+from billiard_lab.config import load_config
 
 from conftest import CONFIGS
 
 TWO = str(CONFIGS / "two_circles_translate.cfg")
 BREATHE = str(CONFIGS / "three_circles_breathe.cfg")
+SHIPPED = ("two_circles_translate", "three_circles_breathe", "mixed_ellipse")
 
 ECLIPSE_CFG = """
 mode = "general"
@@ -194,6 +196,30 @@ def test_sample_word_tail(capsys):
     rc = main(["orbit", "--config", TWO, "--word", "sample:40:-1"])
     assert rc == 2
     assert "sample spec 'sample:40:-1'" in capsys.readouterr().err
+
+
+def test_every_configured_identifier_resolves_to_its_word():
+    cfgs = [load_config(CONFIGS / f"{name}.cfg") for name in SHIPPED]
+    unlisted = 0
+    for cfg in cfgs:
+        for ident, word in cfg.words:
+            assert cli._resolve_word(cfg, ident) == (ident, word)
+            if not ident.startswith("sample:"):
+                continue
+            # the same spec on a config that does not list it
+            for other in cfgs:
+                if other.family.z0 == cfg.family.z0 \
+                        and ident not in dict(other.words):
+                    assert cli._resolve_word(other, ident) == (ident, word)
+                    unlisted += 1
+    assert unlisted == 12   # breathe's 8 samples on mixed, mixed's 4 on breathe
+
+
+def test_seed_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["orbit", "--config", TWO, "--word", "sample:4", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, config, needle", [

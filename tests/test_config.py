@@ -85,6 +85,17 @@ def test_sample_seed_defaults_to_config_seed(tmp_path):
     assert [ident for ident, _ in cfg.words] == ["sample:8:33", "sample:8:34"]
 
 
+def test_sample_words_share_the_one_length_rule(tmp_path):
+    # length >= 1, as for --word sample:1
+    text = MINIMAL.replace('["1,2"]', '["sample:2:1"]')
+    cfg = load_config(write(tmp_path, text))
+    assert [ident for ident, _ in cfg.words] == ["sample:1:0", "sample:1:1"]
+    assert all(len(word) == 1 for _, word in cfg.words)
+    with pytest.raises(ConfigError, match="needs length >= 1"):
+        load_config(write(tmp_path, text.replace("sample:2:1", "sample:2:0"),
+                          "u.cfg"))
+
+
 @pytest.mark.parametrize("mutation,needle", [
     (lambda t: t + "\nbogus_key = 1\n", "unknown key"),
     (lambda t: t + "\nalpha_max = 0.5\n", "duplicate"),

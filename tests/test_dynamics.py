@@ -134,6 +134,26 @@ def test_a_map_step_makes_four_jet_calls(breathe_cfg, monkeypatch):
     assert calls == [1, 0, 0, 1]
 
 
+def test_a_long_flight_polishes_no_longer_than_a_short_one(monkeypatch):
+    # the polish stops relative to the flight's size, so a hit 1e4 away
+    # is accepted as early as one a few units away
+    fam = static_three_circle()
+    counts = []
+    for x0 in (-4.0, -1e4):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[4])
+            return partial_jet(*args)
+
+        monkeypatch.setattr(dynamics, "partial_jet", counted)
+        hit = first_intersection(np.array([x0, 0.3]), np.array([1.0, 0.0]),
+                                 fam, 0.0)
+        assert hit.obstacle == 1
+        counts.append(len(calls))
+    assert counts[1] <= counts[0]
+
+
 def test_boundary_map_period_two():
     # normal incidence between two unit circles 4 apart: the ray lands at
     # u = pi on obstacle 2 and comes straight back to u = 0 on obstacle 1

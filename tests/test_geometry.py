@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +20,7 @@ from billiard_lab import (AlphaRangeError, ConvexityError, DeformationFamily,
                           check_no_eclipse, circle, curvature,
                           curvature_partials, ellipse, find_orbit_segment,
                           find_periodic_orbit, lyapunov_bounds, partial_jet,
-                          perimeter, phi_max_from_observation, table_bounds,
+                          phi_max_from_observation, table_bounds,
                           validate_family)
 from billiard_lab import geometry
 from billiard_lab.dynamics import _tangent_frame
@@ -243,24 +242,6 @@ def test_outward_normal_is_unit_and_outward(u, alpha):
     p = partial_jet(fam, 3, u, alpha, 0, 0)
     c = np.array([3.5 - 0.2 * alpha, 5.5 + 0.1 * alpha])
     assert np.linalg.norm(p + 1e-3 * n - c) > np.linalg.norm(p - c)
-
-
-def test_perimeter_circle_and_ellipse(monkeypatch):
-    fam = DeformationFamily((ellipse(0.0, 0.0, 2.0, 1.0),
-                             circle(8.0, 0.0, 1.5)), 0.1, mode="period2")
-    assert perimeter(fam, 2, 0.0) == pytest.approx(3.0 * math.pi, abs=1e-10)
-    # 8 E(3/4), from the closed-forms script
-    assert perimeter(fam, 1, 0.0) == pytest.approx(9.688448220547675,
-                                                   abs=1e-10)
-    # A/B = 100 puts the speed's complex singularities 0.01 from the real
-    # axis, so the trapezoid rule needs thousands of nodes
-    thin = DeformationFamily((ellipse(0.0, 0.0, 100.0, 1.0, 0.3),
-                              circle(400.0, 0.0, 1.0)), 0.1, mode="period2")
-    exact = float(400 * mpmath.ellipe(1 - 1e-4))
-    assert perimeter(thin, 1, 0.0) == pytest.approx(exact, rel=1e-14)
-    monkeypatch.setattr(geometry, "PERIMETER_MAX_NODES", 512)
-    with pytest.raises(GeometryError, match="did not converge on 512 nodes"):
-        perimeter(thin, 1, 0.0)
 
 
 def test_import_leaves_scipy_quadrature_and_optimizers_unloaded():

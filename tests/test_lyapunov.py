@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from billiard_lab import (GeometryError, Word, curvature_between,
-                          default_seed_curvature, f_derivative_sum,
-                          find_orbit_segment, find_periodic_orbit,
-                          front_expansion_check, jacobian_lyapunov_oracle,
-                          kdot_trace, lyapunov_bounds, lyapunov_estimate,
+from billiard_lab import (GeometryError, Word, default_seed_curvature,
+                          f_derivative_sum, find_orbit_segment,
+                          find_periodic_orbit, front_expansion_check,
+                          jacobian_lyapunov_oracle, kdot_trace,
+                          lyapunov_bounds, lyapunov_estimate,
                           orbit_alpha_derivatives,
                           periodic_curvature_fixed_point, propagate_curvature,
                           sample_itinerary, table_bounds)
@@ -43,14 +43,6 @@ def _three_circle_bounds():
 
 
 # ------------------------------------------------------ the recursion
-
-def test_curvature_between_closed_forms():
-    assert curvature_between(2.0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert curvature_between(1.0 + SQRT2, 2.0) == pytest.approx(SQRT2 - 1.0,
-                                                                abs=1e-15)
-    with pytest.raises(GeometryError):
-        curvature_between(-1.0, 2.0)
-
 
 def test_propagate_curvature_first_steps_exact():
     _, orb = _two_circle_orbit()

@@ -1,6 +1,7 @@
-"""Words, the symbol metric, variational orbit solving and implicit
+"""Words, variational orbit solving and implicit
 alpha-derivatives of orbits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,7 @@ from hypothesis import strategies as st
 from billiard_lab import (ShadowingError, SolveError, Word,
                           enumerate_cyclic_words, find_orbit_segment,
                           find_periodic_orbit, is_admissible,
-                          orbit_alpha_derivatives, sample_itinerary,
-                          theta_metric)
+                          orbit_alpha_derivatives, sample_itinerary)
 from billiard_lab.geometry import PHI_PADDING, _phi_corpus, table_at
 from billiard_lab import symbolic
 from billiard_lab.symbolic import (TOL_ORBIT, TOL_SHADOW, _chain_length,
@@ -92,35 +92,6 @@ def test_enumerate_cyclic_words_counts():
     assert len(set(labels)) == 23
     for w in words:
         assert is_admissible(w, 3)
-
-
-# ------------------------------------------------------- symbol metric
-
-def test_theta_metric_frozen_cases():
-    assert theta_metric([1, 2, 3], [1, 2, 3], 0.5) == 0.0
-    assert theta_metric([1, 2, 3], [1, 3, 3], 0.5) == 1.0    # center differs
-    assert theta_metric([1, 2, 3], [2, 2, 3], 0.5) == 0.5
-    assert theta_metric([1, 2, 3, 1, 2], [1, 2, 3, 1, 3], 0.5) == 0.25
-    with pytest.raises(ValueError):
-        theta_metric([1, 2], [1, 2], 0.5)
-    with pytest.raises(ValueError):
-        theta_metric([1, 2, 3], [1, 2, 3], 1.5)
-
-
-@settings(max_examples=60)
-@given(st.data())
-def test_theta_metric_is_an_ultrametric(data):
-    n = data.draw(st.integers(0, 3)) * 2 + 1
-    sym = st.integers(1, 3)
-    xi = data.draw(st.lists(sym, min_size=n, max_size=n))
-    eta = data.draw(st.lists(sym, min_size=n, max_size=n))
-    zeta = data.draw(st.lists(sym, min_size=n, max_size=n))
-    theta = data.draw(st.floats(0.1, 0.9))
-    dxy = theta_metric(xi, eta, theta)
-    assert dxy == theta_metric(eta, xi, theta)
-    assert (dxy == 0.0) == (xi == eta)
-    assert dxy <= max(theta_metric(xi, zeta, theta),
-                      theta_metric(zeta, eta, theta)) + 1e-15
 
 
 # ------------------------------------------------------ chain calculus
@@ -303,6 +274,28 @@ def test_alpha_derivatives_and_cond_match_dense_algebra(mixed_cfg, cyclic):
     assert derivs.cond == pytest.approx(eig.max() / eig.min(), rel=1e-13)
 
 
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_an_indefinite_chain_hessian_is_rejected(mixed_cfg, cyclic,
+                                                 monkeypatch):
+    # shifting the diagonal by twice the smallest eigenvalue leaves
+    # |eigenvalue| well conditioned but makes the smallest one negative:
+    # the chain is no length minimum, so its derivative is refused
+    word = next(w for _, w in mixed_cfg.words if w.cyclic == cyclic)
+    fam = mixed_cfg.family
+    orb = find_periodic_orbit(word, fam, 0.2) if word.cyclic \
+        else find_orbit_segment(word, fam, 0.2, padding=mixed_cfg.padding)
+    chain_system = symbolic._chain_system
+
+    def shifted(*args, **kwargs):
+        ev = chain_system(*args, **kwargs)
+        low = np.linalg.eigvalsh(_hessian_matrix(ev.hess, ev.off, cyclic))[0]
+        return dataclasses.replace(ev, hess=ev.hess - 2.0 * low)
+
+    monkeypatch.setattr(symbolic, "_chain_system", shifted)
+    with pytest.raises(SolveError, match="condition number inf exceeds"):
+        orbit_alpha_derivatives(orb, fam)
+
+
 def test_pad_symbols_alternates_off_the_core():
     assert _pad_symbols((3, 1, 2), 2) == (2, 1, 3, 1, 2, 1, 2)
     padded = _pad_symbols(tuple(sample_itinerary(3, 9, seed=2).symbols), 5)
@@ -320,7 +313,9 @@ def test_two_circle_periodic_orbit_exact():
     assert orb.records[0].d == pytest.approx(2.0, abs=1e-12)
     assert orb.records[0].phi == pytest.approx(0.0, abs=1e-7)
     assert orb.records[0].point[0] == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(orb.core_us(), orb.chain_us)
+    # a periodic orbit's core is its whole chain
+    assert orb.core_start == 0
+    np.testing.assert_allclose([r.u for r in orb.records], orb.chain_us)
 
 
 def test_triangle_orbit_frozen_geometry():
