@@ -11,15 +11,15 @@ from .geometry import (AlphaRangeError, ConvexityError, DeformationFamily,
 from .dynamics import (GrazingError, Hit, boundary_map, first_intersection,
                        reflect)
 from .symbolic import (AlphaDerivatives, BilliardOrbit, ReflectionRecord,
-                       ShadowingError, SolveError, Word,
+                       ShadowingError, SolveError, Word, alpha_derivatives,
                        enumerate_cyclic_words, find_orbit_segment,
-                       find_periodic_orbit, is_admissible,
+                       find_orbits, find_periodic_orbit, is_admissible,
                        orbit_alpha_derivatives, sample_itinerary)
 from .lyapunov import (CurvatureTrace, FrontExpansionReport, KdotTrace,
                        LyapunovReport, default_seed_curvature,
                        f_derivative_sum, front_expansion_check,
                        jacobian_lyapunov_oracle, kdot_trace, lyapunov_bounds,
                        lyapunov_estimate, periodic_curvature_fixed_point,
-                       propagate_curvature)
+                       propagate_curvature, seed_sensitivity)
 
 __version__ = "0.1.0"

@@ -25,7 +25,8 @@ from .experiments import (analyze_orbit, emit_outputs, run_check,
                           run_derivative, run_sweep, solve_word,
                           write_bounds_csv)
 from .geometry import EclipseError, GeometryError, table_bounds
-from .lyapunov import jacobian_lyapunov_oracle, lyapunov_bounds
+from .lyapunov import (jacobian_lyapunov_oracle, lyapunov_bounds,
+                       seed_sensitivity)
 from .symbolic import ShadowingError, SolveError
 
 
@@ -99,7 +100,8 @@ def cmd_lyapunov(args) -> int:
     print(f"lambda = {rep.lambda_m:.12g}   (mean of {rep.m} flights, "
           f"burn-in {res['burn_in']})")
     print(f"exact d lambda / d alpha = {res['F_m']:.12g}")
-    print(f"seed sensitivity {rep.seed_sensitivity:.3e}, orbit residual "
+    sens = seed_sensitivity(orbit, burn_in=res["burn_in"])
+    print(f"seed sensitivity {sens:.3e}, orbit residual "
           f"{orbit.residual:.3e}, chain condition {res['derivs'].cond:.3e}")
     inside = rep.lower - 1e-12 <= rep.lambda_m <= rep.upper + 1e-12
     print(f"estimate within a priori bracket: {'yes' if inside else 'NO'}")

@@ -1,21 +1,28 @@
 """Experiment drivers over a configured table.
 
-The sweep walks the alpha grid once, warm-starting every orbit chain and
-the collision-angle estimation corpus from the previous grid point, so
-the per-point cost after the first is a couple of Newton steps per
-chain.  Table bounds come from ``geometry.table_bounds`` with its one
-phi_max observer, ``geometry._default_phi_observation``, given the
-sweep's warm-start cache: at the first grid point it solves each corpus
-word on its own, and from then on it warm-starts the corpus on one
-``table_at`` snapshot per grid point, one batched chain solve per group
-of equal-length words.  Emitted CSVs are fully deterministic: fixed column
-order, fixed float format, no timestamps.
+The sweep walks the alpha grid alpha-major.  At each grid alpha every
+word still in the sweep is solved by one ``symbolic.find_orbits`` call,
+warm-started from its own chain at the previous grid point (cold after a
+failure); the words of one kind, length and pad depth share one batched
+chain solve, one batched truncation bound and, through
+``symbolic.alpha_derivatives``, one batched implicit-function
+derivative.  Every chain runs the iteration it would run alone, so each
+row is the one a word-at-a-time sweep (``solve_word`` then
+``analyze_orbit``) gives.  Table bounds come from
+``geometry.table_bounds`` with its one phi_max observer,
+``geometry._default_phi_observation``, given the sweep's warm-start
+cache: at the first grid point it solves each corpus word on its own,
+and from then on it warm-starts the corpus on one ``table_at`` snapshot
+per grid point, one batched chain solve per group of equal-length words.
+Emitted CSVs are fully deterministic: fixed column order, fixed float
+format, no timestamps.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,11 +31,12 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError, LabConfig
-from .geometry import TableBounds, table_bounds
+from .geometry import GeometryError, TableBounds, table_bounds
 from .lyapunov import (f_derivative_sum, kdot_trace, lyapunov_bounds,
                        lyapunov_estimate)
-from .symbolic import (ShadowingError, SolveError, Word, find_orbit_segment,
-                       find_periodic_orbit, orbit_alpha_derivatives)
+from .symbolic import (BilliardOrbit, SolveError, Word, alpha_derivatives,
+                       find_orbit_segment, find_orbits, find_periodic_orbit,
+                       orbit_alpha_derivatives)
 
 _FLOAT_FMT = "%.12e"
 
@@ -103,9 +111,16 @@ def effective_burn_in(orbit, cfg: LabConfig) -> int:
 
 def analyze_orbit(cfg: LabConfig, orbit, bounds: Optional[TableBounds] = None):
     """Estimate, derivatives and diagnostics for one solved orbit."""
+    return _analysis(cfg, orbit, functools.partial(
+        orbit_alpha_derivatives, orbit, cfg.family), bounds)
+
+
+def _analysis(cfg, orbit, derivatives, bounds=None):
+    """``analyze_orbit`` with the orbit's AlphaDerivatives read from
+    ``derivatives()``, called after the estimate."""
     burn = effective_burn_in(orbit, cfg)
     report = lyapunov_estimate(orbit, burn_in=burn, bounds=bounds)
-    derivs = orbit_alpha_derivatives(orbit, cfg.family)
+    derivs = derivatives()
     # the estimate ran with the default seed and window, so its trace
     # covers every record, as kdot_trace needs
     trace = report.trace
@@ -113,6 +128,14 @@ def analyze_orbit(cfg: LabConfig, orbit, bounds: Optional[TableBounds] = None):
     F_m, f_dot = f_derivative_sum(orbit, derivs, trace, kdot, burn_in=burn)
     return {"report": report, "derivs": derivs, "trace": trace, "kdot": kdot,
             "F_m": F_m, "f_dot": f_dot, "burn_in": burn}
+
+
+def _value(result):
+    """A batched call's result for one item: its value, or its error
+    raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _require_smoothness(cfg, need, what):
@@ -123,50 +146,64 @@ def _require_smoothness(cfg, need, what):
             f"table declares C^({r},{rp})")
 
 
-def _sweep_one_word(cfg, ident, word, bounds):
-    rows = {}
-    failures = []
-    cd_obs = 0.0
-    ck_obs = 0.0
-    init = None
-    for gi, b in enumerate(bounds):
-        try:
-            orbit = solve_word(cfg, word, b.alpha, init=init)
-        except (SolveError, ShadowingError) as exc:
-            failures.append((ident, b.alpha, str(exc)))
-            init = None
-            continue
-        init = np.asarray(orbit.chain_us)
-        res = analyze_orbit(cfg, orbit)
-        derivs = res["derivs"]
-        cd_obs = max(cd_obs, float(np.abs(derivs.d_dot).max()))
-        ck_obs = max(ck_obs, float(np.abs(res["kdot"].k_dot).max()))
-        rows[gi] = SweepRow(
-            b.alpha, ident, res["report"].m, res["report"].lambda_m,
-            res["F_m"], math.nan, b.lower, b.upper,
-            float(np.abs(derivs.u_dot).max()),
-            float(np.abs(res["kdot"].k_dot).max()),
-            orbit.residual, derivs.cond)
-    return rows, failures, cd_obs, ck_obs
-
-
 def run_sweep(cfg: LabConfig) -> SweepResult:
     """Exponent, exact derivative and diagnostics for every configured
     word across the alpha grid, plus the per-alpha table bounds of
-    ``run_check``."""
+    ``run_check``.
+
+    The grid is walked alpha-major (see the module docstring); rows,
+    failures (word-major) and summaries are those of a word-at-a-time
+    sweep.  An analysis error is raised as that sweep would raise it:
+    the first in word-major order.
+    """
     _require_smoothness(cfg, (4, 2), "the sweep's derivative columns")
     bounds = run_check(cfg)
 
-    all_rows = []
-    failures = []
+    n_words = len(cfg.words)
+    chains = [None] * n_words       # each word's chain at the last alpha
+    word_rows = [{} for _ in cfg.words]
+    word_failures = [[] for _ in cfg.words]
+    fatal = {}                      # word index -> its analysis error
     cd_obs = 0.0
     ck_obs = 0.0
+    for gi, b in enumerate(bounds):
+        # a word-at-a-time sweep never reaches the words after a raise
+        live = range(min(fatal, default=n_words))
+        orbits = find_orbits([cfg.words[i][1] for i in live], cfg.family,
+                             b.alpha, [chains[i] for i in live],
+                             padding=cfg.padding, tol=cfg.tol_orbit)
+        derivs = iter(alpha_derivatives(
+            [o for o in orbits if isinstance(o, BilliardOrbit)], cfg.family))
+        for i, orbit in zip(live, orbits):
+            ident = cfg.words[i][0]
+            if not isinstance(orbit, BilliardOrbit):
+                word_failures[i].append((ident, b.alpha, str(orbit)))
+                chains[i] = None
+                continue
+            chains[i] = np.asarray(orbit.chain_us)
+            try:
+                res = _analysis(cfg, orbit,
+                                functools.partial(_value, next(derivs)))
+            except (SolveError, GeometryError) as exc:
+                fatal[i] = exc
+                continue
+            derivs_i = res["derivs"]
+            cd_obs = max(cd_obs, float(np.abs(derivs_i.d_dot).max()))
+            ck_obs = max(ck_obs, float(np.abs(res["kdot"].k_dot).max()))
+            word_rows[i][gi] = SweepRow(
+                b.alpha, ident, res["report"].m, res["report"].lambda_m,
+                res["F_m"], math.nan, b.lower, b.upper,
+                float(np.abs(derivs_i.u_dot).max()),
+                float(np.abs(res["kdot"].k_dot).max()),
+                orbit.residual, derivs_i.cond)
+    if fatal:
+        raise fatal[min(fatal)]
+
+    all_rows = []
+    failures = []
     per_word = {}
-    for ident, word in cfg.words:
-        rows, fails, cd, ck = _sweep_one_word(cfg, ident, word, bounds)
+    for (ident, _), rows, fails in zip(cfg.words, word_rows, word_failures):
         failures.extend(fails)
-        cd_obs = max(cd_obs, cd)
-        ck_obs = max(ck_obs, ck)
         # central slope across surviving neighbours; analytic value at ends
         for gi, row in sorted(rows.items()):
             prev_row = rows.get(gi - 1)

@@ -63,7 +63,6 @@ class LyapunovReport:
     m: int
     lower: float
     upper: float
-    seed_sensitivity: float
     trace: CurvatureTrace
 
 
@@ -155,6 +154,13 @@ def _window(orbit: BilliardOrbit, burn_in: Optional[int],
     return burn, m_use
 
 
+def _segment_estimate(orbit: BilliardOrbit, k0: float, burn: int,
+                      m_use: int):
+    """(mean of flights burn..m_use-1, trace) of a segment seeded with k0."""
+    trace = propagate_curvature(orbit, k0, m_use)
+    return float((-np.log(trace.delta))[burn:].mean()), trace
+
+
 def lyapunov_estimate(orbit: BilliardOrbit, burn_in: Optional[int] = None,
                       m: Optional[int] = None, *,
                       bounds: Optional[TableBounds] = None) -> LyapunovReport:
@@ -162,8 +168,7 @@ def lyapunov_estimate(orbit: BilliardOrbit, burn_in: Optional[int] = None,
 
     Periodic orbits use the cycle fixed point (exact per-period mean, no
     seed, no burn-in; any other window is refused).  Segments propagate
-    from the default seed k0 and discard ``burn_in`` flights;
-    ``seed_sensitivity`` is the estimate spread under seeds k0/2 and 2 k0.
+    from the default seed k0 and discard ``burn_in`` flights.
     """
     lower, upper = lyapunov_bounds(bounds) if bounds is not None \
         else (math.nan, math.nan)
@@ -171,17 +176,23 @@ def lyapunov_estimate(orbit: BilliardOrbit, burn_in: Optional[int] = None,
     if orbit.kind == "periodic":
         trace = periodic_curvature_fixed_point(orbit)
         lam = float((-np.log(trace.delta)).mean())
-        return LyapunovReport(lam, m_use, lower, upper, 0.0, trace)
+        return LyapunovReport(lam, m_use, lower, upper, trace)
+    lam, trace = _segment_estimate(orbit, default_seed_curvature(orbit), burn,
+                                   m_use)
+    return LyapunovReport(lam, m_use - burn, lower, upper, trace)
 
-    k_seed = default_seed_curvature(orbit)
 
-    def estimate(seed):
-        trace = propagate_curvature(orbit, seed, m_use)
-        return float((-np.log(trace.delta))[burn:].mean()), trace
-
-    lam, trace = estimate(k_seed)
-    sens = abs(estimate(2.0 * k_seed)[0] - estimate(0.5 * k_seed)[0])
-    return LyapunovReport(lam, m_use - burn, lower, upper, sens, trace)
+def seed_sensitivity(orbit: BilliardOrbit, burn_in: Optional[int] = None,
+                     m: Optional[int] = None) -> float:
+    """Spread of ``lyapunov_estimate`` over the same window under the
+    seeds 2 k0 and k0/2 (k0 the default seed); 0 for a periodic orbit,
+    whose fixed point has no seed."""
+    burn, m_use = _window(orbit, burn_in, m)
+    if orbit.kind == "periodic":
+        return 0.0
+    k0 = default_seed_curvature(orbit)
+    return abs(_segment_estimate(orbit, 2.0 * k0, burn, m_use)[0]
+               - _segment_estimate(orbit, 0.5 * k0, burn, m_use)[0])
 
 
 def kdot_trace(orbit: BilliardOrbit, derivs: AlphaDerivatives,

@@ -332,7 +332,7 @@ def _escalate(mu):
     return np.where(mu == 0.0, 1e-8, mu * 10.0)
 
 
-def _solve_chains(table, symbols, us0, cyclic, tol):
+def _solve_chain(table, symbols, us0, cyclic, tol):
     """Critical chains for a batch of equal-length chains.
 
     ``symbols`` and ``us0`` have shape (B, m).  Every chain runs exactly
@@ -431,16 +431,6 @@ def _solve_chains(table, symbols, us0, cyclic, tol):
     return us, ginf, errors
 
 
-def _solve_chain(table, symbols, us0, cyclic, tol):
-    """One chain: a batch of one through ``_solve_chains``; raises its
-    SolveError."""
-    us, residual, errors = _solve_chains(table, np.asarray(symbols)[None],
-                                         np.asarray(us0)[None], cyclic, tol)
-    if errors[0] is not None:
-        raise errors[0]
-    return us[0], float(residual[0])
-
-
 @dataclass(frozen=True)
 class ReflectionRecord:
     """One reflection: where it happened and the local data the curvature
@@ -509,37 +499,27 @@ def _reflections(table, symbols, us, core_start, core_len, cyclic):
 
 
 def _build_records(table, symbols, us, core_start, core_len, cyclic):
+    """The core reflection records of a batch of solved chains: symbols
+    and us are (B, m).  Returns, per chain, its tuple of
+    ReflectionRecords, or the SolveError of a nonphysical chain."""
     p, kappa, d, c_out, physical = _reflections(
-        table, np.asarray(symbols), us, core_start, core_len, cyclic)
-    if not physical:
-        raise SolveError("chain converged to a nonphysical configuration "
-                         "(a tangent or penetrating edge)")
-    idxs = range(core_start, core_start + core_len)
-    return tuple(
-        ReflectionRecord(symbols[idx], float(us[idx]) % (2.0 * math.pi),
-                         (float(p[idx][0]), float(p[idx][1])), float(d[j]),
-                         math.acos(min(1.0, float(c_out[j]))),
-                         float(kappa[idx]))
-        for j, idx in enumerate(idxs))
-
-
-def find_periodic_orbit(word: Word, family: DeformationFamily, alpha: float,
-                        init=None, tol: float = TOL_ORBIT) -> BilliardOrbit:
-    """Periodic orbit with the prescribed cyclic itinerary."""
-    if not word.cyclic:
-        raise ValueError("find_periodic_orbit needs a cyclic word")
-    if not is_admissible(word, family.z0):
-        raise ValueError(f"word {word.label} is not admissible")
-    table = table_at(family, alpha)
-    symbols = word.symbols
-    us0 = np.asarray(init, float) if init is not None \
-        else _seed_chain(table, symbols, cyclic=True)
-    if len(us0) != len(symbols):
-        raise ValueError("init length must match the word length")
-    us, residual = _solve_chain(table, symbols, us0, True, tol)
-    records = _build_records(table, symbols, us, 0, len(symbols), True)
-    return BilliardOrbit(word, alpha, records, residual, "periodic",
-                         symbols, tuple(us), 0)
+        table, symbols, us, core_start, core_len, cyclic)
+    core = slice(core_start, core_start + core_len)
+    out = []
+    for b in range(len(us)):
+        if not physical[b]:
+            out.append(SolveError("chain converged to a nonphysical "
+                                  "configuration (a tangent or penetrating "
+                                  "edge)"))
+            continue
+        out.append(tuple(
+            ReflectionRecord(i, u % (2.0 * math.pi), (x, y), dj,
+                             math.acos(min(1.0, c)), k)
+            for i, u, (x, y), dj, c, k in zip(
+                symbols[b, core].tolist(), us[b, core].tolist(),
+                p[b, core].tolist(), d[b].tolist(), c_out[b].tolist(),
+                kappa[b, core].tolist())))
+    return out
 
 
 def _pad_symbols(symbols, padding):
@@ -550,77 +530,176 @@ def _pad_symbols(symbols, padding):
     return tuple(left)
 
 
-def _segment_solve(word, table, padding, init, tol):
-    symbols = _pad_symbols(word.symbols, padding)
-    us0 = _seed_chain(table, symbols, cyclic=False) if init is None else init
-    us, residual = _solve_chain(table, symbols, us0, False, tol)
-    return symbols, us, residual
-
-
 def _truncation_bound(table, symbols, us, padding, m):
     """First-order bound on how far the core points of a converged open
     chain lie from those of the chain padded without end: pads beyond an
     end change only the end node's gradient, by e.t, so by at most the
     largest semi-axis max(A, B) of its obstacle.  Columns 0 and end of the
     inverse tridiagonal Hessian carry that change to the core, decaying
-    exponentially (Demko, Moss & Smith 1984)."""
+    exponentially (Demko, Moss & Smith 1984).
+
+    ``symbols`` and ``us`` are chains of any leading shape S, all with
+    core ``padding:padding + m``; returns the bounds, shape S."""
     symbols = np.asarray(symbols)
-    ev = _chain_system(table, symbols, us, False)
-    ends = np.zeros((1, len(us), 2))
-    ends[0, 0, 0] = ends[0, -1, 1] = 1.0
+    shape = np.shape(us)
+    flat_s = symbols.reshape(-1, shape[-1])
+    flat_u = np.reshape(us, flat_s.shape)
+    ev = _chain_system(table, flat_s, flat_u, False)
+    ends = np.zeros(flat_u.shape + (2,))
+    ends[:, 0, 0] = ends[:, -1, 1] = 1.0
     core = slice(padding, padding + m)
-    cols = np.abs(_tridiag_solve(ev.hess[None], ev.off[None], ends,
-                                 False)[0][0, core])
-    speed = np.sqrt((table.jet(symbols[core], us[core], 1, 0) ** 2).sum(-1))
-    return float((speed * (cols @ table.axes[symbols[[0, -1]]].max(-1))).max())
+    cols = np.abs(_tridiag_solve(ev.hess, ev.off, ends, False)[0][:, core])
+    speed = np.sqrt((table.jet(flat_s[:, core], flat_u[:, core], 1, 0) ** 2)
+                    .sum(-1))
+    reach = table.axes[flat_s[:, [0, -1]]].max(-1)
+    # one chain's matrix-vector product at a time, as for a lone chain
+    bounds = [float((sp * (c @ r)).max())
+              for sp, c, r in zip(speed, cols, reach)]
+    return np.reshape(bounds, shape[:-1])[()]
+
+
+def _pad_depth(word: Word, z0: int, padding: int, init) -> int:
+    """Pad depth of a request: 0 for a cyclic word; for an open word,
+    ``padding`` or the deeper depth an ``init`` chain holds.  Malformed
+    requests raise ValueError."""
+    if not is_admissible(word, z0):
+        raise ValueError(f"word {word.label} is not admissible")
+    m = len(word)
+    if word.cyclic:
+        if init is not None and len(init) != m:
+            raise ValueError("init length must match the word length")
+        return 0
+    if padding < 1:
+        raise ValueError("padding must be at least 1")
+    if init is None:
+        return padding
+    depth, odd = divmod(len(init) - m, 2)
+    if odd or depth < padding:
+        raise ValueError(f"init length {len(init)} is not the word length "
+                         f"{m} plus at least {padding} pads on each side")
+    return depth
+
+
+def _segment_solve(table, words, depth, inits, tol):
+    """Solve one group: words of one kind and length, each padded by
+    ``depth`` on both sides (cyclic words take no pads) and started from
+    its init chain, or from the crude seed where that is None.  Returns
+    (symbols, us, residual, errors), the last three as ``_solve_chain``."""
+    cyclic = words[0].cyclic
+    symbols = np.array([_pad_symbols(w.symbols, depth) for w in words])
+    us0 = np.empty(symbols.shape)
+    cold = [b for b, init in enumerate(inits) if init is None]
+    if cold:
+        us0[cold] = _seed_chain(table, symbols[cold], cyclic)
+    for b, init in enumerate(inits):
+        if init is not None:
+            us0[b] = init
+    return (symbols,) + _solve_chain(table, symbols, us0, cyclic, tol)
+
+
+def find_orbits(words, family: DeformationFamily, alpha: float, inits=None,
+                padding: int = 12, tol: float = TOL_ORBIT,
+                shadow_check: bool = True) -> list:
+    """Orbits realizing a batch of words at one alpha.
+
+    A cyclic word gives its periodic orbit.  An open word is padded on
+    both sides, the open chain is solved, and only the core reflections
+    are reported: ``padding`` is the minimum depth (a warm start holding
+    more pads keeps its depth).  With ``shadow_check`` a segment's
+    ``shadow_gap`` is ``_truncation_bound``; while it exceeds TOL_SHADOW
+    the chain is re-solved 4 pads deeper, and past MAX_PADDING the word
+    fails with ShadowingError.  ``inits`` holds each word's starting
+    chain, pads included, or None for the crude seed.
+
+    Words of one kind, length and pad depth form a group: one
+    ``_segment_solve`` (one seed call for its cold words, one
+    ``_solve_chain`` call), one batched bound, and one more
+    ``_segment_solve`` for the words it deepens.  Every chain runs the
+    iteration it would run alone, so a word's orbit does not depend on
+    the batch it came in.  Returns, per word, its BilliardOrbit or the
+    SolveError or ShadowingError it failed with; a malformed request
+    raises ValueError.
+    """
+    inits = [None] * len(words) if inits is None else list(inits)
+    if len(inits) != len(words):
+        raise ValueError("one init (or None) per word")
+    inits = [None if c is None else np.asarray(c, float) for c in inits]
+    depths = [_pad_depth(w, family.z0, padding, c)
+              for w, c in zip(words, inits)]
+    table = table_at(family, alpha)
+    out = [None] * len(words)
+    groups = {}
+    for i, word in enumerate(words):
+        groups.setdefault((word.cyclic, len(word), depths[i]), []).append(i)
+    pending = [(depth, idx, [inits[i] for i in idx])
+               for (_, _, depth), idx in groups.items()]
+    while pending:
+        depth, idx, group_inits = pending.pop(0)
+        group = [words[i] for i in idx]
+        cyclic, m = group[0].cyclic, len(group[0])
+        symbols, us, residual, errors = _segment_solve(table, group, depth,
+                                                       group_inits, tol)
+        for b in np.flatnonzero([e is not None for e in errors]):
+            out[idx[b]] = errors[b]
+        ok = np.flatnonzero([e is None for e in errors])
+        gaps = np.full(len(idx), math.nan)
+        if shadow_check and not cyclic and ok.size:
+            gaps[ok] = _truncation_bound(table, symbols[ok], us[ok], depth, m)
+            deepen = ok[~(gaps[ok] <= TOL_SHADOW)]
+            ok = ok[gaps[ok] <= TOL_SHADOW]
+            if deepen.size and depth + 4 > MAX_PADDING:
+                for b in deepen:
+                    out[idx[b]] = ShadowingError(
+                        f"truncation bound {gaps[b]:.3e} exceeds "
+                        f"{TOL_SHADOW:.1e} at padding {depth}; word "
+                        f"{group[b].label} at alpha = {alpha}")
+            elif deepen.size:
+                # the solved chain, with 4 freshly seeded pads on each side
+                outer = _seed_chain(table, np.array(
+                    [_pad_symbols(group[b].symbols, depth + 4)
+                     for b in deepen]), cyclic=False)
+                seeds = np.concatenate([outer[:, :4], us[deepen],
+                                        outer[:, -4:]], axis=1)
+                pending.append((depth + 4, [idx[b] for b in deepen],
+                                list(seeds)))
+        if not ok.size:
+            continue
+        kind = "periodic" if cyclic else "segment"
+        records = _build_records(table, symbols[ok], us[ok], depth, m, cyclic)
+        for b, recs in zip(ok, records):
+            gap = float(gaps[b]) if shadow_check and not cyclic else math.nan
+            out[idx[b]] = recs if isinstance(recs, SolveError) \
+                else BilliardOrbit(group[b], alpha, recs, float(residual[b]),
+                                   kind, tuple(symbols[b].tolist()),
+                                   tuple(us[b]), depth, gap)
+    return out
+
+
+def _one(results):
+    """The only result of a batch of one: its orbit, or its error raised."""
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
+
+
+def find_periodic_orbit(word: Word, family: DeformationFamily, alpha: float,
+                        init=None, tol: float = TOL_ORBIT) -> BilliardOrbit:
+    """Periodic orbit with the prescribed cyclic itinerary: a batch of one
+    through ``find_orbits``."""
+    if not word.cyclic:
+        raise ValueError("find_periodic_orbit needs a cyclic word")
+    return _one(find_orbits([word], family, alpha, [init], tol=tol))
 
 
 def find_orbit_segment(word: Word, family: DeformationFamily, alpha: float,
                        padding: int = 12, init=None, tol: float = TOL_ORBIT,
                        shadow_check: bool = True) -> BilliardOrbit:
-    """Trapped-orbit piece realizing an open word.
-
-    The word is padded on both sides, the open chain is solved once, and
-    only the core reflections are reported.  ``padding`` is the minimum
-    depth (a warm start holding more pads keeps its depth).  With
-    ``shadow_check``, ``shadow_gap`` is ``_truncation_bound``; while it
-    exceeds TOL_SHADOW the chain is re-solved 4 pads deeper, and past
-    MAX_PADDING ShadowingError is raised.
-    """
+    """Trapped-orbit piece realizing an open word: a batch of one through
+    ``find_orbits``, which says how the word is padded and deepened."""
     if word.cyclic:
         raise ValueError("find_orbit_segment needs an open word")
-    if not is_admissible(word, family.z0):
-        raise ValueError(f"word {word.label} is not admissible")
-    if padding < 1:
-        raise ValueError("padding must be at least 1")
-    table = table_at(family, alpha)
-    m = len(word.symbols)
-    depth = padding
-    if init is not None:
-        init = np.asarray(init, float)
-        depth, odd = divmod(len(init) - m, 2)
-        if odd or depth < padding:
-            raise ValueError(f"init length {len(init)} is not the word length "
-                             f"{m} plus at least {padding} pads on each side")
-
-    symbols, us, residual = _segment_solve(word, table, depth, init, tol)
-    gap = math.nan
-    while shadow_check:
-        gap = _truncation_bound(table, symbols, us, depth, m)
-        if gap <= TOL_SHADOW:
-            break
-        if depth + 4 > MAX_PADDING:
-            raise ShadowingError(
-                f"truncation bound {gap:.3e} exceeds {TOL_SHADOW:.1e} at "
-                f"padding {depth}; word {word.label} at alpha = {alpha}")
-        depth += 4
-        outer = _seed_chain(table, _pad_symbols(word.symbols, depth),
-                            cyclic=False)
-        seed = np.concatenate([outer[:4], us, outer[-4:]])
-        symbols, us, residual = _segment_solve(word, table, depth, seed, tol)
-    records = _build_records(table, symbols, us, depth, m, False)
-    return BilliardOrbit(word, alpha, records, residual, "segment",
-                         symbols, tuple(us), depth, gap)
+    return _one(find_orbits([word], family, alpha, [init], padding=padding,
+                            tol=tol, shadow_check=shadow_check))
 
 
 def max_collision_angles(words, table, padding: int, chains):
@@ -636,8 +715,8 @@ def max_collision_angles(words, table, padding: int, chains):
     cyclic = words[0].cyclic
     pad = 0 if cyclic else padding
     symbols = np.array([_pad_symbols(w.symbols, pad) for w in words])
-    us, _, errors = _solve_chains(table, symbols, np.array(chains, float),
-                                  cyclic, TOL_ORBIT)
+    us, _, errors = _solve_chain(table, symbols, np.array(chains, float),
+                                 cyclic, TOL_ORBIT)
     out = [(None, math.nan)] * len(words)
     ok = np.flatnonzero([err is None for err in errors])
     _, _, _, c_out, physical = _reflections(table, symbols[ok], us[ok], pad,
@@ -671,65 +750,105 @@ class AlphaDerivatives:
 
 
 def _dot2(a, b):
-    """Row-wise dot products of (n, 2) arrays, by the same matmul kernel
+    """Row-wise dot products of (..., 2) arrays, by the same matmul kernel
     as ``a[i] @ b[i]``; einsum rounds differently."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _condition(diag, off, cyclic) -> float:
+    """cond_2 of one chain Hessian held as bands.
+
+    A converged chain is a length minimum, so its Hessian is positive
+    definite: cond_2 = largest / smallest eigenvalue, and a smallest
+    eigenvalue <= 0 reads as an overflowing condition number (inf).
+    Open chains bisect the bands for the two extremes; a cyclic
+    Hessian's corners leave only the dense eigensolver."""
+    if cyclic:
+        lo, hi = np.linalg.eigvalsh(_hessian_matrix(diag, off, True))[[0, -1]]
+    else:
+        lo, hi = (eigvalsh_tridiagonal(diag, off, select="i",
+                                       select_range=(i, i))[0]
+                  for i in (0, len(diag) - 1))
+    return float(hi / lo) if lo > 0 else math.inf
+
+
+def alpha_derivatives(orbits, family: DeformationFamily) -> list:
+    """Implicit-function alpha-derivatives of a batch of solved orbits.
+
+    Orbits at one alpha of one kind whose chains have one length and
+    whose cores have one start and one length form a group, evaluated
+    on one batched chain system with one batched tridiagonal solve; the
+    condition number stays per chain.  Returns, per orbit, its
+    AlphaDerivatives or the SolveError its chain is rejected with (a
+    degenerate chain, or cond not below COND_LIMIT).
+    """
+    out = [None] * len(orbits)
+    groups = {}
+    for i, o in enumerate(orbits):
+        key = (o.alpha, o.kind, len(o.chain_us), o.core_start, len(o.records))
+        groups.setdefault(key, []).append(i)
+    for (alpha, kind, _, start, n), idx in groups.items():
+        cyclic = kind == "periodic"
+        sym = np.array([orbits[i].chain_symbols for i in idx])
+        us = np.array([orbits[i].chain_us for i in idx])
+        table = table_at(family, alpha)
+        ev = _chain_system(table, sym, us, cyclic, want_alpha=True)
+        conds = {}
+        for b, i in enumerate(idx):
+            if ev.degenerate[b]:
+                out[i] = SolveError(_DEGENERATE, orbits[i].residual)
+                continue
+            cond = _condition(ev.hess[b], ev.off[b], cyclic)
+            if not cond < COND_LIMIT:
+                out[i] = SolveError(
+                    f"chain Hessian condition number {cond:.3e} exceeds "
+                    f"{COND_LIMIT:.1e}; implicit derivative rejected",
+                    orbits[i].residual)
+                continue
+            conds[b] = cond
+        if not conds:
+            continue
+        ok = list(conds)
+        sym, us = sym[ok], us[ok]
+        core = np.arange(start, start + n)
+        succ = (core + 1) % us.shape[-1]
+        kap, kap_u, kap_a = curvature_partials(family, sym[:, core],
+                                               us[:, core], alpha)
+        udot_full = _tridiag_solve(ev.hess[ok], ev.off[ok], -ev.g_alpha[ok],
+                                   cyclic)[0]
+
+        p, t, u2, pa, ta = (table.jet(sym, us, lu, la) for lu, la in
+                            [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
+        speed = np.sqrt((t ** 2).sum(-1))
+        normal = np.stack([t[..., 1], -t[..., 0]], axis=-1) / speed[..., None]
+        qdot = t * udot_full[..., None] + pa
+        tdot = u2 * udot_full[..., None] + ta
+        # unit-normal derivative: rotate T-dot, remove the speed variation
+        rot_td = np.stack([tdot[..., 1], -tdot[..., 0]], axis=-1)
+        ndot = rot_td / speed[..., None] \
+            - np.stack([t[..., 1], -t[..., 0]], axis=-1) \
+            * (_dot(t, tdot) / speed ** 3)[..., None]
+
+        # per core flight core -> succ
+        v = p[:, succ] - p[:, core]
+        d = np.sqrt(_dot2(v, v))
+        e = v / d[..., None]
+        qdot_v = qdot[:, succ] - qdot[:, core]
+        d_dot = _dot2(e, qdot_v)
+        edot = qdot_v / d[..., None] - e * (d_dot / d)[..., None]
+        k_dot = kap_u * udot_full[:, core] + kap_a
+        cphi = _dot2(e, normal[:, core])
+        c_dot = _dot2(ndot[:, core], e) + _dot2(normal[:, core], edot)
+        g_dot = 2.0 * k_dot / cphi - 2.0 * kap * c_dot / cphi ** 2
+        for j, b in enumerate(ok):
+            out[idx[b]] = AlphaDerivatives(udot_full[j, core], d_dot[j],
+                                           k_dot[j], c_dot[j], g_dot[j],
+                                           conds[b])
+    return out
 
 
 def orbit_alpha_derivatives(orbit: BilliardOrbit,
                             family: DeformationFamily) -> AlphaDerivatives:
-    sym = np.asarray(orbit.chain_symbols)
-    us = np.asarray(orbit.chain_us)
-    alpha = orbit.alpha
-    cyclic = orbit.kind == "periodic"
-    core = np.arange(orbit.core_start, orbit.core_start + len(orbit.records))
-    succ = (core + 1) % len(us)
-    kap, kap_u, kap_a = curvature_partials(family, sym[core], us[core], alpha)
-    table = table_at(family, alpha)
-    ev = _chain_system(table, sym, us, cyclic, want_alpha=True)
-    if ev.degenerate:
-        raise SolveError(_DEGENERATE, orbit.residual)
-    # a converged chain is a length minimum, so its Hessian is positive
-    # definite: cond_2 = largest / smallest eigenvalue, and a smallest
-    # eigenvalue <= 0 fails as an overflowing condition number does.  Open
-    # chains bisect the bands for the two extremes; a cyclic Hessian's
-    # corners leave only the dense eigensolver.
-    if cyclic:
-        lo, hi = np.linalg.eigvalsh(
-            _hessian_matrix(ev.hess, ev.off, True))[[0, -1]]
-    else:
-        lo, hi = (eigvalsh_tridiagonal(ev.hess, ev.off, select="i",
-                                       select_range=(i, i))[0]
-                  for i in (0, len(us) - 1))
-    cond = float(hi / lo) if lo > 0 else math.inf
-    if not cond < COND_LIMIT:
-        raise SolveError(
-            f"chain Hessian condition number {cond:.3e} exceeds {COND_LIMIT:.1e}; "
-            "implicit derivative rejected", orbit.residual)
-    udot_full = _tridiag_solve(ev.hess[None], ev.off[None], -ev.g_alpha[None],
-                               cyclic)[0][0]
-
-    p, t, u2, pa, ta = (table.jet(sym, us, lu, la) for lu, la in
-                        [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
-    speed = np.sqrt((t ** 2).sum(-1))
-    n = np.stack([t[:, 1], -t[:, 0]], axis=-1) / speed[:, None]
-    qdot = t * udot_full[:, None] + pa
-    tdot = u2 * udot_full[:, None] + ta
-    # unit-normal derivative: rotate T-dot, remove the speed variation
-    rot_td = np.stack([tdot[:, 1], -tdot[:, 0]], axis=-1)
-    t_tdot = np.einsum("ij,ij->i", t, tdot)
-    ndot = rot_td / speed[:, None] \
-        - np.stack([t[:, 1], -t[:, 0]], axis=-1) * (t_tdot / speed ** 3)[:, None]
-
-    # per core flight core -> succ
-    v = p[succ] - p[core]
-    d = np.sqrt(_dot2(v, v))
-    e = v / d[:, None]
-    qdot_v = qdot[succ] - qdot[core]
-    d_dot = _dot2(e, qdot_v)
-    edot = qdot_v / d[:, None] - e * (d_dot / d)[:, None]
-    k_dot = kap_u * udot_full[core] + kap_a
-    cphi = _dot2(e, n[core])
-    c_dot = _dot2(ndot[core], e) + _dot2(n[core], edot)
-    g_dot = 2.0 * k_dot / cphi - 2.0 * kap * c_dot / cphi ** 2
-    return AlphaDerivatives(udot_full[core], d_dot, k_dot, c_dot, g_dot, cond)
+    """Implicit-function alpha-derivatives of one orbit: a batch of one
+    through ``alpha_derivatives``; raises its SolveError."""
+    return _one(alpha_derivatives([orbit], family))

@@ -2,12 +2,13 @@
 summaries, derivative probes, and the CSV emitters."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from billiard_lab import (EclipseError, Word, experiments,
+from billiard_lab import (EclipseError, SolveError, Word, experiments,
                           find_orbit_segment, symbolic)
 from billiard_lab.config import ConfigError, load_config
 from billiard_lab.experiments import (BOUNDS_HEADER, SWEEP_HEADER,
@@ -68,31 +69,147 @@ def test_solve_word_keeps_deep_warm_start(small_cfg):
 
 
 def test_breathe_sweep_solves_each_open_word_once(breathe_cfg, monkeypatch):
-    # every find_orbit_segment call (sweep words and the cold phi corpus
-    # alike) makes exactly one chain solve: no workload deepens
-    solves = []
+    # every open word handed to find_orbits (the sweep's batches and the
+    # cold phi corpus's batches of one alike) is solved by exactly one
+    # chain: no workload deepens
+    words = {True: 0, False: 0}     # open words, by shadow check
+    chains = {True: 0, False: 0}    # open chains solved for them
+    calls = []
 
-    def count_solves(fn):
-        def wrapper(*args, **kwargs):
-            solves[-1] += 1
-            return fn(*args, **kwargs)
+    def count_words(fn):
+        def wrapper(words_in, *args, shadow_check=True, **kwargs):
+            words[shadow_check] += sum(not w.cyclic for w in words_in)
+            calls.append(shadow_check)
+            try:
+                return fn(words_in, *args, shadow_check=shadow_check,
+                          **kwargs)
+            finally:
+                calls.pop()
         return wrapper
 
-    def count_finds(fn):
-        def wrapper(*args, **kwargs):
-            solves.append(0)
-            return fn(*args, **kwargs)
+    def count_chains(fn):
+        def wrapper(table, symbols, us0, cyclic, tol):
+            if calls and not cyclic:
+                chains[calls[-1]] += len(us0)
+            return fn(table, symbols, us0, cyclic, tol)
         return wrapper
 
-    monkeypatch.setattr(symbolic, "_segment_solve",
-                        count_solves(symbolic._segment_solve))
-    finder = count_finds(symbolic.find_orbit_segment)
-    monkeypatch.setattr(symbolic, "find_orbit_segment", finder)
-    monkeypatch.setattr(experiments, "find_orbit_segment", finder)
+    finder = count_words(symbolic.find_orbits)
+    monkeypatch.setattr(symbolic, "find_orbits", finder)
+    monkeypatch.setattr(experiments, "find_orbits", finder)
+    monkeypatch.setattr(symbolic, "_solve_chain",
+                        count_chains(symbolic._solve_chain))
     result = run_sweep(breathe_cfg)
     assert not result.failures
-    assert set(solves) == {1}
-    assert len(solves) == 620
+    assert words == chains == {True: 520, False: 100}
+
+
+def _word_at_a_time(cfg):
+    """Reference sweep: each word solved and analysed alone along the
+    grid, warm-started from its previous solve and cold after a failure.
+    Returns (rows sorted by word and alpha, failures)."""
+    bounds = run_check(cfg)
+    rows, failures = [], []
+    for ident, word in cfg.words:
+        solved = {}
+        init = None
+        for gi, b in enumerate(bounds):
+            try:
+                orbit = solve_word(cfg, word, b.alpha, init=init)
+            except (SolveError, symbolic.ShadowingError) as exc:
+                failures.append((ident, b.alpha, str(exc)))
+                init = None
+                continue
+            init = np.asarray(orbit.chain_us)
+            res = analyze_orbit(cfg, orbit)
+            solved[gi] = experiments.SweepRow(
+                b.alpha, ident, res["report"].m, res["report"].lambda_m,
+                res["F_m"], math.nan, b.lower, b.upper,
+                float(np.abs(res["derivs"].u_dot).max()),
+                float(np.abs(res["kdot"].k_dot).max()),
+                orbit.residual, res["derivs"].cond)
+        for gi, row in solved.items():
+            if gi - 1 in solved and gi + 1 in solved:
+                slope = (solved[gi + 1].lambda_m - solved[gi - 1].lambda_m) \
+                    / (solved[gi + 1].alpha - solved[gi - 1].alpha)
+            else:
+                slope = row.F_m
+            rows.append(dataclasses.replace(row, fd_slope=slope))
+    return sorted(rows, key=lambda r: (r.word_id, r.alpha)), failures
+
+
+@pytest.mark.parametrize("which", ["small", "breathe"])
+def test_sweep_rows_equal_a_word_at_a_time_sweep(which, small_cfg,
+                                                 breathe_cfg):
+    cfg = small_cfg if which == "small" else dataclasses.replace(
+        breathe_cfg, alpha_grid=np.linspace(0.0, 0.4, 5))
+    result = run_sweep(cfg)
+    rows, failures = _word_at_a_time(cfg)
+    assert result.rows == rows
+    assert result.failures == failures == []
+
+
+def _inject_failures(monkeypatch, spots):
+    """Make find_orbits fail word ``i`` at grid point ``gi`` for every
+    (i, gi) in ``spots``; returns the inits each call received."""
+    calls = []
+    find_orbits = symbolic.find_orbits
+
+    def failing(words, family, alpha, inits, **kwargs):
+        calls.append(list(inits))
+        out = find_orbits(words, family, alpha, inits, **kwargs)
+        for i, gi in spots:
+            if gi == len(calls) - 1:
+                out[i] = SolveError(f"injected {i} at {gi}")
+        return out
+
+    monkeypatch.setattr(experiments, "find_orbits", failing)
+    return calls
+
+
+def test_a_failed_solve_restarts_its_word_cold(small_cfg, monkeypatch):
+    clean = run_sweep(small_cfg)
+    # word 1 fails at grid point 1 and word 0 at grid point 3: an
+    # alpha-major walk meets them in the other order
+    calls = _inject_failures(monkeypatch, [(1, 1), (0, 3)])
+    result = run_sweep(small_cfg)
+    grid = small_cfg.alpha_grid
+    (id0, _), (id1, _) = small_cfg.words
+    assert result.failures == [(id0, grid[3], "injected 0 at 3"),
+                               (id1, grid[1], "injected 1 at 1")]
+    # cold at the first grid point and right after each failure only
+    cold = {(gi, i) for gi, inits in enumerate(calls)
+            for i, init in enumerate(inits) if init is None}
+    assert cold == {(0, 0), (0, 1), (2, 1), (4, 0)}
+    # every other row is unchanged, but for the secant slopes next to
+    # the lost rows
+    lost = {(id1, grid[1]), (id0, grid[3])}
+
+    def no_slope(rows):
+        return [dataclasses.replace(r, fd_slope=0.0) for r in rows
+                if (r.word_id, r.alpha) not in lost]
+
+    assert len(result.rows) == len(clean.rows) - 2
+    assert no_slope(result.rows) == no_slope(clean.rows)
+
+
+def test_a_failed_analysis_raises_in_word_major_order(small_cfg,
+                                                      monkeypatch):
+    derivatives = symbolic.alpha_derivatives
+    seen = []
+
+    def failing(orbits, family):
+        seen.append(None)
+        out = derivatives(orbits, family)
+        gi = len(seen) - 1
+        for i, gi_bad in ((1, 1), (0, 3)):
+            if gi == gi_bad:
+                out[i] = SolveError(f"injected {i} at {gi}")
+        return out
+
+    monkeypatch.setattr(experiments, "alpha_derivatives", failing)
+    with pytest.raises(SolveError, match="injected 0 at 3"):
+        run_sweep(small_cfg)
 
 
 def test_effective_burn_in_clips(small_cfg):

@@ -16,7 +16,7 @@ from billiard_lab import (GeometryError, Word, default_seed_curvature,
                           lyapunov_bounds, lyapunov_estimate,
                           orbit_alpha_derivatives,
                           periodic_curvature_fixed_point, propagate_curvature,
-                          sample_itinerary, table_bounds)
+                          sample_itinerary, seed_sensitivity, table_bounds)
 
 from conftest import (static_three_circle, static_two_circle,
                       translate_two_circle)
@@ -91,7 +91,7 @@ def test_two_circle_estimate_frozen():
     assert rep.lambda_m == pytest.approx(math.log(3.0 + 2.0 * SQRT2),
                                          abs=1e-12)
     assert rep.m == 2
-    assert rep.seed_sensitivity == 0.0
+    assert seed_sensitivity(orb) == 0.0
     assert rep.lower == pytest.approx(math.log(5.0), abs=1e-9)
     assert rep.upper == pytest.approx(math.log(6.0), abs=1e-9)
     assert rep.lower <= rep.lambda_m <= rep.upper
@@ -113,7 +113,8 @@ def test_segment_estimate_window_and_diagnostics():
     # the mean of flights 5..34 of the trace
     assert rep.lambda_m == pytest.approx(
         float(np.mean(-np.log(rep.trace.delta[5:]))), abs=1e-14)
-    assert rep.seed_sensitivity < 1e-9      # transient forgotten well before m
+    # transient forgotten well before m
+    assert seed_sensitivity(orb, burn_in=5, m=35) < 1e-9
     # the report carries the trace it averaged, from the default seed
     want = propagate_curvature(orb, default_seed_curvature(orb), 35)
     np.testing.assert_array_equal(rep.trace.k, want.k)

@@ -9,16 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from billiard_lab import (ShadowingError, SolveError, Word,
+from billiard_lab import (AlphaDerivatives, BilliardOrbit, ShadowingError,
+                          SolveError, Word, alpha_derivatives,
                           enumerate_cyclic_words, find_orbit_segment,
-                          find_periodic_orbit, is_admissible,
+                          find_orbits, find_periodic_orbit, is_admissible,
                           orbit_alpha_derivatives, sample_itinerary)
 from billiard_lab.geometry import PHI_PADDING, _phi_corpus, table_at
 from billiard_lab import symbolic
 from billiard_lab.symbolic import (TOL_ORBIT, TOL_SHADOW, _chain_length,
                                    _chain_system, _hessian_matrix,
                                    _newton_steps, _pad_symbols, _seed_chain,
-                                   _solve_chains, _tridiag_solve,
+                                   _solve_chain, _tridiag_solve,
                                    _truncation_bound)
 
 from conftest import (growing_two_circle, static_three_circle,
@@ -149,15 +150,15 @@ def test_batched_corpus_solve_matches_one_chain_at_a_time(cfg_name, alpha,
         symbols = np.array([_pad_symbols(w.symbols, 0 if cyclic else PHI_PADDING)
                             for w in words])
         cold = _seed_chain(table, symbols, cyclic)
-        warm = _solve_chains(neighbour, symbols,
+        warm = _solve_chain(neighbour, symbols,
                              _seed_chain(neighbour, symbols, cyclic), cyclic,
                              TOL_ORBIT)[0]
         for seeds in (cold, warm):
-            us, _, errors = _solve_chains(table, symbols, seeds, cyclic,
+            us, _, errors = _solve_chain(table, symbols, seeds, cyclic,
                                           TOL_ORBIT)
             assert sum(e is None for e in errors) >= len(words) - 1
             for b in range(len(words)):
-                alone, _, error = _solve_chains(table, symbols[b:b + 1],
+                alone, _, error = _solve_chain(table, symbols[b:b + 1],
                                                 seeds[b:b + 1], cyclic,
                                                 TOL_ORBIT)
                 assert (errors[b] is None) == (error[0] is None)
@@ -172,12 +173,12 @@ def test_only_the_bad_chain_of_a_batch_fails():
     us0 = _seed_chain(table, symbols, cyclic=True)
     us0[2, :2] = 0.5          # two reflection points coincide
     us0[3] = np.nan           # no step can lower the residual
-    us, residual, errors = _solve_chains(table, symbols, us0, True, TOL_ORBIT)
+    us, residual, errors = _solve_chain(table, symbols, us0, True, TOL_ORBIT)
     assert "degenerate" in str(errors[2])
     assert "stalled" in str(errors[3])
     for b in (0, 1):
         assert errors[b] is None and residual[b] <= TOL_ORBIT
-        alone = _solve_chains(table, symbols[b:b + 1], us0[b:b + 1], True,
+        alone = _solve_chain(table, symbols[b:b + 1], us0[b:b + 1], True,
                               TOL_ORBIT)[0]
         np.testing.assert_array_equal(us[b], alone[0])
 
@@ -288,8 +289,10 @@ def test_an_indefinite_chain_hessian_is_rejected(mixed_cfg, cyclic,
 
     def shifted(*args, **kwargs):
         ev = chain_system(*args, **kwargs)
-        low = np.linalg.eigvalsh(_hessian_matrix(ev.hess, ev.off, cyclic))[0]
-        return dataclasses.replace(ev, hess=ev.hess - 2.0 * low)
+        # one chain at a time: the chain system is evaluated in batches
+        low = np.array([np.linalg.eigvalsh(_hessian_matrix(d, o, cyclic))[0]
+                        for d, o in zip(ev.hess, ev.off)])
+        return dataclasses.replace(ev, hess=ev.hess - 2.0 * low[:, None])
 
     monkeypatch.setattr(symbolic, "_chain_system", shifted)
     with pytest.raises(SolveError, match="condition number inf exceeds"):
@@ -480,6 +483,69 @@ def test_segment_warm_start_sets_a_minimum_depth():
     with pytest.raises(ValueError):
         find_orbit_segment(word, fam, 0.0, padding=12,
                            init=np.asarray(deep.chain_us)[1:])
+
+
+def _same_result(a, b):
+    """Exact equality of two batched results: orbits, derivatives or
+    errors."""
+    if isinstance(a, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    if isinstance(a, AlphaDerivatives):
+        return isinstance(b, AlphaDerivatives) and a.cond == b.cond and all(
+            np.array_equal(getattr(a, f), getattr(b, f))
+            for f in ("u_dot", "d_dot", "kappa_dot", "cosphi_dot", "g_dot"))
+    return a == b
+
+
+@settings(max_examples=12)
+@given(table=st.sampled_from(["breathe", "mixed"]),
+       alpha=st.floats(0.0, 0.39),
+       picks=st.lists(st.tuples(st.booleans(), st.integers(0, 5),
+                                st.booleans()), min_size=2, max_size=5))
+def test_batched_orbits_and_derivatives_equal_batches_of_one(
+        breathe_cfg, mixed_cfg, table, alpha, picks):
+    # a batch mixes warm and cold starts of cyclic and open words of few
+    # lengths, so groups hold several chains; a cold open word deepens
+    # from padding 6, and two chains fail (a nan start stalls, a start
+    # on the far sides converges to a nonphysical chain); no result may
+    # depend on the batch
+    fam = (breathe_cfg if table == "breathe" else mixed_cfg).family
+    cycles = [w for w in enumerate_cyclic_words(3, 4) if len(w) > 2]
+    words, inits = [], []
+    for cyclic, k, warm in picks:
+        word = cycles[k % len(cycles)] if cyclic \
+            else sample_itinerary(3, (4, 8)[k % 2], seed=k)
+        init = None
+        if warm:
+            near = find_orbits([word], fam, alpha + 0.01)[0]
+            init = np.asarray(near.chain_us)
+        words.append(word)
+        inits.append(init)
+    deepening = sample_itinerary(3, 8, seed=11)
+    solved = find_orbit_segment(deepening, fam, alpha)
+    words += [deepening, deepening, deepening]
+    inits += [None, np.full(len(solved.chain_us), np.nan),
+              np.asarray(solved.chain_us) + math.pi]
+
+    batch = find_orbits(words, fam, alpha, inits, padding=6)
+    alone = [find_orbits([w], fam, alpha, [c], padding=6)[0]
+             for w, c in zip(words, inits)]
+    assert all(_same_result(a, b) for a, b in zip(batch, alone))
+    assert batch[-3].core_start > 6
+    assert isinstance(batch[-2], SolveError)
+    assert "nonphysical" in str(batch[-1])
+
+    orbits = [o for o in batch if isinstance(o, BilliardOrbit)]
+    # a chain turned to the far sides is no minimum: its derivative fails
+    orbits.insert(1, dataclasses.replace(
+        solved, chain_us=tuple(np.asarray(solved.chain_us) + math.pi)))
+    derivs = alpha_derivatives(orbits, fam)
+    assert isinstance(derivs[1], SolveError)
+    assert all(_same_result(d, alpha_derivatives([o], fam)[0])
+               for d, o in zip(derivs, orbits))
+    for o, d in zip(orbits, derivs):
+        if not isinstance(d, SolveError):
+            assert _same_result(d, orbit_alpha_derivatives(o, fam))
 
 
 # -------------------------------------------------- alpha-derivatives
