@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +31,7 @@ TABLE_CACHE_SIZE = 256    # per-alpha snapshots kept by table_at
 BOUNDS_SAMPLES = 512      # curvature samples per obstacle; seed directions of
                           # the support-function maxima (pair gaps, no-eclipse)
 VALIDATION_ALPHAS = 65    # alphas on which validate_family certifies the table
+SEARCH_CHUNK = 24         # rows per pass of the batched direction search
 
 
 class GeometryError(ValueError):
@@ -326,63 +327,84 @@ def curvature_partials(family: DeformationFamily, obstacle_index, u, alpha: floa
     return kap, kap_u, kap_a
 
 
-def _support(table: TableAt, i: int, w: np.ndarray) -> np.ndarray:
-    """Support function h_i(w) = max over K_i of x.w = c.w + |diag(A, B)
-    R(-psi) w| of obstacle i, for directions w of shape (..., 2)."""
-    v = (w @ table.rotation[i].T) * table.axes[i]
-    return w @ table.center_xy[i] + np.hypot(v[..., 0], v[..., 1])
+def _frames(rows, role: int):
+    """Obstacle ``row[role]`` of each row's table as stacked transposed
+    rotations (R, 2, 2), semi-axes (R, 1, 2) and centres (R, 2, 1)."""
+    picks = [(row[0], row[role]) for row in rows]
+    return (np.stack([t.rotation[m].T for t, m in picks]),
+            np.stack([t.axes[m] for t, m in picks])[:, None, :],
+            np.stack([t.center_xy[m] for t, m in picks])[:, :, None])
 
 
-def _max_over_directions(f: Callable) -> tuple[float, float]:
-    """(max, theta): the largest value of ``f`` over unit directions
-    w = (cos theta, sin theta); ``f`` maps an (n, 2) array of directions
-    to n values.  The best of BOUNDS_SAMPLES equally spaced directions is
-    refined on 9-point local grids, each a quarter of the previous
-    spacing, until the spacing is below 1e-9 rad."""
-    step = 2.0 * np.pi / BOUNDS_SAMPLES
-    thetas = step * np.arange(BOUNDS_SAMPLES)
-    while True:
-        values = f(np.stack([np.cos(thetas), np.sin(thetas)], axis=-1))
-        best = int(np.argmax(values))
-        if step < 1e-9:
-            return float(values[best]), float(thetas[best] % (2.0 * np.pi))
-        step *= 0.25
-        thetas = thetas[best] + step * np.arange(-4, 5)
+def _support(frame, w: np.ndarray) -> np.ndarray:
+    """Support functions h(w) = max over K of x.w = c.w + |diag(A, B)
+    R(-psi) w| of stacked frames at directions w of shape (R, n, 2).
+    Stacked matmul rounds as ``w @ rotation.T`` and ``w @ center`` do for
+    one obstacle; einsum does not."""
+    rotation_t, axes, center = frame
+    v = np.matmul(w, rotation_t) * axes
+    return np.matmul(w, center)[..., 0] + np.hypot(v[..., 0], v[..., 1])
 
 
-def _separation(table: TableAt, j: int, hull) -> tuple[float, float]:
-    """(gap, theta): the widest gap between obstacle j and the convex hull
-    of the obstacles ``hull`` along a direction w,
-    max_w [-h_j(-w) - max_m h_m(w)].  Each w with a positive value gives
-    a line that separates them, and the largest value is their distance;
-    it is <= 0 when they meet."""
-    return _max_over_directions(
-        lambda w: -_support(table, j, -w)
-        - np.max([_support(table, m, w) for m in hull], axis=0))
+def _max_over_directions(rows) -> np.ndarray:
+    """(max, theta) per row, as an (R, 2) array, over unit directions
+    w = (cos theta, sin theta).  Row (table, j, i, k, s) maximizes
+    s [-h_j(-w) - max(h_i(w), h_k(w))], h_m the support function of
+    obstacle m of ``table``.  With s = 1 it is the gap between obstacle j
+    and the convex hull of i and k (k = i for one obstacle): a w with a
+    positive value gives a separating line, the largest value is their
+    distance, and it is <= 0 when they meet.  With s = -1 and k = i it is
+    the largest boundary distance max_w [h_i(w) + h_j(-w)].  The best of
+    BOUNDS_SAMPLES equally spaced directions is refined on 9-point grids,
+    each a quarter of the previous spacing, down to 1e-9 rad, SEARCH_CHUNK
+    rows at a time; no row's result depends on the others."""
+    out = np.empty((len(rows), 2))
+    for lo in range(0, len(rows), SEARCH_CHUNK):
+        chunk = rows[lo:lo + SEARCH_CHUNK]
+        j, i, k = (_frames(chunk, role) for role in (1, 2, 3))
+        sign = np.array([row[4] for row in chunk], float)[:, None]
+        picked = np.arange(len(chunk))
+        step = 2.0 * np.pi / BOUNDS_SAMPLES
+        thetas = np.broadcast_to(step * np.arange(BOUNDS_SAMPLES),
+                                 (len(chunk), BOUNDS_SAMPLES))
+        while True:
+            w = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+            values = sign * (-_support(j, -w)
+                             - np.maximum(_support(i, w), _support(k, w)))
+            best = np.argmax(values, axis=1)
+            top = thetas[picked, best]
+            if step < 1e-9:
+                break
+            step *= 0.25
+            thetas = top[:, None] + step * np.arange(-4, 5)
+        out[lo:lo + len(chunk)] = np.stack(
+            [values[picked, best], top % (2.0 * np.pi)], axis=-1)
+    return out
 
 
-def _pair_gap(table: TableAt, i: int, k: int, alpha: float) -> float:
-    """The distance between obstacles i and k; GeometryError if they
-    overlap (NaN included)."""
-    gap, _ = _separation(table, k, (i,))
+def _require_gap(i: int, k: int, alpha, gap: float) -> float:
+    """``gap``, the distance between obstacles i and k; GeometryError if
+    they overlap (NaN included)."""
     if not gap > 0.0:
         raise GeometryError(f"obstacles {i} and {k} overlap at alpha = "
                             f"{alpha} (separation {gap:.3e})")
     return gap
 
 
-def boundary_pair_extremes(family: DeformationFamily, i: int, k: int, alpha: float):
-    """(min, max) distance between the boundaries of obstacles i and k.
-
-    Both are maxima over directions w of support functions:
+def boundary_pair_extremes(family: DeformationFamily, i, k, alpha: float):
+    """(min, max) distance between the boundaries of obstacles i and k:
     d_min = max_w [-h_k(-w) - h_i(w)] and d_max = max_w [h_i(w) + h_k(-w)].
-    Raises GeometryError naming the pair when they overlap.
+    Raises GeometryError naming the pair when they overlap.  For
+    equal-length sequences ``i`` and ``k``, one search gives the list of
+    every pair's (min, max), and the first overlapping pair raises.
     """
     table = table_at(family, alpha)
-    d_min = _pair_gap(table, i, k, alpha)
-    d_max, _ = _max_over_directions(
-        lambda w: _support(table, i, w) + _support(table, k, -w))
-    return d_min, d_max
+    pairs = list(zip(np.atleast_1d(i).tolist(), np.atleast_1d(k).tolist()))
+    found = _max_over_directions([(table, b, a, a, s) for a, b in pairs
+                                  for s in (1.0, -1.0)])
+    out = [(_require_gap(a, b, alpha, lo), hi) for (a, b), (lo, hi)
+           in zip(pairs, found[:, 0].reshape(-1, 2).tolist())]
+    return out[0] if np.ndim(i) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -406,28 +428,31 @@ class EclipseCertificate:
     witness: Optional[tuple] = None
 
 
-def check_no_eclipse(family: DeformationFamily, alpha: float) -> EclipseCertificate:
+def check_no_eclipse(family: DeformationFamily, alpha):
     """Ikawa's no-eclipse condition: no obstacle meets the convex hull of
     two others.
 
     Triple (i, j, k) holds when max_w [-h_j(-w) - max(h_i(w), h_k(w))] > 0
     (NaN fails): a positive value at any direction w is a line that
     separates obstacle j from the hull, so a pass has no sampling gap.
+    The first failing triple in (j, i, k) order is the witness.  For a
+    sequence of alphas, one search gives the list of their certificates.
     """
-    table = table_at(family, alpha)
     z0 = family.z0
-    margin = math.inf
-    for j in range(1, z0 + 1):
-        for i in range(1, z0 + 1):
-            for k in range(i + 1, z0 + 1):
-                if j in (i, k):
-                    continue
-                gap, theta = _separation(table, j, (i, k))
-                if not gap > 0.0:
-                    return EclipseCertificate(False, alpha, gap,
-                                              (i, j, k, theta))
-                margin = min(margin, gap)
-    return EclipseCertificate(True, alpha, margin)
+    triples = [(i, j, k) for j in range(1, z0 + 1) for i in range(1, z0 + 1)
+               for k in range(i + 1, z0 + 1) if j not in (i, k)]
+    alphas = list(alpha) if np.ndim(alpha) else [alpha]
+    found = _max_over_directions([(table_at(family, a), j, i, k, 1.0)
+                                  for a in alphas for i, j, k in triples])
+    found = found.reshape(len(alphas), len(triples), 2)
+    certs = []
+    for a, rows in zip(alphas, found.tolist()):
+        failed = [(gap, (*t, theta)) for t, (gap, theta) in zip(triples, rows)
+                  if not gap > 0.0]
+        certs.append(EclipseCertificate(False, a, *failed[0]) if failed else
+                     EclipseCertificate(True, a, min((g for g, _ in rows),
+                                                     default=math.inf)))
+    return certs if np.ndim(alpha) else certs[0]
 
 
 @dataclass(frozen=True)
@@ -524,42 +549,48 @@ def phi_max_from_observation(phi_obs: float) -> float:
     return math.acos(PHI_SAFETY * math.cos(phi_obs))
 
 
-def _certify(family: DeformationFamily, alpha: float) -> tuple[float, float]:
-    """Certify the table at one alpha: positive semi-axes, finite
+def _certify(family: DeformationFamily, alphas, pair_gap: bool = True) -> list:
+    """Certify the table at each of ``alphas``: positive semi-axes, finite
     centres, curvature at least KAPPA_FLOOR on BOUNDS_SAMPLES points per
     obstacle, then the no-eclipse condition in general mode (it implies
-    that the obstacles are disjoint) or a positive separation of the
-    pair in period2 mode.  Each check is written so that NaN fails it.
-    Raises GeometryError / ConvexityError / EclipseError on the first
-    failure; returns the sampled curvature range (kappa_min, kappa_max)."""
-    table = table_at(family, alpha)
-    us = np.linspace(0.0, 2.0 * np.pi, BOUNDS_SAMPLES, endpoint=False)
-    kap_lo = math.inf
-    kap_hi = -math.inf
-    for idx in range(1, family.z0 + 1):
-        if not table.axes[idx].min() > 0.0:
-            raise GeometryError(
-                f"obstacle {idx} degenerates (nonpositive axis) at alpha = {alpha}")
-        if not np.isfinite(table.center_xy[idx]).all():
-            raise GeometryError(
-                f"obstacle {idx} has a non-finite centre at alpha = {alpha}")
-        kap = curvature(family, idx, us, alpha)
-        lo = float(np.min(kap))
-        if not lo >= KAPPA_FLOOR:
-            raise ConvexityError(
-                f"obstacle {idx} curvature {lo:.3e} below "
-                f"floor {KAPPA_FLOOR} at alpha = {alpha}")
-        kap_lo = min(kap_lo, lo)
-        kap_hi = max(kap_hi, float(np.max(kap)))
+    that the obstacles are disjoint) or, with ``pair_gap``, a positive
+    separation of the pair in period2 mode.  The separations of every
+    alpha come first, from one direction search.  Each check is written
+    so that NaN fails it.  Raises GeometryError / ConvexityError /
+    EclipseError for the first failing alpha, at its first failing check;
+    returns the sampled curvature range (kappa_min, kappa_max) per alpha."""
     if family.mode == "general":
-        cert = check_no_eclipse(family, alpha)
-        if not cert.holds:
-            raise EclipseError(
-                f"no-eclipse condition fails at alpha = {alpha}: "
-                f"witness {cert.witness}", cert)
-    else:
-        _pair_gap(table, 1, 2, alpha)
-    return kap_lo, kap_hi
+        certs = check_no_eclipse(family, alphas)
+    elif pair_gap:
+        gaps = _max_over_directions([(table_at(family, a), 2, 1, 1, 1.0)
+                                     for a in alphas])[:, 0].tolist()
+    us = np.linspace(0.0, 2.0 * np.pi, BOUNDS_SAMPLES, endpoint=False)
+    ranges = []
+    for n, alpha in enumerate(alphas):
+        table = table_at(family, alpha)
+        kap_lo, kap_hi = math.inf, -math.inf
+        for idx in range(1, family.z0 + 1):
+            if not table.axes[idx].min() > 0.0:
+                raise GeometryError(f"obstacle {idx} degenerates "
+                                    f"(nonpositive axis) at alpha = {alpha}")
+            if not np.isfinite(table.center_xy[idx]).all():
+                raise GeometryError(
+                    f"obstacle {idx} has a non-finite centre at alpha = {alpha}")
+            kap = curvature(family, idx, us, alpha)
+            lo = float(np.min(kap))
+            if not lo >= KAPPA_FLOOR:
+                raise ConvexityError(
+                    f"obstacle {idx} curvature {lo:.3e} below "
+                    f"floor {KAPPA_FLOOR} at alpha = {alpha}")
+            kap_lo = min(kap_lo, lo)
+            kap_hi = max(kap_hi, float(np.max(kap)))
+        if family.mode == "general" and not certs[n].holds:
+            raise EclipseError(f"no-eclipse condition fails at alpha = {alpha}: "
+                               f"witness {certs[n].witness}", certs[n])
+        if family.mode == "period2" and pair_gap:
+            _require_gap(1, 2, alpha, gaps[n])
+        ranges.append((kap_lo, kap_hi))
+    return ranges
 
 
 def table_bounds(family: DeformationFamily, alpha: float,
@@ -578,14 +609,11 @@ def table_bounds(family: DeformationFamily, alpha: float,
     safety factor on the cosine; ``phi_cache`` is the warm-start cache of
     ``_default_phi_observation``.
     """
-    kap_lo, kap_hi = _certify(family, alpha)
-
-    mins, maxes = [], []
-    for i in range(1, family.z0 + 1):
-        for k in range(i + 1, family.z0 + 1):
-            lo, hi = boundary_pair_extremes(family, i, k, alpha)
-            mins.append(lo)
-            maxes.append(hi)
+    # period2 takes the pair's separation from its d_min search
+    (kap_lo, kap_hi), = _certify(family, [alpha], pair_gap=False)
+    pairs = [(i, k) for i in range(1, family.z0 + 1)
+             for k in range(i + 1, family.z0 + 1)]
+    mins, maxes = zip(*boundary_pair_extremes(family, *zip(*pairs), alpha))
     d_min = min(mins)
     d_max = d_min if family.mode == "period2" else max(maxes)
 
@@ -606,7 +634,8 @@ def table_bounds(family: DeformationFamily, alpha: float,
 
 def validate_family(family: DeformationFamily) -> None:
     """Degree within the declared smoothness, then ``_certify`` (axes,
-    convexity, no-eclipse) on VALIDATION_ALPHAS alphas spanning the range.
+    convexity, no-eclipse) on VALIDATION_ALPHAS alphas spanning the range,
+    all separations from one direction search.
 
     Raises ConvexityError / EclipseError / GeometryError on the first
     failure; returns None when the family is admissible.
@@ -618,5 +647,4 @@ def validate_family(family: DeformationFamily) -> None:
             raise SmoothnessError(
                 f"obstacle {idx}: polynomial degree {deg} exceeds declared "
                 f"alpha-smoothness r' = {rp}")
-    for a in np.linspace(0.0, family.alpha_max, VALIDATION_ALPHAS):
-        _certify(family, a)
+    _certify(family, np.linspace(0.0, family.alpha_max, VALIDATION_ALPHAS))

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dstebz
 
 # partial_jet is not called here but stays bound: the benchmark's tracer
 # patches it at every binding site, and its tests check this one
@@ -766,10 +765,23 @@ def _condition(diag, off, cyclic) -> float:
     if cyclic:
         lo, hi = np.linalg.eigvalsh(_hessian_matrix(diag, off, True))[[0, -1]]
     else:
-        lo, hi = (eigvalsh_tridiagonal(diag, off, select="i",
-                                       select_range=(i, i))[0]
-                  for i in (0, len(diag) - 1))
+        lo, hi = (_tridiag_eigenvalue(diag, off, i) for i in (1, len(diag)))
     return float(hi / lo) if lo > 0 else math.inf
+
+
+def _tridiag_eigenvalue(diag, off, i: int) -> float:
+    """The i-th smallest eigenvalue (1-based) of a symmetric tridiagonal
+    matrix: the LAPACK bisection ``eigvalsh_tridiagonal(select="i")``
+    runs, called directly, with its finite check and its errors."""
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, w, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, i, i, 0.0, "E")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal stebz")
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"stebz did not converge (LAPACK info={info})")
+    return w[0]
 
 
 def alpha_derivatives(orbits, family: DeformationFamily) -> list:

@@ -24,7 +24,9 @@ from billiard_lab import (AlphaRangeError, ConvexityError, DeformationFamily,
                           validate_family)
 from billiard_lab import geometry
 from billiard_lab.dynamics import _tangent_frame
-from billiard_lab.geometry import PHI_PADDING, _phi_corpus, table_at
+from billiard_lab.geometry import (PHI_PADDING, SEARCH_CHUNK,
+                                   VALIDATION_ALPHAS, _max_over_directions,
+                                   _phi_corpus, table_at)
 
 from conftest import (ROOT, growing_two_circle, static_three_circle,
                       static_two_circle, translate_two_circle)
@@ -381,6 +383,106 @@ def test_no_eclipse_near_threshold_matches_closed_form(r1, r3, dist, rj, frac,
     cert = check_no_eclipse(fam, 0.0)
     assert cert.holds == (clearance > 0.0)
     assert cert.margin == pytest.approx(clearance, rel=0, abs=1e-8)
+
+
+# rows of the direction search: obstacles 6 apart along x, each a circle
+# or an ellipse of semi-axes at most 2, so no two of them meet
+_SHAPES = st.lists(st.tuples(st.booleans(), st.floats(0.3, 2.0),
+                             st.floats(0.3, 2.0), st.floats(0.0, math.pi),
+                             st.floats(-3.0, 3.0)), min_size=3, max_size=4)
+
+
+def _search_rows(table, z0):
+    """Every no-eclipse triple and every pair's d_min and d_max row."""
+    rows = [(table, j, i, k, 1.0) for j in range(1, z0 + 1)
+            for i in range(1, z0 + 1) for k in range(i + 1, z0 + 1)
+            if j not in (i, k)]
+    return rows + [(table, k, i, i, s) for i in range(1, z0 + 1)
+                   for k in range(i + 1, z0 + 1) for s in (1.0, -1.0)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(tables=st.lists(_SHAPES, min_size=3, max_size=4),
+       nan_at=st.integers(0, 4))
+def test_batched_direction_search_equals_rows_searched_alone(tables, nan_at):
+    families = [DeformationFamily(tuple(
+        circle(6.0 * m, y, a) if round_ else ellipse(6.0 * m, y, a, b, tilt)
+        for m, (round_, a, b, tilt, y) in enumerate(shapes)), 0.1)
+        for shapes in tables]
+    families.insert(nan_at, DeformationFamily(
+        (circle(0.0, 0.0, 1.0), circle(6.0, 0.0, math.nan),
+         circle(12.0, 0.0, 1.0)), 0.1))
+    rows = [row for fam in families
+            for row in _search_rows(table_at(fam, 0.0), fam.z0)]
+    assert len(rows) > SEARCH_CHUNK
+    together = _max_over_directions(rows)
+    for row, (value, theta) in zip(rows, together.tolist()):
+        alone = _max_over_directions([row])[0].tolist()
+        assert [value.hex(), theta.hex()] == [x.hex() for x in alone]
+        if np.isnan(row[0].axes[list(row[1:4])]).any():
+            assert not value > 0.0      # a NaN row fails its check
+        else:
+            assert np.isfinite(value)
+
+
+def test_several_alphas_and_pairs_equal_one_at_a_time():
+    fam = deformed_ellipse_family()
+    alphas = np.linspace(0.0, fam.alpha_max, 11)
+    assert check_no_eclipse(fam, alphas) \
+        == [check_no_eclipse(fam, a) for a in alphas]
+    assert boundary_pair_extremes(fam, (1, 1, 2), (2, 3, 3), 0.25) \
+        == [boundary_pair_extremes(fam, i, k, 0.25)
+            for i, k in ((1, 2), (1, 3), (2, 3))]
+
+
+@pytest.mark.parametrize("family, call, searches", [
+    (deformed_ellipse_family(), "validate", 1),
+    (deformed_ellipse_family(), "bounds", 2),  # the triples, then the pairs
+    (translate_two_circle(), "validate", 1),
+    (translate_two_circle(), "bounds", 1),     # the pair's d_min is its gap
+])
+def test_certificates_search_once_per_stage(monkeypatch, family, call,
+                                            searches):
+    rows = []
+
+    def counted(batch):
+        rows.append(len(batch))
+        return _max_over_directions(batch)
+
+    monkeypatch.setattr(geometry, "_max_over_directions", counted)
+    if call == "validate":
+        validate_family(family)
+    else:
+        table_bounds(family, 0.1, phi_max_override=0.3)
+    assert len(rows) == searches
+
+
+def _sinking_and_flattening(alpha_flat):
+    """Obstacle 2 sinks onto the hull of 1 and 3 and eclipses from
+    alpha = 0.11 on; the ellipse 3 flattens below KAPPA_FLOOR at
+    ``alpha_flat``."""
+    return DeformationFamily(
+        (circle(0.0, 0.0, 1.0), circle(3.0, (4.05, -20.0), 1.0),
+         ellipse(6.0, 0.0, 1.0, (1.0, -(1.0 - 1e-7) / alpha_flat))), 0.64)
+
+
+@pytest.mark.parametrize("alpha_flat, error", [(0.4, EclipseError),
+                                               (0.05, ConvexityError)])
+def test_validation_raises_for_the_first_failing_alpha(alpha_flat, error):
+    # every separation is searched before the alphas are walked, and the
+    # first failing alpha still decides the error
+    family = _sinking_and_flattening(alpha_flat)
+    alphas = np.linspace(0.0, family.alpha_max, VALIDATION_ALPHAS)
+    eclipsed = next(a for a in alphas if not check_no_eclipse(family, a).holds)
+    assert 0.0 < eclipsed < 0.4
+    with pytest.raises(error) as info:
+        validate_family(family)
+    if error is EclipseError:
+        assert info.value.certificate == check_no_eclipse(family, eclipsed)
+        assert f"alpha = {eclipsed}:" in str(info.value)
+    else:
+        assert str(info.value).endswith(f"below floor {geometry.KAPPA_FLOOR} "
+                                        f"at alpha = {alphas[5]}")
 
 
 def test_table_bounds_two_circle_exact():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
 from billiard_lab import (AlphaDerivatives, BilliardOrbit, ShadowingError,
                           SolveError, Word, alpha_derivatives,
@@ -273,6 +274,25 @@ def test_alpha_derivatives_and_cond_match_dense_algebra(mixed_cfg, cyclic):
                                atol=1e-13 * np.abs(udot).max())
     eig = np.abs(np.linalg.eigvalsh(hess))
     assert derivs.cond == pytest.approx(eig.max() / eig.min(), rel=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 80), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_tridiagonal_extremes_equal_scipys_bisection(n, seed, scale):
+    # the direct LAPACK call returns eigvalsh_tridiagonal(select="i")'s
+    # extremes bit for bit, and refuses a non-finite band as it does
+    rng = np.random.default_rng(seed)
+    diag = scale * rng.uniform(0.1, 5.0, n)
+    off = rng.normal(size=n - 1)
+    for i in (0, n - 1):
+        want = eigvalsh_tridiagonal(diag, off, select="i",
+                                    select_range=(i, i))[0]
+        assert float(symbolic._tridiag_eigenvalue(diag, off, i + 1)).hex() \
+            == float(want).hex()
+    off[seed % (n - 1)] = math.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        symbolic._tridiag_eigenvalue(diag, off, 1)
 
 
 @pytest.mark.parametrize("cyclic", [True, False])
