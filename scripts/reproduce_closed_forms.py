@@ -131,9 +131,9 @@ def closed_form_triangle():
     fam = three_circle_family()
     orb = find_periodic_orbit(Word((1, 2, 3)), fam, 0.0)
     rep = lyapunov_estimate(orb)
-    check("triangle flight", sp.N(d, 30), orb.records[0].d)
-    check("triangle flight literal", sp.N(6 - s3, 30), orb.records[0].d)
-    check("triangle phi", sp.N(phi, 30), orb.records[0].phi)
+    check("triangle flight", sp.N(d, 30), orb.records.d[0])
+    check("triangle flight literal", sp.N(6 - s3, 30), orb.records.d[0])
+    check("triangle phi", sp.N(phi, 30), orb.records.phi[0])
     check("triangle lambda", sp.N(lam, 30), rep.lambda_m)
     print(f"  [frozen] triangle flight  d      = {float(sp.N(d, 20)):.16g}")
     print(f"  [frozen] triangle lambda         = {float(sp.N(lam, 20)):.16g}")

@@ -10,7 +10,7 @@ from .geometry import (AlphaRangeError, ConvexityError, DeformationFamily,
                        validate_family)
 from .dynamics import (GrazingError, Hit, boundary_map, first_intersection,
                        reflect)
-from .symbolic import (AlphaDerivatives, BilliardOrbit, ReflectionRecord,
+from .symbolic import (AlphaDerivatives, BilliardOrbit, CoreReflections,
                        ShadowingError, SolveError, Word, alpha_derivatives,
                        enumerate_cyclic_words, find_orbit_segment,
                        find_orbits, find_periodic_orbit, is_admissible,

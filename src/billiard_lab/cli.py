@@ -81,10 +81,12 @@ def cmd_orbit(args) -> int:
               f"{orbit.core_start}")
     print(f"{'j':>4} {'obst':>4} {'u':>18} {'x':>18} {'y':>18} "
           f"{'flight':>18} {'phi':>12} {'kappa':>12}")
-    for j, r in enumerate(orbit.records):
-        print(f"{j:>4} {r.obstacle:>4} {r.u:>18.12f} {r.point[0]:>18.12f} "
-              f"{r.point[1]:>18.12f} {r.d:>18.12f} {r.phi:>12.8f} "
-              f"{r.kappa:>12.8f}")
+    r = orbit.records
+    for j, (i, u, (x, y), d, phi, kappa) in enumerate(zip(
+            r.obstacle.tolist(), r.u.tolist(), r.point.tolist(),
+            r.d.tolist(), r.phi.tolist(), r.kappa.tolist())):
+        print(f"{j:>4} {i:>4} {u:>18.12f} {x:>18.12f} {y:>18.12f} "
+              f"{d:>18.12f} {phi:>12.8f} {kappa:>12.8f}")
     return 0
 
 

@@ -355,13 +355,14 @@ def write_bounds_csv(path, rows) -> None:
 
 
 def write_plot_script(path, result: SweepResult) -> None:
-    """Self-contained gnuplot script next to the CSVs."""
+    """Self-contained gnuplot script next to the CSVs.  The dashed line is
+    the tangent of the first word's exponent at its first row's alpha a0."""
     idents = sorted({r.word_id for r in result.rows})
     first = idents[0] if idents else ""
-    lam0 = f0 = 0.0
+    a0 = lam0 = f0 = 0.0
     for r in result.rows:
         if r.word_id == first:
-            lam0, f0 = r.lambda_m, r.F_m
+            a0, lam0, f0 = r.alpha, r.lambda_m, r.F_m
             break
     lines = [
         "# render with: gnuplot plot.gp  (expects sweep.csv and bounds.csv "
@@ -373,6 +374,7 @@ def write_plot_script(path, result: SweepResult) -> None:
         "set ylabel 'per-flight exponent'",
         "set key outside right",
         f"words = '{ ' '.join(idents) }'",
+        f"a0 = {_FLOAT_FMT % a0}",
         f"lam0 = {_FLOAT_FMT % lam0}",
         f"f0 = {_FLOAT_FMT % f0}",
         "plot 'bounds.csv' skip 1 using 1:9:10 with filledcurves "
@@ -380,8 +382,8 @@ def write_plot_script(path, result: SweepResult) -> None:
         "     for [w in words] 'sweep.csv' skip 1 "
         "using 1:(strcol(2) eq w ? column(4) : 1/0) "
         "with linespoints pt 6 ps 0.4 title w, \\",
-        "     lam0 + f0*x with lines dashtype 2 lc rgb 'black' "
-        "title 'tangent at 0'",
+        "     lam0 + f0*(x - a0) with lines dashtype 2 lc rgb 'black' "
+        f"title 'tangent at {a0:g}'",
         "",
     ]
     Path(path).write_text("\n".join(lines))

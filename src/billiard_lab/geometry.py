@@ -28,8 +28,8 @@ PHI_SAMPLE_WORDS = 100    # random itineraries drawn for the angle estimate
 PHI_SAMPLE_LENGTH = 40
 PHI_PADDING = 8           # pads on each side of a sampled open word
 TABLE_CACHE_SIZE = 256    # per-alpha snapshots kept by table_at
-BOUNDS_SAMPLES = 512      # curvature samples per obstacle; seed directions of
-                          # the support-function maxima (pair gaps, no-eclipse)
+BOUNDS_SAMPLES = 512      # seed directions of the support-function maxima
+                          # (pair gaps, no-eclipse)
 VALIDATION_ALPHAS = 65    # alphas on which validate_family certifies the table
 SEARCH_CHUNK = 24         # rows per pass of the batched direction search
 
@@ -294,7 +294,7 @@ def curvature(family: DeformationFamily, obstacle_index: int, u, alpha: float):
     num = t[..., 0] * s[..., 1] - t[..., 1] * s[..., 0]
     speed2 = t[..., 0] ** 2 + t[..., 1] ** 2
     kap = num / speed2 ** 1.5
-    if np.min(kap) <= 0.0:
+    if not np.min(kap) > 0.0:
         raise ConvexityError(
             f"obstacle {obstacle_index} is not strictly convex at alpha = {alpha}")
     return float(kap) if np.ndim(kap) == 0 else kap
@@ -522,7 +522,7 @@ def _default_phi_observation(family: DeformationFamily, alpha: float,
             except symbolic.SolveError:
                 continue
             cache[word] = np.asarray(orbit.chain_us)
-            phis.append(max(r.phi for r in orbit.records))
+            phis.append(float(orbit.records.phi.max()))
         if not warm:
             continue
         solutions = symbolic.max_collision_angles(
@@ -551,20 +551,25 @@ def phi_max_from_observation(phi_obs: float) -> float:
 
 def _certify(family: DeformationFamily, alphas, pair_gap: bool = True) -> list:
     """Certify the table at each of ``alphas``: positive semi-axes, finite
-    centres, curvature at least KAPPA_FLOOR on BOUNDS_SAMPLES points per
-    obstacle, then the no-eclipse condition in general mode (it implies
-    that the obstacles are disjoint) or, with ``pair_gap``, a positive
-    separation of the pair in period2 mode.  The separations of every
-    alpha come first, from one direction search.  Each check is written
-    so that NaN fails it.  Raises GeometryError / ConvexityError /
-    EclipseError for the first failing alpha, at its first failing check;
-    returns the sampled curvature range (kappa_min, kappa_max) per alpha."""
+    centres, curvature at least KAPPA_FLOOR, then the no-eclipse
+    condition in general mode (it implies that the obstacles are
+    disjoint) or, with ``pair_gap``, a positive separation of the pair in
+    period2 mode.  The separations of every alpha come first, from one
+    direction search.  Each check is written so that NaN fails it.
+    Raises GeometryError / ConvexityError / EclipseError for the first
+    failing alpha, at its first failing check; returns the curvature
+    range (kappa_min, kappa_max) per alpha.
+
+    Curvature is evaluated at the four vertices u = 0, pi/2, pi, 3 pi/2
+    of each obstacle: kappa(u) = A B / (A^2 sin^2 u + B^2 cos^2 u)^(3/2)
+    takes its extremes B/A^2 and A/B^2 there (1/R for a circle), so the
+    floor check and the range rest on no sampling."""
     if family.mode == "general":
         certs = check_no_eclipse(family, alphas)
     elif pair_gap:
         gaps = _max_over_directions([(table_at(family, a), 2, 1, 1, 1.0)
                                      for a in alphas])[:, 0].tolist()
-    us = np.linspace(0.0, 2.0 * np.pi, BOUNDS_SAMPLES, endpoint=False)
+    vertices = np.arange(4) * (np.pi / 2.0)
     ranges = []
     for n, alpha in enumerate(alphas):
         table = table_at(family, alpha)
@@ -576,7 +581,7 @@ def _certify(family: DeformationFamily, alphas, pair_gap: bool = True) -> list:
             if not np.isfinite(table.center_xy[idx]).all():
                 raise GeometryError(
                     f"obstacle {idx} has a non-finite centre at alpha = {alpha}")
-            kap = curvature(family, idx, us, alpha)
+            kap = curvature(family, idx, vertices, alpha)
             lo = float(np.min(kap))
             if not lo >= KAPPA_FLOOR:
                 raise ConvexityError(

@@ -67,16 +67,16 @@ class LyapunovReport:
 
 
 def default_seed_curvature(orbit: BilliardOrbit) -> float:
-    return 2.0 * orbit.records[0].kappa
+    return 2.0 * float(orbit.records.kappa[0])
 
 
 def _orbit_dgc(orbit: BilliardOrbit):
-    d = np.array([r.d for r in orbit.records])
-    cphi = np.array([math.cos(r.phi) for r in orbit.records])
+    records = orbit.records
+    # math.cos per reflection: numpy's cos may round differently
+    cphi = np.array([math.cos(phi) for phi in records.phi.tolist()])
     if np.min(cphi) < 1e-9:
         raise GeometryError("collision angle too close to pi/2")
-    g = 2.0 * np.array([r.kappa for r in orbit.records]) / cphi
-    return d, g, cphi
+    return records.d, 2.0 * records.kappa / cphi, cphi
 
 
 def propagate_curvature(orbit: BilliardOrbit, k0: float,
@@ -241,8 +241,8 @@ def f_derivative_sum(orbit: BilliardOrbit, derivs: AlphaDerivatives,
     estimate, f_dot[j] = (d_dot[j] k[j] + d[j] k_dot[j]) / (1 + d[j] k[j]),
     averaged over the same window as ``lyapunov_estimate``."""
     burn, m_use = _window(orbit, burn_in, m)
-    d = np.array([r.d for r in orbit.records])
-    f_dot = (derivs.d_dot * trace.k + d * kdot.k_dot) * trace.delta
+    f_dot = (derivs.d_dot * trace.k + orbit.records.d * kdot.k_dot) \
+        * trace.delta
     return float(f_dot[burn:m_use].mean()), f_dot
 
 
@@ -326,8 +326,7 @@ def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float
         raise ValueError(
             f"orbit of {orbit.word.label} at alpha = {orbit.alpha} given for "
             f"{word.label} at alpha = {alpha}")
-    records = orbit.records
-    p = len(records)
+    p = len(orbit.records)
     burn, m_use = _window(orbit, burn_in, m)
     # node j holds (obstacle, u, point, |T|, cos phi, v_t, e); an open
     # word also needs the node one past its window, from the padded chain
@@ -337,12 +336,12 @@ def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float
     if word.cyclic:
         mat = np.eye(2)
         scale_log = 0.0
-        for j in range(p):
-            # obstacle and u from the records: the chain's u is unwrapped,
-            # and starting from it moves the product in its last bits
-            rec = records[j]
-            jac = _step_jacobian(family, rec.obstacle, rec.u, nodes[j][5],
-                                 alpha, records[(j + 1) % p].obstacle, h)
+        # obstacle and u from the records: the chain's u is unwrapped,
+        # and starting from it moves the product in its last bits
+        obstacles = orbit.records.obstacle.tolist()
+        for j, u in enumerate(orbit.records.u.tolist()):
+            jac = _step_jacobian(family, obstacles[j], u, nodes[j][5],
+                                 alpha, obstacles[(j + 1) % p], h)
             mat = jac @ mat
             nrm = float(np.abs(mat).max())
             if nrm > 1e12:
@@ -354,7 +353,8 @@ def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float
     speed0, c0 = nodes[0][3], nodes[0][4]
     seed = default_seed_curvature(orbit)
     # unit-width front with the seed curvature, in (du, dv_t) coordinates
-    x = np.array([1.0 / (speed0 * c0), seed * c0 - orbit.records[0].kappa])
+    x = np.array([1.0 / (speed0 * c0),
+                  seed * c0 - float(orbit.records.kappa[0])])
     scale_log = 0.0
 
     def width_log(j, vec, scale):
@@ -440,7 +440,7 @@ def _front_check_run(orbit, family, trace, eps, n):
     _, _, _, speed0, c0, _, _ = node(0)
     k_seed = trace.k[0]
     delta_uvt = eps * np.array([1.0 / (speed0 * c0),
-                                k_seed * c0 - orbit.records[0].kappa])
+                                k_seed * c0 - float(orbit.records.kappa[0])])
 
     measured_log = 0.0
     for j in range(n):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -430,26 +430,36 @@ def _solve_chain(table, symbols, us0, cyclic, tol):
     return us, ginf, errors
 
 
-@dataclass(frozen=True)
-class ReflectionRecord:
-    """One reflection: where it happened and the local data the curvature
-    recursion consumes.  ``d`` is the flight length to the next
-    reflection, ``phi`` the angle between the outgoing ray and the
-    outward normal."""
+@dataclass(frozen=True, eq=False)
+class CoreReflections:
+    """The core reflections of one orbit as read-only columns, one entry
+    per reflection: ``obstacle`` its symbol, ``u`` its boundary parameter
+    in [0, 2 pi), ``point`` (n, 2) its position, ``d`` the flight length
+    to the next reflection, ``phi`` the angle between the outgoing ray
+    and the outward normal, and ``kappa`` the boundary curvature (what
+    the curvature recursion consumes).  Equal when every column is."""
 
-    obstacle: int
-    u: float
-    point: tuple[float, float]
-    d: float
-    phi: float
-    kappa: float
+    obstacle: np.ndarray
+    u: np.ndarray
+    point: np.ndarray
+    d: np.ndarray
+    phi: np.ndarray
+    kappa: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.d)
+
+    def __eq__(self, other):
+        return isinstance(other, CoreReflections) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self))
 
 
 @dataclass(frozen=True)
 class BilliardOrbit:
     """A solved orbit piece.
 
-    ``records`` covers the core reflections only; ``chain_symbols`` and
+    ``records`` holds the core reflections only; ``chain_symbols`` and
     ``chain_us`` keep the full solved chain (pads included) for warm
     restarts and implicit differentiation.  ``kind`` is "periodic" or
     "segment"; ``shadow_gap`` is a segment's first-order truncation bound
@@ -458,7 +468,7 @@ class BilliardOrbit:
 
     word: Word
     alpha: float
-    records: tuple[ReflectionRecord, ...]
+    records: CoreReflections
     residual: float
     kind: str
     chain_symbols: tuple[int, ...]
@@ -471,54 +481,38 @@ class BilliardOrbit:
         return len(self.records)
 
 
-def _reflections(table, symbols, us, core_start, core_len, cyclic):
-    """Reflection geometry at the core nodes of chains of any leading
-    shape: points p and curvatures kappa at every node; flight lengths d
-    and outgoing cosines c_out at the core nodes; and a mask of the
-    chains whose core edges are all physical (each leaves its node
-    outward and enters its successor inward, not tangent)."""
-    p = table.jet(symbols, us, 0, 0)
-    t = table.jet(symbols, us, 1, 0)
-    v2 = table.jet(symbols, us, 2, 0)
+def _build_records(table, symbols, us, core_start, core_len, cyclic):
+    """The core reflections of a batch of solved chains: symbols and us
+    are (B, m).  Returns, per chain, its CoreReflections (rows of
+    read-only batch columns), or the SolveError of a nonphysical chain,
+    one with a core edge that does not leave its node outward and enter
+    its successor inward (not tangent)."""
+    core = np.arange(core_start, core_start + core_len)
+    succ = (core + 1) % us.shape[-1]
+    if not cyclic and np.any(succ == 0):
+        raise SolveError("chain node without successor; cannot build records")
+    p, t, v2 = (table.jet(symbols, us, lu, 0) for lu in range(3))
     speed = np.sqrt((t ** 2).sum(-1))
     n = np.stack([t[..., 1], -t[..., 0]], axis=-1) / speed[..., None]
     kappa = (t[..., 0] * v2[..., 1] - t[..., 1] * v2[..., 0]) / speed ** 3
-    m = us.shape[-1]
-    idxs = np.arange(core_start, core_start + core_len)
-    succs = (idxs + 1) % m
-    if not cyclic and np.any(succs == 0):
-        raise SolveError("chain node without successor; cannot build records")
-    v = p[..., succs, :] - p[..., idxs, :]
+    v = p[:, succ] - p[:, core]
     d = np.sqrt((v ** 2).sum(-1))
     e = v / d[..., None]
-    c_out = _dot(e, n[..., idxs, :])
-    c_in = _dot(e, n[..., succs, :])
-    physical = ~((c_out.min(-1) <= 1e-9) | (c_in.max(-1) >= -1e-9))
-    return p, kappa, d, c_out, physical
-
-
-def _build_records(table, symbols, us, core_start, core_len, cyclic):
-    """The core reflection records of a batch of solved chains: symbols
-    and us are (B, m).  Returns, per chain, its tuple of
-    ReflectionRecords, or the SolveError of a nonphysical chain."""
-    p, kappa, d, c_out, physical = _reflections(
-        table, symbols, us, core_start, core_len, cyclic)
-    core = slice(core_start, core_start + core_len)
-    out = []
-    for b in range(len(us)):
-        if not physical[b]:
-            out.append(SolveError("chain converged to a nonphysical "
-                                  "configuration (a tangent or penetrating "
-                                  "edge)"))
-            continue
-        out.append(tuple(
-            ReflectionRecord(i, u % (2.0 * math.pi), (x, y), dj,
-                             math.acos(min(1.0, c)), k)
-            for i, u, (x, y), dj, c, k in zip(
-                symbols[b, core].tolist(), us[b, core].tolist(),
-                p[b, core].tolist(), d[b].tolist(), c_out[b].tolist(),
-                kappa[b, core].tolist())))
-    return out
+    c_out = _dot(e, n[:, core])
+    physical = ~((c_out.min(-1) <= 1e-9)
+                 | (_dot(e, n[:, succ]).max(-1) >= -1e-9))
+    # math.acos per reflection: numpy's arccos may round differently
+    phi = np.array(list(map(math.acos, np.clip(c_out, -1.0, 1.0)
+                            .ravel().tolist()))).reshape(c_out.shape)
+    rows = slice(core_start, core_start + core_len)
+    columns = (symbols[:, rows], us[:, rows] % (2.0 * math.pi), p[:, rows],
+               d, phi, kappa[:, rows])
+    for col in columns:
+        col.flags.writeable = False     # and so is every row view
+    return [CoreReflections(*row) if good
+            else SolveError("chain converged to a nonphysical configuration "
+                            "(a tangent or penetrating edge)")
+            for row, good in zip(zip(*columns), physical.tolist())]
 
 
 def _pad_symbols(symbols, padding):
@@ -706,25 +700,23 @@ def max_collision_angles(words, table, padding: int, chains):
 
     Cyclic words are solved as periodic orbits, open words as segments
     padded by ``padding`` without the shadowing check; ``chains`` holds
-    each word's starting chain, pads included.  Returns one (chain, phi)
+    each word's starting chain, pads included.  The batch is one
+    ``_segment_solve`` and its core reflections come from
+    ``_build_records``, as in ``find_orbits``.  Returns one (chain, phi)
     per word: the solved chain and its largest collision angle over the
     core, or (None, nan) when the solve failed or the chain is
     nonphysical.
     """
-    cyclic = words[0].cyclic
-    pad = 0 if cyclic else padding
-    symbols = np.array([_pad_symbols(w.symbols, pad) for w in words])
-    us, _, errors = _solve_chain(table, symbols, np.array(chains, float),
-                                 cyclic, TOL_ORBIT)
+    depth = 0 if words[0].cyclic else padding
+    symbols, us, _, errors = _segment_solve(table, words, depth, chains,
+                                            TOL_ORBIT)
     out = [(None, math.nan)] * len(words)
     ok = np.flatnonzero([err is None for err in errors])
-    _, _, _, c_out, physical = _reflections(table, symbols[ok], us[ok], pad,
-                                            len(words[0]), cyclic)
-    for b, cosines, good in zip(ok, c_out, physical):
-        if good:
-            # math.acos as in the orbit records
-            phi = max(map(math.acos, np.minimum(1.0, cosines).tolist()))
-            out[b] = (us[b].copy(), phi)
+    records = _build_records(table, symbols[ok], us[ok], depth, len(words[0]),
+                             words[0].cyclic)
+    for b, recs in zip(ok, records):
+        if not isinstance(recs, SolveError):
+            out[b] = (us[b].copy(), max(recs.phi.tolist()))
     return out
 
 

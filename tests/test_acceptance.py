@@ -37,7 +37,7 @@ def _report(n, elapsed, budget, desc):
 def _orbit_trace(orbit):
     if orbit.kind == "periodic":
         return periodic_curvature_fixed_point(orbit)
-    return propagate_curvature(orbit, 2.0 * orbit.records[0].kappa)
+    return propagate_curvature(orbit, 2.0 * orbit.records.kappa[0])
 
 
 def test_criterion_01_two_circle_closed_form(capsys):
@@ -218,19 +218,14 @@ def test_criterion_09_differentiability(two_circle_cfg, breathe_cfg,
 
 
 def _fd_record_fields(op, om, h):
-    def arr(orbit, f):
-        return np.array([f(r) for r in orbit.records])
-    du = (arr(op, lambda r: r.u) - arr(om, lambda r: r.u)
-          + math.pi) % TWO_PI - math.pi
+    rp, rm = op.records, om.records
+    du = (rp.u - rm.u + math.pi) % TWO_PI - math.pi
     return (du / (2.0 * h),
-            (arr(op, lambda r: r.d) - arr(om, lambda r: r.d)) / (2.0 * h),
-            (arr(op, lambda r: r.kappa)
-             - arr(om, lambda r: r.kappa)) / (2.0 * h),
-            (arr(op, lambda r: math.cos(r.phi))
-             - arr(om, lambda r: math.cos(r.phi))) / (2.0 * h),
-            (arr(op, lambda r: 2.0 * r.kappa / math.cos(r.phi))
-             - arr(om, lambda r: 2.0 * r.kappa / math.cos(r.phi)))
-            / (2.0 * h))
+            (rp.d - rm.d) / (2.0 * h),
+            (rp.kappa - rm.kappa) / (2.0 * h),
+            (np.cos(rp.phi) - np.cos(rm.phi)) / (2.0 * h),
+            (2.0 * rp.kappa / np.cos(rp.phi)
+             - 2.0 * rm.kappa / np.cos(rm.phi)) / (2.0 * h))
 
 
 def test_criterion_10_implicit_derivative_oracle(two_circle_cfg, breathe_cfg,

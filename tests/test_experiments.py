@@ -64,8 +64,7 @@ def test_solve_word_keeps_deep_warm_start(small_cfg):
     cold = solve_word(small_cfg, word, 0.1)
     assert warm.core_start == small_cfg.padding + 4
     assert cold.core_start == small_cfg.padding
-    np.testing.assert_allclose(
-        [r.u for r in warm.records], [r.u for r in cold.records], atol=1e-9)
+    np.testing.assert_allclose(warm.records.u, cold.records.u, atol=1e-9)
 
 
 def test_breathe_sweep_solves_each_open_word_once(breathe_cfg, monkeypatch):
@@ -360,3 +359,28 @@ def test_emit_outputs_files(small_cfg, tmp_path):
         assert p.exists() and p.stat().st_size > 0
     gp = (tmp_path / "out" / "plot.gp").read_text()
     assert "sweep.csv" in gp and "bounds.csv" in gp
+
+
+def test_plot_tangent_touches_the_first_row(tmp_path):
+    # a grid that starts at 0.2: the dashed tangent must pass through
+    # (0.2, lambda(0.2)) with slope F(0.2), not through alpha = 0
+    cfg = load_config(_write_cfg(
+        tmp_path, SMALL.replace("[0.0, 0.4, 5]", "[0.2, 0.4, 3]")))
+    result = run_sweep(cfg)
+    first = sorted({r.word_id for r in result.rows})[0]
+    row = next(r for r in result.rows if r.word_id == first)
+    assert row.alpha == 0.2 and row.F_m != 0.0
+    path = tmp_path / "plot.gp"
+    experiments.write_plot_script(path, result)
+    lines = path.read_text().splitlines()
+    names = {name: float(value) for name, value in
+             (line.split(" = ") for line in lines
+              if line.split(" = ")[0] in ("a0", "lam0", "f0"))}
+    tangent = next(line for line in lines if "dashtype 2" in line)
+    expr = tangent.split(" with ")[0].strip()
+
+    def at(x):
+        return eval(expr, {}, dict(names, x=x))
+    assert at(0.2) == pytest.approx(row.lambda_m, rel=1e-11)
+    assert (at(0.3) - at(0.2)) / 0.1 == pytest.approx(row.F_m, rel=1e-9)
+    assert "title 'tangent at 0.2'" in tangent

@@ -201,6 +201,44 @@ def test_ellipse_curvature_closed_form():
                                rtol=1e-14, atol=0)
 
 
+def test_nan_curvature_fails_the_convexity_check():
+    # NaN compares false both ways, so it must fail the check, not pass it
+    fam = DeformationFamily((circle(0.0, 0.0, math.nan),
+                             circle(4.0, 0.0, 1.0)), 0.5, mode="period2")
+    with pytest.raises(ConvexityError):
+        curvature(fam, 1, np.array([0.0, 1.0]), 0.0)
+    with pytest.raises(ConvexityError):
+        curvature(fam, 1, 0.0, 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(a0=st.floats(5.0, 200.0), grow=st.floats(-0.5, 1.0),
+       tilt=st.floats(-math.pi, math.pi), turn=st.floats(-2.0, 2.0),
+       alpha=st.floats(0.0, 0.5))
+def test_curvature_range_is_the_vertex_closed_form(a0, grow, tilt, turn,
+                                                   alpha):
+    # a rotating ellipse with A = a0 (1 + grow alpha) and B = r A^2, so
+    # its least curvature B/A^2 = r sits just off the floor at every alpha
+    def family(r):
+        thin = ellipse(3.0, -1.0, (a0, a0 * grow),
+                       (r * a0 ** 2, 2.0 * r * a0 ** 2 * grow,
+                        r * a0 ** 2 * grow ** 2), (tilt, turn))
+        return DeformationFamily((thin, circle(1000.0, 0.0, 1.0)), 0.5,
+                                 mode="period2")
+
+    below = family(0.999999 * geometry.KAPPA_FLOOR)
+    with pytest.raises(ConvexityError, match="below floor"):
+        validate_family(below)
+    with pytest.raises(ConvexityError, match="below floor"):
+        table_bounds(below, alpha)
+    above = family(1.000001 * geometry.KAPPA_FLOOR)
+    validate_family(above)
+    tb = table_bounds(above, alpha)
+    a, b = table_at(above, alpha).axes[1]
+    assert tb.kappa_min == pytest.approx(b / a ** 2, rel=1e-14, abs=0)
+    assert tb.kappa_max == pytest.approx(a / b ** 2, rel=1e-14, abs=0)
+
+
 @settings(max_examples=40)
 @given(u=st.floats(0.0, 2.0 * math.pi, allow_nan=False),
        alpha=st.floats(0.02, 0.38))
@@ -534,7 +572,7 @@ def _phi_one_word_at_a_time(family, alpha, chains):
                 chains.pop(word, None)
                 continue
             chains[word] = np.asarray(orbit.chain_us)
-            best = max(best, max(r.phi for r in orbit.records))
+            best = max(best, float(orbit.records.phi.max()))
     return phi_max_from_observation(best)
 
 

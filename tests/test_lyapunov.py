@@ -73,11 +73,12 @@ def test_periodic_fixed_point_closes_the_cycle():
     fam = static_three_circle()
     orb = find_periodic_orbit(Word((1, 2, 3, 2)), fam, 0.0)
     tr = periodic_curvature_fixed_point(orb)
-    p = len(orb.records)
+    rec = orb.records
+    p = len(rec)
     for j in range(p):
         nxt = (j + 1) % p
-        g = 2.0 * orb.records[nxt].kappa / math.cos(orb.records[nxt].phi)
-        expect = tr.k[j] / (1.0 + orb.records[j].d * tr.k[j]) + g
+        g = 2.0 * rec.kappa[nxt] / math.cos(rec.phi[nxt])
+        expect = tr.k[j] / (1.0 + rec.d[j] * tr.k[j]) + g
         assert tr.k[nxt] == pytest.approx(expect, abs=1e-12)
     with pytest.raises(ValueError):
         periodic_curvature_fixed_point(_segment_fixture()[2])

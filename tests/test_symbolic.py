@@ -331,23 +331,42 @@ def test_two_circle_periodic_orbit_exact():
     orb = find_periodic_orbit(Word((1, 2)), static_two_circle(), 0.0)
     assert orb.kind == "periodic" and orb.period == 2
     assert orb.residual <= 1e-11
-    assert orb.records[0].u == pytest.approx(0.0, abs=1e-12)
-    assert orb.records[1].u == pytest.approx(math.pi, abs=1e-12)
-    assert orb.records[0].d == pytest.approx(2.0, abs=1e-12)
-    assert orb.records[0].phi == pytest.approx(0.0, abs=1e-7)
-    assert orb.records[0].point[0] == pytest.approx(1.0, abs=1e-12)
+    assert orb.records.u[0] == pytest.approx(0.0, abs=1e-12)
+    assert orb.records.u[1] == pytest.approx(math.pi, abs=1e-12)
+    assert orb.records.d[0] == pytest.approx(2.0, abs=1e-12)
+    assert orb.records.phi[0] == pytest.approx(0.0, abs=1e-7)
+    assert orb.records.point[0, 0] == pytest.approx(1.0, abs=1e-12)
     # a periodic orbit's core is its whole chain
     assert orb.core_start == 0
-    np.testing.assert_allclose([r.u for r in orb.records], orb.chain_us)
+    np.testing.assert_allclose(orb.records.u, orb.chain_us)
 
 
 def test_triangle_orbit_frozen_geometry():
     orb = find_periodic_orbit(Word((1, 2, 3)), static_three_circle(), 0.0)
     # closed forms: flight 6 - sqrt(3), collision angle pi/6
-    for rec in orb.records:
-        assert rec.d == pytest.approx(4.267949192431122, abs=1e-10)
-        assert rec.phi == pytest.approx(math.pi / 6.0, abs=1e-10)
-        assert rec.kappa == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(orb.records.d, 4.267949192431122, rtol=0,
+                               atol=1e-10)
+    np.testing.assert_allclose(orb.records.phi, math.pi / 6.0, rtol=0,
+                               atol=1e-10)
+    np.testing.assert_allclose(orb.records.kappa, 1.0, rtol=0, atol=1e-12)
+
+
+def test_core_reflections_are_read_only_columns():
+    fam = mixed_family()
+    for orb in (find_periodic_orbit(Word((1, 2, 3, 2)), fam, 0.3),
+                find_orbit_segment(sample_itinerary(3, 12, seed=3), fam, 0.3,
+                                   padding=6)):
+        rec = orb.records
+        n = len(orb.word)
+        assert len(rec) == orb.period == n
+        for name in ("obstacle", "u", "point", "d", "phi", "kappa"):
+            col = getattr(rec, name)
+            assert len(col) == n
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = col[0]
+        assert rec.point.shape == (n, 2)
+        assert rec.obstacle.tolist() == list(orb.word.symbols)
+        assert np.all((rec.u >= 0.0) & (rec.u < 2.0 * math.pi))
 
 
 def test_periodic_orbit_accepts_matching_init():
@@ -378,7 +397,7 @@ def test_segment_core_and_shadow_certificate():
     orb = find_orbit_segment(word, fam, 0.0, padding=12)
     assert orb.kind == "segment"
     assert len(orb.records) == 20
-    assert [r.obstacle for r in orb.records] == list(word.symbols)
+    assert orb.records.obstacle.tolist() == list(word.symbols)
     assert orb.core_start == 12            # one solve, at the requested depth
     assert len(orb.chain_us) == 20 + 2 * 12
     assert orb.shadow_gap <= TOL_SHADOW
@@ -406,8 +425,8 @@ def test_shallow_padding_is_a_worse_approximation():
     for pad in (4, 8):
         orb = find_orbit_segment(word, fam, 0.0, padding=pad,
                                  shadow_check=False)
-        gap = max(abs(a.point[0] - b.point[0]) + abs(a.point[1] - b.point[1])
-                  for a, b in zip(orb.records, ref.records))
+        gap = float(np.abs(orb.records.point - ref.records.point)
+                    .sum(-1).max())
         gaps.append(gap)
     assert gaps[0] > gaps[1] > 0.0
     assert gaps[1] < 1e-6
@@ -416,13 +435,13 @@ def test_shallow_padding_is_a_worse_approximation():
 def _core_movement(orb, family, extras=(4, 8, 16)):
     """Largest distance the core points move when the chain is re-solved
     with ``extras`` more pads on each side."""
-    core = np.array([r.point for r in orb.records])
+    core = orb.records.point
     moved = 0.0
     for extra in extras:
         deeper = find_orbit_segment(orb.word, family, orb.alpha,
                                     padding=orb.core_start + extra,
                                     shadow_check=False)
-        pts = np.array([r.point for r in deeper.records])
+        pts = deeper.records.point
         moved = max(moved, float(np.sqrt(((pts - core) ** 2).sum(-1)).max()))
     return moved
 
@@ -615,15 +634,17 @@ def test_derivatives_match_resolved_orbits(label, make):
         init = init[orb.core_start - 10:orb.core_start + len(orb.records) + 10]
     plus = repack(0.1 + h, init)
     minus = repack(0.1 - h, init)
+    rp, rm = plus.records, minus.records
     for j in range(len(orb.records)):
-        rp, rm = plus.records[j], minus.records[j]
-        du = ((rp.u - rm.u + math.pi) % (2.0 * math.pi) - math.pi) / (2.0 * h)
+        du = ((rp.u[j] - rm.u[j] + math.pi) % (2.0 * math.pi) - math.pi) \
+            / (2.0 * h)
         assert dv.u_dot[j] == pytest.approx(du, abs=2e-6)
-        assert dv.d_dot[j] == pytest.approx((rp.d - rm.d) / (2.0 * h), abs=2e-6)
+        assert dv.d_dot[j] == pytest.approx((rp.d[j] - rm.d[j]) / (2.0 * h),
+                                            abs=2e-6)
         assert dv.kappa_dot[j] == pytest.approx(
-            (rp.kappa - rm.kappa) / (2.0 * h), abs=2e-6)
+            (rp.kappa[j] - rm.kappa[j]) / (2.0 * h), abs=2e-6)
         assert dv.cosphi_dot[j] == pytest.approx(
-            (math.cos(rp.phi) - math.cos(rm.phi)) / (2.0 * h), abs=2e-6)
-        g_p = 2.0 * rp.kappa / math.cos(rp.phi)
-        g_m = 2.0 * rm.kappa / math.cos(rm.phi)
+            (math.cos(rp.phi[j]) - math.cos(rm.phi[j])) / (2.0 * h), abs=2e-6)
+        g_p = 2.0 * rp.kappa[j] / math.cos(rp.phi[j])
+        g_m = 2.0 * rm.kappa[j] / math.cos(rm.phi[j])
         assert dv.g_dot[j] == pytest.approx((g_p - g_m) / (2.0 * h), abs=5e-6)
