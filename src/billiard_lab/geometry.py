@@ -217,8 +217,9 @@ class TableAt:
     Per obstacle it holds the complex axis values and the centre for
     every alpha-derivative order 0..r', the rotation phase, and the
     frame that maps the obstacle onto the unit disc (centre, semi-axes
-    (A, B), rotation by -psi).  ``jet`` gathers them by symbol for
-    boundary points of any shape.  Arrays are indexed by the 1-based
+    (A, B), rotation by -psi).  ``coords`` gathers them once by symbol
+    for boundary points of any shape and evaluates several u-orders;
+    ``jet`` is its one-order case.  Arrays are indexed by the 1-based
     obstacle symbol (row 0 is unused) and are read-only, since
     ``table_at`` shares one snapshot per (family, alpha).
     """
@@ -253,16 +254,33 @@ class TableAt:
                     self.axes, self.rotation):
             arr.flags.writeable = False
 
-    def jet(self, symbols, us, du_order: int, dalpha_order: int = 0) -> np.ndarray:
+    def _embedding(self, symbols, us, du_orders, dalpha_order: int):
+        """Complex values phase (P_m cos(u + l pi/2) + i Q_m sin(u + l pi/2))
+        (+ centre for l = 0), one array per l of ``du_orders``, from one
+        gather of the coefficients.  Each order takes its own cos/sin, so
+        every value is that of a one-order call."""
+        phase = self.phase[symbols]
+        p = self.p[dalpha_order][symbols]
+        iq = self.iq[dalpha_order][symbols]
+        center = self.center[dalpha_order][symbols] if 0 in du_orders else None
+        for du_order in du_orders:
+            shift = us + du_order * (np.pi / 2.0)
+            z = phase * (p * np.cos(shift) + iq * np.sin(shift))
+            yield z + center if du_order == 0 else z
+
+    def coords(self, symbols, us, du_orders, dalpha_order: int = 0) -> list:
         """d^l_u d^m_alpha of the embedding at ``us`` on obstacles
-        ``symbols`` (one symbol, or an integer array shaped like ``us``);
-        shape us.shape + (2,)."""
-        shift = us + du_order * (np.pi / 2.0)
-        z = self.phase[symbols] * (self.p[dalpha_order][symbols] * np.cos(shift)
-                                   + self.iq[dalpha_order][symbols] * np.sin(shift))
-        if du_order == 0:
-            z = z + self.center[dalpha_order][symbols]
-        return np.stack([np.real(z), np.imag(z)], axis=-1)
+        ``symbols`` (one symbol, or an integer array shaped like ``us``)
+        for each l of ``du_orders`` at m = ``dalpha_order``: one (x, y)
+        pair of arrays shaped like ``us`` per order."""
+        return [(np.real(z), np.imag(z))
+                for z in self._embedding(symbols, us, du_orders, dalpha_order)]
+
+    def jet(self, symbols, us, du_order: int, dalpha_order: int = 0) -> np.ndarray:
+        """One order of ``coords`` as one array of shape us.shape + (2,),
+        the (x, y) view of its complex values."""
+        z, = self._embedding(symbols, us, (du_order,), dalpha_order)
+        return np.asarray(z)[..., None].view(np.float64)
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -309,18 +327,18 @@ def curvature_partials(family: DeformationFamily, obstacle_index, u, alpha: floa
     symbols = np.asarray(obstacle_index)
     if not np.all((symbols >= 1) & (symbols <= family.z0)):
         raise GeometryError(f"obstacle index outside 1..{family.z0}")
-    t, s, w, ta, sa = (table.jet(symbols, np.asarray(u, float), lu, la)
-                       for lu, la in ((1, 0), (2, 0), (3, 0), (1, 1), (2, 1)))
-    num = t[..., 0] * s[..., 1] - t[..., 1] * s[..., 0]
-    sp2 = t[..., 0] ** 2 + t[..., 1] ** 2
+    u = np.asarray(u, float)
+    (tx, ty), (sx, sy), (wx, wy) = table.coords(symbols, u, (1, 2, 3))
+    (tax, tay), (sax, say) = table.coords(symbols, u, (1, 2), 1)
+    num = tx * sy - ty * sx
+    sp2 = tx ** 2 + ty ** 2
     sp = np.sqrt(sp2)
     den = sp2 * sp
     # cross terms x'' y'' cancel in d(num)/du
-    num_u = t[..., 0] * w[..., 1] - t[..., 1] * w[..., 0]
-    den_u = 3.0 * sp * (t[..., 0] * s[..., 0] + t[..., 1] * s[..., 1])
-    num_a = (ta[..., 0] * s[..., 1] + t[..., 0] * sa[..., 1]
-             - ta[..., 1] * s[..., 0] - t[..., 1] * sa[..., 0])
-    den_a = 3.0 * sp * (t[..., 0] * ta[..., 0] + t[..., 1] * ta[..., 1])
+    num_u = tx * wy - ty * wx
+    den_u = 3.0 * sp * (tx * sx + ty * sy)
+    num_a = tax * sy + tx * say - tay * sx - ty * sax
+    den_a = 3.0 * sp * (tx * tax + ty * tay)
     kap = num / den
     kap_u = (num_u * den - num * den_u) / den ** 2
     kap_a = (num_a * den - num * den_a) / den ** 2

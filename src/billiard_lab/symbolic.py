@@ -153,63 +153,79 @@ class ChainEval:
 _DEGENERATE = "degenerate chain: coincident reflection points"
 
 
-def _dot(a, b):
-    return np.einsum("...ij,...ij->...i", a, b)
-
-
 def _edge_index(m: int, cyclic: bool):
     ia = np.arange(m if cyclic else m - 1)
     ib = (ia + 1) % m
     return ia, ib
 
 
+def _edge_ends(a, cyclic, start=0, stop=None):
+    """Values at the first and at the second node of chain edges
+    start..stop - 1 (all edges by default): edge k runs from node k to
+    node k + 1, wrapping to node 0 on a cyclic chain."""
+    if cyclic:
+        a = np.concatenate([a, a[..., :1]], axis=-1)
+    stop = a.shape[-1] - 1 if stop is None else stop
+    return a[..., start:stop], a[..., start + 1:stop + 1]
+
+
+def _node_sums(first, second, cyclic):
+    """Per-node sums of edge terms in edge order: node j adds ``first``
+    of edge j (leaving it) and then ``second`` of edge j - 1 (entering
+    it)."""
+    out = np.zeros(first.shape[:-1] + (first.shape[-1] + (not cyclic),))
+    out[..., :first.shape[-1]] += first
+    if cyclic:
+        out[..., 1:] += second[..., :-1]
+        out[..., 0] += second[..., -1]
+    else:
+        out[..., 1:] += second
+    return out
+
+
 def _chain_length(table, symbols, us, cyclic):
-    p = table.jet(symbols, us, 0, 0)
-    ia, ib = _edge_index(us.shape[-1], cyclic)
-    return np.sqrt(((p[..., ib, :] - p[..., ia, :]) ** 2).sum(-1)).sum(-1)
+    (px, py), = table.coords(symbols, us, (0,))
+    (xa, xb), (ya, yb) = _edge_ends(px, cyclic), _edge_ends(py, cyclic)
+    vx, vy = xb - xa, yb - ya
+    return np.sqrt(vx * vx + vy * vy).sum(-1)
 
 
 def _chain_system(table, symbols, us, cyclic, want_alpha=False) -> ChainEval:
     """Chain length and its derivatives for chains of any leading shape;
-    ``symbols`` is an integer array shaped like ``us``."""
-    p = table.jet(symbols, us, 0, 0)
-    t = table.jet(symbols, us, 1, 0)
-    ia, ib = _edge_index(us.shape[-1], cyclic)
-    t_a, t_b = t[..., ia, :], t[..., ib, :]
-    v = p[..., ib, :] - p[..., ia, :]
-    d = np.sqrt((v ** 2).sum(-1))
+    ``symbols`` is an integer array shaped like ``us``.  Every value of a
+    chain, its length included, is the one it has alone."""
+    (px, py), (tx, ty), (sx, sy) = table.coords(symbols, us, (0, 1, 2))
+    (xa, xb), (ya, yb) = _edge_ends(px, cyclic), _edge_ends(py, cyclic)
+    (tax, tbx), (tay, tby) = _edge_ends(tx, cyclic), _edge_ends(ty, cyclic)
+    vx, vy = xb - xa, yb - ya
+    d = np.sqrt(vx * vx + vy * vy)
     degenerate = d.min(-1) < 1e-12
     if degenerate.any():
         # keep the division finite; callers drop these chains
         d = np.where(np.expand_dims(degenerate, -1), 1.0, d)
-    e = v / d[..., None]
-    e_ta = _dot(e, t_a)
-    e_tb = _dot(e, t_b)
+    ex, ey = vx / d, vy / d
+    e_ta = ex * tax + ey * tay
+    e_tb = ex * tbx + ey * tby
+    grad = _node_sums(-e_ta, e_tb, cyclic)
 
-    grad = np.zeros(us.shape)
-    grad[..., ia] -= e_ta
-    grad[..., ib] += e_tb
-
-    u2 = table.jet(symbols, us, 2, 0)
-    haa = ((t_a ** 2).sum(-1) - _dot(v, u2[..., ia, :])) / d - e_ta ** 2 / d
-    hbb = ((t_b ** 2).sum(-1) + _dot(v, u2[..., ib, :])) / d - e_tb ** 2 / d
-    hab = -_dot(t_a, t_b) / d + e_ta * e_tb / d
-    # each diagonal entry is the sum of its edge terms in edge order
-    hess = np.zeros(us.shape)
-    hess[..., ia] += haa
-    hess[..., ib] += hbb
+    (sax, sbx), (say, sby) = _edge_ends(sx, cyclic), _edge_ends(sy, cyclic)
+    haa = ((tax * tax + tay * tay) - (vx * sax + vy * say)) / d - e_ta * e_ta / d
+    hbb = ((tbx * tbx + tby * tby) + (vx * sbx + vy * sby)) / d - e_tb * e_tb / d
+    hab = -(tax * tbx + tay * tby) / d + e_ta * e_tb / d
+    hess = _node_sums(haa, hbb, cyclic)
 
     g_alpha = None
     if want_alpha:
-        pa = table.jet(symbols, us, 0, 1)
-        ta = table.jet(symbols, us, 1, 1)
-        va = pa[..., ib, :] - pa[..., ia, :]
-        e_va = _dot(e, va)
-        ga_a = (-_dot(va, t_a) - _dot(v, ta[..., ia, :])) / d + e_ta * e_va / d
-        ga_b = (_dot(va, t_b) + _dot(v, ta[..., ib, :])) / d - e_tb * e_va / d
-        g_alpha = np.zeros(us.shape)
-        g_alpha[..., ia] += ga_a
-        g_alpha[..., ib] += ga_b
+        (pax, pay), (qx, qy) = table.coords(symbols, us, (0, 1), 1)
+        (xa, xb), (ya, yb) = _edge_ends(pax, cyclic), _edge_ends(pay, cyclic)
+        (qax, qbx), (qay, qby) = _edge_ends(qx, cyclic), _edge_ends(qy, cyclic)
+        wx, wy = xb - xa, yb - ya
+        e_w = ex * wx + ey * wy
+        ga_a = (-(wx * tax + wy * tay) - (vx * qax + vy * qay)) / d \
+            + e_ta * e_w / d
+        ga_b = ((wx * tbx + wy * tby) + (vx * qbx + vy * qby)) / d \
+            - e_tb * e_w / d
+        g_alpha = _node_sums(ga_a, ga_b, cyclic)
 
     return ChainEval(d.sum(-1), grad, hess, hab, g_alpha, degenerate)
 
@@ -481,32 +497,47 @@ class BilliardOrbit:
         return len(self.records)
 
 
+def _core_flights(table, symbols, us, core_start, core_len, cyclic, du_orders):
+    """The flights leaving the core nodes of a batch of solved chains
+    (symbols and us (B, m)): the boundary coordinates of ``du_orders``
+    (0 and 1 first) at every node, the speed |T| at every node, the
+    flight lengths d and the outward cosines e.n of the core, and the
+    mask of physical chains, those whose every core edge leaves its node
+    outward and enters its successor inward (not tangent)."""
+    stop = core_start + core_len
+    if not cyclic and stop >= us.shape[-1]:
+        raise SolveError("chain node without successor; cannot build records")
+    xy = table.coords(symbols, us, du_orders)
+    (px, py), (tx, ty) = xy[:2]
+    (xa, xb), (ya, yb) = (_edge_ends(c, cyclic, core_start, stop)
+                          for c in (px, py))
+    vx, vy = xb - xa, yb - ya
+    d = np.sqrt(vx * vx + vy * vy)
+    ex, ey = vx / d, vy / d
+    speed = np.sqrt(tx * tx + ty * ty)
+    (nxa, nxb), (nya, nyb) = (_edge_ends(c, cyclic, core_start, stop)
+                              for c in (ty / speed, -tx / speed))
+    c_out = ex * nxa + ey * nya
+    physical = ~((c_out.min(-1) <= 1e-9)
+                 | ((ex * nxb + ey * nyb).max(-1) >= -1e-9))
+    return xy, speed, d, c_out, physical
+
+
 def _build_records(table, symbols, us, core_start, core_len, cyclic):
     """The core reflections of a batch of solved chains: symbols and us
     are (B, m).  Returns, per chain, its CoreReflections (rows of
-    read-only batch columns), or the SolveError of a nonphysical chain,
-    one with a core edge that does not leave its node outward and enter
-    its successor inward (not tangent)."""
-    core = np.arange(core_start, core_start + core_len)
-    succ = (core + 1) % us.shape[-1]
-    if not cyclic and np.any(succ == 0):
-        raise SolveError("chain node without successor; cannot build records")
-    p, t, v2 = (table.jet(symbols, us, lu, 0) for lu in range(3))
-    speed = np.sqrt((t ** 2).sum(-1))
-    n = np.stack([t[..., 1], -t[..., 0]], axis=-1) / speed[..., None]
-    kappa = (t[..., 0] * v2[..., 1] - t[..., 1] * v2[..., 0]) / speed ** 3
-    v = p[:, succ] - p[:, core]
-    d = np.sqrt((v ** 2).sum(-1))
-    e = v / d[..., None]
-    c_out = _dot(e, n[:, core])
-    physical = ~((c_out.min(-1) <= 1e-9)
-                 | (_dot(e, n[:, succ]).max(-1) >= -1e-9))
+    read-only batch columns), or the SolveError of a nonphysical chain
+    (see ``_core_flights``)."""
+    xy, speed, d, c_out, physical = _core_flights(
+        table, symbols, us, core_start, core_len, cyclic, (0, 1, 2))
+    rows = slice(core_start, core_start + core_len)
+    (px, py), (tx, ty), (sx, sy) = ((x[:, rows], y[:, rows]) for x, y in xy)
+    kappa = (tx * sy - ty * sx) / speed[:, rows] ** 3
     # math.acos per reflection: numpy's arccos may round differently
     phi = np.array(list(map(math.acos, np.clip(c_out, -1.0, 1.0)
                             .ravel().tolist()))).reshape(c_out.shape)
-    rows = slice(core_start, core_start + core_len)
-    columns = (symbols[:, rows], us[:, rows] % (2.0 * math.pi), p[:, rows],
-               d, phi, kappa[:, rows])
+    columns = (symbols[:, rows], us[:, rows] % (2.0 * math.pi),
+               np.stack([px, py], axis=-1), d, phi, kappa)
     for col in columns:
         col.flags.writeable = False     # and so is every row view
     return [CoreReflections(*row) if good
@@ -542,8 +573,8 @@ def _truncation_bound(table, symbols, us, padding, m):
     ends[:, 0, 0] = ends[:, -1, 1] = 1.0
     core = slice(padding, padding + m)
     cols = np.abs(_tridiag_solve(ev.hess, ev.off, ends, False)[0][:, core])
-    speed = np.sqrt((table.jet(flat_s[:, core], flat_u[:, core], 1, 0) ** 2)
-                    .sum(-1))
+    (tx, ty), = table.coords(flat_s[:, core], flat_u[:, core], (1,))
+    speed = np.sqrt(tx * tx + ty * ty)
     reach = table.axes[flat_s[:, [0, -1]]].max(-1)
     # one chain's matrix-vector product at a time, as for a lone chain
     bounds = [float((sp * (c @ r)).max())
@@ -701,22 +732,26 @@ def max_collision_angles(words, table, padding: int, chains):
     Cyclic words are solved as periodic orbits, open words as segments
     padded by ``padding`` without the shadowing check; ``chains`` holds
     each word's starting chain, pads included.  The batch is one
-    ``_segment_solve`` and its core reflections come from
-    ``_build_records``, as in ``find_orbits``.  Returns one (chain, phi)
-    per word: the solved chain and its largest collision angle over the
-    core, or (None, nan) when the solve failed or the chain is
-    nonphysical.
+    ``_segment_solve``, as in ``find_orbits``; its core flights and
+    physical test come from ``_core_flights``, which ``_build_records``
+    uses too, and only the outward cosines are read.  Returns one (chain,
+    phi) per word: the solved chain and its largest collision angle over
+    the core, acos of the smallest cosine (acos decreases, so this is the
+    largest of the angles ``_build_records`` gives), or (None, nan) when
+    the solve failed or the chain is nonphysical.
     """
     depth = 0 if words[0].cyclic else padding
     symbols, us, _, errors = _segment_solve(table, words, depth, chains,
                                             TOL_ORBIT)
     out = [(None, math.nan)] * len(words)
     ok = np.flatnonzero([err is None for err in errors])
-    records = _build_records(table, symbols[ok], us[ok], depth, len(words[0]),
-                             words[0].cyclic)
-    for b, recs in zip(ok, records):
-        if not isinstance(recs, SolveError):
-            out[b] = (us[b].copy(), max(recs.phi.tolist()))
+    _, _, _, c_out, physical = _core_flights(
+        table, symbols[ok], us[ok], depth, len(words[0]), words[0].cyclic,
+        (0, 1))
+    for b, c_min, good in zip(ok, np.clip(c_out.min(-1), -1.0, 1.0).tolist(),
+                              physical.tolist()):
+        if good:
+            out[b] = (us[b].copy(), math.acos(c_min))
     return out
 
 
@@ -744,6 +779,19 @@ def _dot2(a, b):
     """Row-wise dot products of (..., 2) arrays, by the same matmul kernel
     as ``a[i] @ b[i]``; einsum rounds differently."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _core_vectors(x, y, rows):
+    """The vectors (x, y) at the core nodes ``rows`` as one (..., 2) array."""
+    return np.stack([x[..., rows], y[..., rows]], axis=-1)
+
+
+def _flight_vectors(x, y, cyclic, rows):
+    """The change of the vectors (x, y) over the flights leaving the core
+    nodes ``rows``, as one (..., 2) array."""
+    (xa, xb), (ya, yb) = (_edge_ends(c, cyclic, rows.start, rows.stop)
+                          for c in (x, y))
+    return np.stack([xb - xa, yb - ya], axis=-1)
 
 
 def _condition(diag, off, cyclic) -> float:
@@ -814,38 +862,35 @@ def alpha_derivatives(orbits, family: DeformationFamily) -> list:
             continue
         ok = list(conds)
         sym, us = sym[ok], us[ok]
-        core = np.arange(start, start + n)
-        succ = (core + 1) % us.shape[-1]
-        kap, kap_u, kap_a = curvature_partials(family, sym[:, core],
-                                               us[:, core], alpha)
+        rows = slice(start, start + n)
+        kap, kap_u, kap_a = curvature_partials(family, sym[:, rows],
+                                               us[:, rows], alpha)
         udot_full = _tridiag_solve(ev.hess[ok], ev.off[ok], -ev.g_alpha[ok],
                                    cyclic)[0]
 
-        p, t, u2, pa, ta = (table.jet(sym, us, lu, la) for lu, la in
-                            [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)])
-        speed = np.sqrt((t ** 2).sum(-1))
-        normal = np.stack([t[..., 1], -t[..., 0]], axis=-1) / speed[..., None]
-        qdot = t * udot_full[..., None] + pa
-        tdot = u2 * udot_full[..., None] + ta
+        (px, py), (tx, ty), (sx, sy) = table.coords(sym, us, (0, 1, 2))
+        (pax, pay), (tax, tay) = table.coords(sym, us, (0, 1), 1)
+        speed = np.sqrt(tx * tx + ty * ty)
+        qx, qy = tx * udot_full + pax, ty * udot_full + pay
+        tdx, tdy = sx * udot_full + tax, sy * udot_full + tay
         # unit-normal derivative: rotate T-dot, remove the speed variation
-        rot_td = np.stack([tdot[..., 1], -tdot[..., 0]], axis=-1)
-        ndot = rot_td / speed[..., None] \
-            - np.stack([t[..., 1], -t[..., 0]], axis=-1) \
-            * (_dot(t, tdot) / speed ** 3)[..., None]
+        w = (tx * tdx + ty * tdy) / speed ** 3
+        normal = _core_vectors(ty / speed, -tx / speed, rows)
+        ndot = _core_vectors(tdy / speed - ty * w, -tdx / speed + tx * w, rows)
 
-        # per core flight core -> succ
-        v = p[:, succ] - p[:, core]
+        # per core flight core -> succ, as (..., 2) arrays for _dot2
+        v = _flight_vectors(px, py, cyclic, rows)
         d = np.sqrt(_dot2(v, v))
         e = v / d[..., None]
-        qdot_v = qdot[:, succ] - qdot[:, core]
+        qdot_v = _flight_vectors(qx, qy, cyclic, rows)
         d_dot = _dot2(e, qdot_v)
         edot = qdot_v / d[..., None] - e * (d_dot / d)[..., None]
-        k_dot = kap_u * udot_full[:, core] + kap_a
-        cphi = _dot2(e, normal[:, core])
-        c_dot = _dot2(ndot[:, core], e) + _dot2(normal[:, core], edot)
+        k_dot = kap_u * udot_full[:, rows] + kap_a
+        cphi = _dot2(e, normal)
+        c_dot = _dot2(ndot, e) + _dot2(normal, edot)
         g_dot = 2.0 * k_dot / cphi - 2.0 * kap * c_dot / cphi ** 2
         for j, b in enumerate(ok):
-            out[idx[b]] = AlphaDerivatives(udot_full[j, core], d_dot[j],
+            out[idx[b]] = AlphaDerivatives(udot_full[j, rows], d_dot[j],
                                            k_dot[j], c_dot[j], g_dot[j],
                                            conds[b])
     return out

@@ -128,6 +128,12 @@ def test_table_snapshot_jets_match_partial_jet(cfg_name, request):
                     want[mask] = partial_jet(fam, i, us[mask], alpha, lu, la)
                 np.testing.assert_allclose(table.jet(symbols, us, lu, la),
                                            want, rtol=0, atol=1e-14)
+        # one gather for several u-orders gives each order's jet exactly
+        for la in range(fam.smoothness[1] + 1):
+            for lu, (x, y) in enumerate(table.coords(symbols, us, range(4),
+                                                     la)):
+                np.testing.assert_array_equal(
+                    np.stack([x, y], axis=-1), table.jet(symbols, us, lu, la))
 
 
 def test_table_snapshot_is_shared_and_read_only():

@@ -10,11 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
-from billiard_lab import (AlphaDerivatives, BilliardOrbit, ShadowingError,
-                          SolveError, Word, alpha_derivatives,
-                          enumerate_cyclic_words, find_orbit_segment,
-                          find_orbits, find_periodic_orbit, is_admissible,
-                          orbit_alpha_derivatives, sample_itinerary)
+from billiard_lab import (AlphaDerivatives, BilliardOrbit, DeformationFamily,
+                          ShadowingError, SolveError, Word, alpha_derivatives,
+                          circle, ellipse, enumerate_cyclic_words,
+                          find_orbit_segment, find_orbits, find_periodic_orbit,
+                          is_admissible, orbit_alpha_derivatives,
+                          sample_itinerary)
 from billiard_lab.geometry import PHI_PADDING, _phi_corpus, table_at
 from billiard_lab import symbolic
 from billiard_lab.symbolic import (TOL_ORBIT, TOL_SHADOW, _chain_length,
@@ -28,7 +29,6 @@ from conftest import (growing_two_circle, static_three_circle,
 
 
 def mixed_family():
-    from billiard_lab import DeformationFamily, circle, ellipse
     return DeformationFamily(
         (circle(0.0, 0.0, 1.0), circle(7.0, 0.0, 1.0),
          ellipse(3.5, 5.5, 1.6, 0.9, rotation=0.3)), 0.4, mode="general")
@@ -190,6 +190,150 @@ def test_a_singular_damped_hessian_flags_only_its_chain():
                                     np.zeros(3), False)
     assert singular.tolist() == [False, True, False]
     np.testing.assert_array_equal(steps[[0, 2]], [[-0.5] * 3, [-1.0] * 3])
+
+
+def rotating_ellipse_family():
+    # every coefficient moves with alpha, so the alpha-jets are not zero
+    return DeformationFamily(
+        (circle((0.0, 0.5), 0.0, (1.0, 0.3)), circle(7.0, (0.0, -1.0), 1.0),
+         ellipse(3.5, 5.5, (1.6, 0.5), 0.9, rotation=(0.3, 2.0))), 0.4)
+
+
+def _stacked_jet(table, symbols, us, du_order, dalpha_order):
+    """One jet per call, gathered and stacked into (..., 2)."""
+    shift = us + du_order * (np.pi / 2.0)
+    z = table.phase[symbols] * (
+        table.p[dalpha_order][symbols] * np.cos(shift)
+        + table.iq[dalpha_order][symbols] * np.sin(shift))
+    if du_order == 0:
+        z = z + table.center[dalpha_order][symbols]
+    return np.stack([np.real(z), np.imag(z)], axis=-1)
+
+
+def _einsum_dot(a, b):
+    return np.einsum("...ij,...ij->...i", a, b)
+
+
+def _reference_edges(m, cyclic):
+    ia = np.arange(m if cyclic else m - 1)
+    return ia, (ia + 1) % m
+
+
+def _reference_chain_length(table, symbols, us, cyclic):
+    p = _stacked_jet(table, symbols, us, 0, 0)
+    ia, ib = _reference_edges(us.shape[-1], cyclic)
+    return np.sqrt(((p[..., ib, :] - p[..., ia, :]) ** 2).sum(-1)).sum(-1)
+
+
+def _reference_chain_system(table, symbols, us, cyclic, want_alpha):
+    """The chain system on stacked jets, einsum dot products and edge
+    index arrays: the formulation the split-coordinate kernel replaced,
+    kept as the reference for its values.  Returns (length, grad, hess,
+    off, g_alpha, degenerate)."""
+    p = _stacked_jet(table, symbols, us, 0, 0)
+    t = _stacked_jet(table, symbols, us, 1, 0)
+    ia, ib = _reference_edges(us.shape[-1], cyclic)
+    t_a, t_b = t[..., ia, :], t[..., ib, :]
+    v = p[..., ib, :] - p[..., ia, :]
+    d = np.sqrt((v ** 2).sum(-1))
+    degenerate = d.min(-1) < 1e-12
+    d = np.where(np.expand_dims(degenerate, -1), 1.0, d)
+    e = v / d[..., None]
+    e_ta, e_tb = _einsum_dot(e, t_a), _einsum_dot(e, t_b)
+    grad = np.zeros(us.shape)
+    grad[..., ia] -= e_ta
+    grad[..., ib] += e_tb
+    u2 = _stacked_jet(table, symbols, us, 2, 0)
+    haa = ((t_a ** 2).sum(-1) - _einsum_dot(v, u2[..., ia, :])) / d \
+        - e_ta ** 2 / d
+    hbb = ((t_b ** 2).sum(-1) + _einsum_dot(v, u2[..., ib, :])) / d \
+        - e_tb ** 2 / d
+    hab = -_einsum_dot(t_a, t_b) / d + e_ta * e_tb / d
+    hess = np.zeros(us.shape)
+    hess[..., ia] += haa
+    hess[..., ib] += hbb
+    g_alpha = None
+    if want_alpha:
+        pa = _stacked_jet(table, symbols, us, 0, 1)
+        ta = _stacked_jet(table, symbols, us, 1, 1)
+        va = pa[..., ib, :] - pa[..., ia, :]
+        e_va = _einsum_dot(e, va)
+        ga_a = (-_einsum_dot(va, t_a) - _einsum_dot(v, ta[..., ia, :])) / d \
+            + e_ta * e_va / d
+        ga_b = (_einsum_dot(va, t_b) + _einsum_dot(v, ta[..., ib, :])) / d \
+            - e_tb * e_va / d
+        g_alpha = np.zeros(us.shape)
+        g_alpha[..., ia] += ga_a
+        g_alpha[..., ib] += ga_b
+    return d.sum(-1), grad, hess, hab, g_alpha, degenerate
+
+
+def _random_chains(rng, z0, batch, m, cyclic):
+    """Admissible symbol rows (the wrap too when cyclic) and random us."""
+    symbols = np.empty((batch, m), int)
+    for b in range(batch):
+        row = [int(rng.integers(1, z0 + 1))]
+        while len(row) < m:
+            nxt = int(rng.integers(1, z0 + 1))
+            last = cyclic and len(row) == m - 1
+            if nxt != row[-1] and not (last and nxt == row[0]):
+                row.append(nxt)
+        symbols[b] = row
+    return symbols, rng.uniform(0.0, 2.0 * math.pi, (batch, m))
+
+
+def _hex(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def test_a_batched_chain_has_the_length_it_has_alone():
+    # every row of a batch sums its flights in the order a lone chain
+    # does, so the Armijo test sees the same length in any batch
+    table = table_at(mixed_family(), 0.2)
+    rng = np.random.default_rng(5)
+    for cyclic in (False, True):
+        symbols, us = _random_chains(rng, 3, 5, 56, cyclic)
+        lengths = _chain_system(table, symbols, us, cyclic).length
+        short = _chain_length(table, symbols, us, cyclic)
+        for b in range(5):
+            alone = _chain_system(table, symbols[b:b + 1], us[b:b + 1],
+                                  cyclic).length
+            assert _hex(lengths[b]) == _hex(alone)
+            assert _hex(short[b]) == _hex(alone)
+
+
+@settings(max_examples=60)
+@given(table=st.sampled_from(["circles", "ellipse"]),
+       alpha=st.floats(0.0, 0.4), batch=st.integers(1, 5),
+       cyclic=st.booleans(), m=st.sampled_from([2, 3, 7, 56]),
+       degenerate=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_split_chain_kernel_equals_the_stacked_reference(
+        table, alpha, batch, cyclic, m, degenerate, seed):
+    fam = static_three_circle() if table == "circles" \
+        else rotating_ellipse_family()
+    tab = table_at(fam, alpha)
+    symbols, us = _random_chains(np.random.default_rng(seed), 3, batch, m,
+                                 cyclic)
+    if degenerate:          # two reflection points coincide
+        symbols[0, 1], us[0, 1] = symbols[0, 0], us[0, 0]
+    for want_alpha in (False, True):
+        ev = _chain_system(tab, symbols, us, cyclic, want_alpha)
+        _, grad, hess, off, g_alpha, degen = _reference_chain_system(
+            tab, symbols, us, cyclic, want_alpha)
+        np.testing.assert_array_equal(ev.degenerate, degen)
+        assert ev.degenerate[0] == degenerate
+        for got, want in ((ev.grad, grad), (ev.hess, hess), (ev.off, off)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert (ev.g_alpha is None) == (not want_alpha)
+        if want_alpha:
+            assert np.array_equal(ev.g_alpha, g_alpha)
+    short = _chain_length(tab, symbols, us, cyclic)
+    for b in range(batch):
+        alone = _reference_chain_system(tab, symbols[b:b + 1], us[b:b + 1],
+                                        cyclic, False)[0]
+        assert _hex(ev.length[b]) == _hex(alone)
+        assert _hex(short[b]) == _hex(_reference_chain_length(
+            tab, symbols[b:b + 1], us[b:b + 1], cyclic))
 
 
 # ------------------------------------------------- tridiagonal kernel
@@ -585,6 +729,63 @@ def test_batched_orbits_and_derivatives_equal_batches_of_one(
     for o, d in zip(orbits, derivs):
         if not isinstance(d, SolveError):
             assert _same_result(d, orbit_alpha_derivatives(o, fam))
+
+
+def _warm_pass_against_records(table, words, chains):
+    """The warm pass on one group, checked against the largest angle that
+    _build_records gives the same solved chains; returns the pass's
+    results and the solve errors."""
+    got = symbolic.max_collision_angles(words, table, PHI_PADDING, chains)
+    cyclic = words[0].cyclic
+    depth = 0 if cyclic else PHI_PADDING
+    symbols, us, _, errors = symbolic._segment_solve(table, words, depth,
+                                                     chains, TOL_ORBIT)
+    ok = [b for b, err in enumerate(errors) if err is None]
+    records = symbolic._build_records(table, symbols[ok], us[ok], depth,
+                                      len(words[0]), cyclic)
+    want = [(None, math.nan)] * len(words)
+    for b, recs in zip(ok, records):
+        if not isinstance(recs, SolveError):
+            want[b] = (us[b], max(recs.phi.tolist()))
+    for (chain, phi), (chain_ref, phi_ref) in zip(got, want):
+        assert (chain is None) == (chain_ref is None)
+        if chain is not None:
+            np.testing.assert_array_equal(chain, chain_ref)
+            assert phi.hex() == phi_ref.hex()
+    return got, errors
+
+
+@settings(max_examples=10)
+@given(table=st.sampled_from(["breathe", "mixed"]),
+       alpha=st.floats(0.0, 0.39), cyclic=st.booleans(),
+       picks=st.lists(st.integers(0, 99), min_size=1, max_size=3,
+                      unique=True))
+def test_warm_phi_pass_reads_the_largest_record_angle(
+        breathe_cfg, mixed_cfg, table, alpha, cyclic, picks):
+    # the warm pass returns acos of the smallest outward cosine: the
+    # largest angle, since acos decreases.  A nan start fails its solve;
+    # the far sides of the 1,2 cycle (circles 1 and 2 lie on the x-axis
+    # in both tables) are a converged but nonphysical chain
+    fam = (breathe_cfg if table == "breathe" else mixed_cfg).family
+    tab = table_at(fam, alpha)
+    group = next(g for g in _phi_corpus(fam.z0)
+                 if g[0].cyclic == cyclic and len(g) > 3)
+    words = [group[k] for k in dict.fromkeys(k % len(group) for k in picks)]
+    near = find_orbits(words, fam, alpha + 0.01, padding=PHI_PADDING,
+                       shadow_check=False)
+    chains = [np.asarray(o.chain_us) for o in near]
+    got, errors = _warm_pass_against_records(
+        tab, words + [words[0]], chains + [np.full(len(chains[0]), np.nan)])
+    assert errors[-1] is not None and got[-1][0] is None
+    assert all(chain is not None for chain, _ in got[:-1])
+
+    pair = Word((1, 2))
+    got, errors = _warm_pass_against_records(
+        tab, [pair, pair, Word((1, 3))],
+        [np.array([math.pi, 0.0]), np.array([0.1, 3.0]),
+         np.array([0.5, 4.0])])
+    assert errors[0] is None and got[0][0] is None
+    assert got[1][0] is not None and got[2][0] is not None
 
 
 # -------------------------------------------------- alpha-derivatives
