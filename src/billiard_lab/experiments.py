@@ -8,12 +8,14 @@ chain solve, one batched truncation bound and, through
 ``symbolic.alpha_derivatives``, one batched implicit-function
 derivative.  Every chain runs the iteration it would run alone, so each
 row is the one a word-at-a-time sweep (``solve_word`` then
-``analyze_orbit``) gives.  Table bounds come from
-``geometry.table_bounds`` with its one phi_max observer,
-``geometry._default_phi_observation``, given the sweep's warm-start
-cache: at the first grid point it solves each corpus word on its own,
-and from then on it warm-starts the corpus on one ``table_at`` snapshot
-per grid point, one batched chain solve per group of equal-length words.
+``analyze_orbit``) gives.  Table bounds come from one
+``geometry.table_bounds`` call over the whole grid (``run_check``): one
+certification and one pair-extremes search for every grid alpha, and
+its one phi_max observer, ``geometry._default_phi_observation``, on a
+warm-start cache that the call owns: at the first grid point it solves
+each corpus word on its own, and from then on it warm-starts the corpus
+on one ``table_at`` snapshot per grid point, one batched chain solve per
+group of equal-length words.
 Emitted CSVs are fully deterministic: fixed column order, fixed float
 format, no timestamps.
 """
@@ -321,13 +323,12 @@ def run_derivative(cfg: LabConfig, word: Word):
 
 
 def run_check(cfg: LabConfig):
-    """Table bounds and certificates at every grid alpha, warm-starting
-    the collision-angle observation along the grid (validation already
-    ran at load time; this recomputes and reports)."""
-    cache = {}
-    return [_bounds_row(table_bounds(cfg.family, float(a), cfg.phi_max,
-                                     phi_cache=cache))
-            for a in cfg.alpha_grid]
+    """Table bounds and certificates at every grid alpha, from one
+    ``table_bounds`` call over the grid, which warm-starts the
+    collision-angle observation along it (validation already ran at load
+    time; this recomputes and reports)."""
+    return [_bounds_row(tb) for tb in table_bounds(
+        cfg.family, [float(a) for a in cfg.alpha_grid], cfg.phi_max)]
 
 
 def _fmt(value) -> str:

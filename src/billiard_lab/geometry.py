@@ -257,15 +257,19 @@ class TableAt:
     def _embedding(self, symbols, us, du_orders, dalpha_order: int):
         """Complex values phase (P_m cos(u + l pi/2) + i Q_m sin(u + l pi/2))
         (+ centre for l = 0), one array per l of ``du_orders``, from one
-        gather of the coefficients.  Each order takes its own cos/sin, so
-        every value is that of a one-order call."""
+        gather of the coefficients and one cos/sin pair: order l reads
+        (cos, sin)(u + l pi/2) from the quarter turn of (cos u, sin u),
+        so every value is that of a one-order call."""
         phase = self.phase[symbols]
         p = self.p[dalpha_order][symbols]
         iq = self.iq[dalpha_order][symbols]
         center = self.center[dalpha_order][symbols] if 0 in du_orders else None
+        c, s = np.cos(us), np.sin(us)
+        nc, ns = -c, -s
+        quarter = ((c, s), (ns, c), (nc, ns), (s, nc))
         for du_order in du_orders:
-            shift = us + du_order * (np.pi / 2.0)
-            z = phase * (p * np.cos(shift) + iq * np.sin(shift))
+            cos_l, sin_l = quarter[du_order % 4]
+            z = phase * (p * cos_l + iq * sin_l)
             yield z + center if du_order == 0 else z
 
     def coords(self, symbols, us, du_orders, dalpha_order: int = 0) -> list:
@@ -409,20 +413,30 @@ def _require_gap(i: int, k: int, alpha, gap: float) -> float:
     return gap
 
 
-def boundary_pair_extremes(family: DeformationFamily, i, k, alpha: float):
+def boundary_pair_extremes(family: DeformationFamily, i, k, alpha):
     """(min, max) distance between the boundaries of obstacles i and k:
     d_min = max_w [-h_k(-w) - h_i(w)] and d_max = max_w [h_i(w) + h_k(-w)].
     Raises GeometryError naming the pair when they overlap.  For
     equal-length sequences ``i`` and ``k``, one search gives the list of
-    every pair's (min, max), and the first overlapping pair raises.
+    every pair's (min, max), and the first overlapping pair raises; with
+    a sequence of alphas as well, it gives that list per alpha, and the
+    first overlapping (alpha, pair), alpha-major, raises.
     """
-    table = table_at(family, alpha)
+    grid = np.ndim(alpha) > 0
+    if grid and np.ndim(i) == 0:
+        raise ValueError("a sequence of alphas needs sequences of pairs")
+    alphas = list(alpha) if grid else [alpha]
     pairs = list(zip(np.atleast_1d(i).tolist(), np.atleast_1d(k).tolist()))
-    found = _max_over_directions([(table, b, a, a, s) for a, b in pairs
+    found = _max_over_directions([(table_at(family, x), b, a, a, s)
+                                  for x in alphas for a, b in pairs
                                   for s in (1.0, -1.0)])
-    out = [(_require_gap(a, b, alpha, lo), hi) for (a, b), (lo, hi)
-           in zip(pairs, found[:, 0].reshape(-1, 2).tolist())]
-    return out[0] if np.ndim(i) == 0 else out
+    found = found[:, 0].reshape(len(alphas), len(pairs), 2).tolist()
+    out = [[(_require_gap(a, b, x, lo), hi)
+            for (a, b), (lo, hi) in zip(pairs, rows)]
+           for x, rows in zip(alphas, found)]
+    if grid:
+        return out
+    return out[0][0] if np.ndim(i) == 0 else out[0]
 
 
 @dataclass(frozen=True)
@@ -616,9 +630,8 @@ def _certify(family: DeformationFamily, alphas, pair_gap: bool = True) -> list:
     return ranges
 
 
-def table_bounds(family: DeformationFamily, alpha: float,
-                 phi_max_override: Optional[float] = None, *,
-                 phi_cache: Optional[dict] = None) -> TableBounds:
+def table_bounds(family: DeformationFamily, alpha,
+                 phi_max_override: Optional[float] = None):
     """Certify the table at alpha and assemble the global bounds d_min,
     d_max, kappa range, phi_max, k range.
 
@@ -629,30 +642,43 @@ def table_bounds(family: DeformationFamily, alpha: float,
     is the whole trapped set.  phi_max comes from the override if given,
     is exactly 0 in period2 mode, and otherwise is estimated from
     periodic orbits of low period plus sampled itineraries, with a
-    safety factor on the cosine; ``phi_cache`` is the warm-start cache of
-    ``_default_phi_observation``.
+    safety factor on the cosine.
+
+    For a sequence of alphas it returns the list of their TableBounds,
+    each equal to its one-alpha call's: one ``_certify`` call and one
+    pair-extremes search cover every alpha, and the phi observation
+    walks the alphas in order on a warm-start cache that this call owns
+    (the first alpha is observed cold, as a one-alpha call is).  Errors
+    are raised by stage, certification, then pair separation, then phi
+    observation, each for its first failing alpha.
     """
+    alphas = list(alpha) if np.ndim(alpha) else [alpha]
     # period2 takes the pair's separation from its d_min search
-    (kap_lo, kap_hi), = _certify(family, [alpha], pair_gap=False)
+    ranges = _certify(family, alphas, pair_gap=False)
     pairs = [(i, k) for i in range(1, family.z0 + 1)
              for k in range(i + 1, family.z0 + 1)]
-    mins, maxes = zip(*boundary_pair_extremes(family, *zip(*pairs), alpha))
-    d_min = min(mins)
-    d_max = d_min if family.mode == "period2" else max(maxes)
-
-    if phi_max_override is not None:
-        phi_max = float(phi_max_override)
-    elif family.mode == "period2":
-        phi_max = 0.0
-    else:
-        phi_max = phi_max_from_observation(
-            _default_phi_observation(family, alpha, phi_cache))
-    if phi_max >= math.pi / 2:
-        raise GeometryError(f"phi_max = {phi_max:.6f} >= pi/2; k_max undefined")
-
-    k_min = 2.0 * kap_lo
-    k_max = 1.0 / d_min + 2.0 * kap_hi / math.cos(phi_max)
-    return TableBounds(d_min, d_max, kap_lo, kap_hi, phi_max, k_min, k_max, alpha)
+    extremes = boundary_pair_extremes(family, *zip(*pairs), alphas)
+    cache = {}
+    out = []
+    for x, (kap_lo, kap_hi), rows in zip(alphas, ranges, extremes):
+        mins, maxes = zip(*rows)
+        d_min = min(mins)
+        d_max = d_min if family.mode == "period2" else max(maxes)
+        if phi_max_override is not None:
+            phi_max = float(phi_max_override)
+        elif family.mode == "period2":
+            phi_max = 0.0
+        else:
+            phi_max = phi_max_from_observation(
+                _default_phi_observation(family, x, cache))
+        if phi_max >= math.pi / 2:
+            raise GeometryError(
+                f"phi_max = {phi_max:.6f} >= pi/2; k_max undefined")
+        k_min = 2.0 * kap_lo
+        k_max = 1.0 / d_min + 2.0 * kap_hi / math.cos(phi_max)
+        out.append(TableBounds(d_min, d_max, kap_lo, kap_hi, phi_max, k_min,
+                               k_max, x))
+    return out if np.ndim(alpha) else out[0]
 
 
 def validate_family(family: DeformationFamily) -> None:

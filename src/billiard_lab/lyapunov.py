@@ -93,15 +93,15 @@ def propagate_curvature(orbit: BilliardOrbit, k0: float,
         steps = p
     if orbit.kind == "segment" and steps > p:
         raise ValueError(f"segment supports at most {p} flights, got {steps}")
-    k = np.empty(steps)
-    delta = np.empty(steps)
-    k[0] = k0
+    # Python floats: the same IEEE operations as NumPy scalars, faster
+    d, g = d.tolist(), g.tolist()
+    k = [float(k0)]
+    delta = []
     for j in range(steps):
-        dj = d[j % p]
-        delta[j] = 1.0 / (1.0 + dj * k[j])
+        delta.append(1.0 / (1.0 + d[j % p] * k[j]))
         if j + 1 < steps:
-            k[j + 1] = k[j] * delta[j] + g[(j + 1) % p]
-    return CurvatureTrace(k, delta, k0)
+            k.append(k[j] * delta[j] + g[(j + 1) % p])
+    return CurvatureTrace(np.array(k), np.array(delta), k0)
 
 
 def periodic_curvature_fixed_point(orbit: BilliardOrbit) -> CurvatureTrace:
@@ -210,27 +210,21 @@ def kdot_trace(orbit: BilliardOrbit, derivs: AlphaDerivatives,
         raise ValueError("trace length must match the record count")
     beta = trace.delta ** 2
     # forcing[j] enters k_dot[j+1]
-    forcing = np.empty(steps)
-    for j in range(steps):
-        nxt = (j + 1) % p
-        forcing[j] = -beta[j] * derivs.d_dot[j] * trace.k[j] ** 2 \
-            + derivs.g_dot[nxt]
+    forcing = -beta * derivs.d_dot * (trace.k * trace.k) \
+        + np.roll(derivs.g_dot, -1)
 
-    k_dot = np.empty(steps)
+    b, f = beta.tolist(), forcing.tolist()
     if orbit.kind == "segment":
-        k_dot[0] = 0.0
-        for j in range(steps - 1):
-            k_dot[j + 1] = beta[j] * k_dot[j] + forcing[j]
+        k_dot = [0.0]
     else:
-        prod = float(np.prod(beta))
         acc = 0.0
         for j in range(p):
-            acc = beta[j] * acc + forcing[j]
+            acc = b[j] * acc + f[j]
         # acc maps k_dot[0] = 0 once around; solve the affine fixed point
-        k_dot[0] = acc / (1.0 - prod)
-        for j in range(p - 1):
-            k_dot[j + 1] = beta[j] * k_dot[j] + forcing[j]
-    return KdotTrace(k_dot, beta, forcing)
+        k_dot = [acc / (1.0 - float(np.prod(beta)))]
+    for j in range(steps - 1):
+        k_dot.append(b[j] * k_dot[j] + f[j])
+    return KdotTrace(np.array(k_dot), beta, forcing)
 
 
 def f_derivative_sum(orbit: BilliardOrbit, derivs: AlphaDerivatives,

@@ -169,6 +169,13 @@ def _edge_ends(a, cyclic, start=0, stop=None):
     return a[..., start:stop], a[..., start + 1:stop + 1]
 
 
+def _edge_change(x, y, cyclic, start=0, stop=None):
+    """The change (dx, dy) of node values (x, y) over chain edges
+    start..stop - 1, as ``_edge_ends`` takes them."""
+    (xa, xb), (ya, yb) = (_edge_ends(c, cyclic, start, stop) for c in (x, y))
+    return xb - xa, yb - ya
+
+
 def _node_sums(first, second, cyclic):
     """Per-node sums of edge terms in edge order: node j adds ``first``
     of edge j (leaving it) and then ``second`` of edge j - 1 (entering
@@ -185,8 +192,7 @@ def _node_sums(first, second, cyclic):
 
 def _chain_length(table, symbols, us, cyclic):
     (px, py), = table.coords(symbols, us, (0,))
-    (xa, xb), (ya, yb) = _edge_ends(px, cyclic), _edge_ends(py, cyclic)
-    vx, vy = xb - xa, yb - ya
+    vx, vy = _edge_change(px, py, cyclic)
     return np.sqrt(vx * vx + vy * vy).sum(-1)
 
 
@@ -195,9 +201,8 @@ def _chain_system(table, symbols, us, cyclic, want_alpha=False) -> ChainEval:
     ``symbols`` is an integer array shaped like ``us``.  Every value of a
     chain, its length included, is the one it has alone."""
     (px, py), (tx, ty), (sx, sy) = table.coords(symbols, us, (0, 1, 2))
-    (xa, xb), (ya, yb) = _edge_ends(px, cyclic), _edge_ends(py, cyclic)
     (tax, tbx), (tay, tby) = _edge_ends(tx, cyclic), _edge_ends(ty, cyclic)
-    vx, vy = xb - xa, yb - ya
+    vx, vy = _edge_change(px, py, cyclic)
     d = np.sqrt(vx * vx + vy * vy)
     degenerate = d.min(-1) < 1e-12
     if degenerate.any():
@@ -217,9 +222,8 @@ def _chain_system(table, symbols, us, cyclic, want_alpha=False) -> ChainEval:
     g_alpha = None
     if want_alpha:
         (pax, pay), (qx, qy) = table.coords(symbols, us, (0, 1), 1)
-        (xa, xb), (ya, yb) = _edge_ends(pax, cyclic), _edge_ends(pay, cyclic)
         (qax, qbx), (qay, qby) = _edge_ends(qx, cyclic), _edge_ends(qy, cyclic)
-        wx, wy = xb - xa, yb - ya
+        wx, wy = _edge_change(pax, pay, cyclic)
         e_w = ex * wx + ey * wy
         ga_a = (-(wx * tax + wy * tay) - (vx * qax + vy * qay)) / d \
             + e_ta * e_w / d
@@ -236,12 +240,14 @@ def _seed_chain(table, symbols, cyclic) -> np.ndarray:
     ``symbols`` is an integer array of any leading shape."""
     symbols = np.asarray(symbols)
     c = table.center_xy[symbols]
-    prev = np.roll(c, 1, axis=-2)
-    succ = np.roll(c, -1, axis=-2)
-    target = (prev + succ) / 2.0
-    if not cyclic:
-        target[..., 0, :] = succ[..., 0, :]
-        target[..., -1, :] = prev[..., -1, :]
+    target = np.empty_like(c)
+    target[..., 1:-1, :] = (c[..., :-2, :] + c[..., 2:, :]) / 2.0
+    if cyclic:
+        target[..., 0, :] = (c[..., -1, :] + c[..., 1, :]) / 2.0
+        target[..., -1, :] = (c[..., -2, :] + c[..., 0, :]) / 2.0
+    else:
+        target[..., 0, :] = c[..., 1, :]
+        target[..., -1, :] = c[..., -2, :]
     w = target - c
     rot = table.rotation[symbols]
     axes = table.axes[symbols]
@@ -501,17 +507,17 @@ def _core_flights(table, symbols, us, core_start, core_len, cyclic, du_orders):
     """The flights leaving the core nodes of a batch of solved chains
     (symbols and us (B, m)): the boundary coordinates of ``du_orders``
     (0 and 1 first) at every node, the speed |T| at every node, the
-    flight lengths d and the outward cosines e.n of the core, and the
-    mask of physical chains, those whose every core edge leaves its node
-    outward and enters its successor inward (not tangent)."""
+    flight lengths d, unit directions (ex, ey) and outward cosines e.n of
+    the core, and the mask of physical chains, those whose every core
+    edge leaves its node outward and enters its successor inward (not
+    tangent).  The records and the implicit-function derivatives both
+    read their flights here, so they agree bit for bit."""
     stop = core_start + core_len
     if not cyclic and stop >= us.shape[-1]:
         raise SolveError("chain node without successor; cannot build records")
     xy = table.coords(symbols, us, du_orders)
     (px, py), (tx, ty) = xy[:2]
-    (xa, xb), (ya, yb) = (_edge_ends(c, cyclic, core_start, stop)
-                          for c in (px, py))
-    vx, vy = xb - xa, yb - ya
+    vx, vy = _edge_change(px, py, cyclic, core_start, stop)
     d = np.sqrt(vx * vx + vy * vy)
     ex, ey = vx / d, vy / d
     speed = np.sqrt(tx * tx + ty * ty)
@@ -520,7 +526,7 @@ def _core_flights(table, symbols, us, core_start, core_len, cyclic, du_orders):
     c_out = ex * nxa + ey * nya
     physical = ~((c_out.min(-1) <= 1e-9)
                  | ((ex * nxb + ey * nyb).max(-1) >= -1e-9))
-    return xy, speed, d, c_out, physical
+    return xy, speed, d, (ex, ey), c_out, physical
 
 
 def _build_records(table, symbols, us, core_start, core_len, cyclic):
@@ -528,7 +534,7 @@ def _build_records(table, symbols, us, core_start, core_len, cyclic):
     are (B, m).  Returns, per chain, its CoreReflections (rows of
     read-only batch columns), or the SolveError of a nonphysical chain
     (see ``_core_flights``)."""
-    xy, speed, d, c_out, physical = _core_flights(
+    xy, speed, d, _, c_out, physical = _core_flights(
         table, symbols, us, core_start, core_len, cyclic, (0, 1, 2))
     rows = slice(core_start, core_start + core_len)
     (px, py), (tx, ty), (sx, sy) = ((x[:, rows], y[:, rows]) for x, y in xy)
@@ -547,11 +553,14 @@ def _build_records(table, symbols, us, core_start, core_len, cyclic):
 
 
 def _pad_symbols(symbols, padding):
-    left = list(symbols)
-    for _ in range(padding):
-        left.insert(0, 1 if left[0] != 1 else 2)
-        left.append(1 if left[-1] != 1 else 2)
-    return tuple(left)
+    """An integer array of words along its last axis, each with
+    ``padding`` pads on both sides: outward from each end they alternate
+    1 and 2, starting with the one that differs from the end symbol, so
+    they depend on the end symbols alone."""
+    k = np.arange(padding)
+    left = ((symbols[..., :1] == 1) + k[::-1]) % 2 + 1
+    right = ((symbols[..., -1:] == 1) + k) % 2 + 1
+    return np.concatenate([left, symbols, right], axis=-1)
 
 
 def _truncation_bound(table, symbols, us, padding, m):
@@ -610,7 +619,7 @@ def _segment_solve(table, words, depth, inits, tol):
     its init chain, or from the crude seed where that is None.  Returns
     (symbols, us, residual, errors), the last three as ``_solve_chain``."""
     cyclic = words[0].cyclic
-    symbols = np.array([_pad_symbols(w.symbols, depth) for w in words])
+    symbols = _pad_symbols(np.array([w.symbols for w in words]), depth)
     us0 = np.empty(symbols.shape)
     cold = [b for b, init in enumerate(inits) if init is None]
     if cold:
@@ -679,9 +688,8 @@ def find_orbits(words, family: DeformationFamily, alpha: float, inits=None,
                         f"{group[b].label} at alpha = {alpha}")
             elif deepen.size:
                 # the solved chain, with 4 freshly seeded pads on each side
-                outer = _seed_chain(table, np.array(
-                    [_pad_symbols(group[b].symbols, depth + 4)
-                     for b in deepen]), cyclic=False)
+                outer = _seed_chain(table, _pad_symbols(symbols[deepen], 4),
+                                    cyclic=False)
                 seeds = np.concatenate([outer[:, :4], us[deepen],
                                         outer[:, -4:]], axis=1)
                 pending.append((depth + 4, [idx[b] for b in deepen],
@@ -745,7 +753,7 @@ def max_collision_angles(words, table, padding: int, chains):
                                             TOL_ORBIT)
     out = [(None, math.nan)] * len(words)
     ok = np.flatnonzero([err is None for err in errors])
-    _, _, _, c_out, physical = _core_flights(
+    _, _, _, _, c_out, physical = _core_flights(
         table, symbols[ok], us[ok], depth, len(words[0]), words[0].cyclic,
         (0, 1))
     for b, c_min, good in zip(ok, np.clip(c_out.min(-1), -1.0, 1.0).tolist(),
@@ -773,25 +781,6 @@ class AlphaDerivatives:
     cosphi_dot: np.ndarray
     g_dot: np.ndarray
     cond: float
-
-
-def _dot2(a, b):
-    """Row-wise dot products of (..., 2) arrays, by the same matmul kernel
-    as ``a[i] @ b[i]``; einsum rounds differently."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _core_vectors(x, y, rows):
-    """The vectors (x, y) at the core nodes ``rows`` as one (..., 2) array."""
-    return np.stack([x[..., rows], y[..., rows]], axis=-1)
-
-
-def _flight_vectors(x, y, cyclic, rows):
-    """The change of the vectors (x, y) over the flights leaving the core
-    nodes ``rows``, as one (..., 2) array."""
-    (xa, xb), (ya, yb) = (_edge_ends(c, cyclic, rows.start, rows.stop)
-                          for c in (x, y))
-    return np.stack([xb - xa, yb - ya], axis=-1)
 
 
 def _condition(diag, off, cyclic) -> float:
@@ -868,26 +857,24 @@ def alpha_derivatives(orbits, family: DeformationFamily) -> list:
         udot_full = _tridiag_solve(ev.hess[ok], ev.off[ok], -ev.g_alpha[ok],
                                    cyclic)[0]
 
-        (px, py), (tx, ty), (sx, sy) = table.coords(sym, us, (0, 1, 2))
+        # the core flights core -> succ of the records: d, e and cos phi
+        xy, speed, d, (ex, ey), cphi, _ = _core_flights(
+            table, sym, us, start, n, cyclic, (0, 1, 2))
+        _, (tx, ty), (sx, sy) = xy
         (pax, pay), (tax, tay) = table.coords(sym, us, (0, 1), 1)
-        speed = np.sqrt(tx * tx + ty * ty)
         qx, qy = tx * udot_full + pax, ty * udot_full + pay
         tdx, tdy = sx * udot_full + tax, sy * udot_full + tay
         # unit-normal derivative: rotate T-dot, remove the speed variation
         w = (tx * tdx + ty * tdy) / speed ** 3
-        normal = _core_vectors(ty / speed, -tx / speed, rows)
-        ndot = _core_vectors(tdy / speed - ty * w, -tdx / speed + tx * w, rows)
+        nx, ny = (ty / speed)[:, rows], (-tx / speed)[:, rows]
+        ndx = (tdy / speed - ty * w)[:, rows]
+        ndy = (-tdx / speed + tx * w)[:, rows]
 
-        # per core flight core -> succ, as (..., 2) arrays for _dot2
-        v = _flight_vectors(px, py, cyclic, rows)
-        d = np.sqrt(_dot2(v, v))
-        e = v / d[..., None]
-        qdot_v = _flight_vectors(qx, qy, cyclic, rows)
-        d_dot = _dot2(e, qdot_v)
-        edot = qdot_v / d[..., None] - e * (d_dot / d)[..., None]
+        qvx, qvy = _edge_change(qx, qy, cyclic, start, start + n)
+        d_dot = ex * qvx + ey * qvy
+        edx, edy = qvx / d - ex * (d_dot / d), qvy / d - ey * (d_dot / d)
         k_dot = kap_u * udot_full[:, rows] + kap_a
-        cphi = _dot2(e, normal)
-        c_dot = _dot2(ndot, e) + _dot2(normal, edot)
+        c_dot = (ndx * ex + ndy * ey) + (nx * edx + ny * edy)
         g_dot = 2.0 * k_dot / cphi - 2.0 * kap * c_dot / cphi ** 2
         for j, b in enumerate(ok):
             out[idx[b]] = AlphaDerivatives(udot_full[j, rows], d_dot[j],

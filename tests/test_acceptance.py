@@ -107,10 +107,10 @@ def test_criterion_05_bracket_membership(two_circle_cfg, breathe_cfg,
     t0 = time.perf_counter()
     checked = 0
     for cfg in (two_circle_cfg, breathe_cfg, mixed_cfg):
-        cache = {}
         b = cfg.family.alpha_max
-        for alpha in (0.0, 0.5 * b, b):
-            tb = table_bounds(cfg.family, alpha, cfg.phi_max, phi_cache=cache)
+        alphas = (0.0, 0.5 * b, b)
+        for alpha, tb in zip(alphas, table_bounds(cfg.family, alphas,
+                                                  cfg.phi_max)):
             lo, hi = lyapunov_bounds(tb)
             for ident, word in cfg.words:
                 orbit = solve_word(cfg, word, alpha)
@@ -130,7 +130,7 @@ def test_criterion_06_seed_forgetting(two_circle_cfg, breathe_cfg, mixed_cfg):
     orbits = 0
     for cfg, n_words in ((two_circle_cfg, 1), (breathe_cfg, 3),
                          (mixed_cfg, 2)):
-        tb = table_bounds(cfg.family, 0.0, cfg.phi_max, phi_cache={})
+        tb, = table_bounds(cfg.family, [0.0], cfg.phi_max)
         beta_max = 1.0 / (1.0 + tb.d_min * tb.k_min) ** 2
         gap0 = tb.k_max - tb.k_min
         for seed in range(n_words):

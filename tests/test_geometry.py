@@ -4,6 +4,7 @@ Frozen reference numbers come from scripts/reproduce_closed_forms.py
 (sympy) unless a cheaper closed form is stated inline.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from billiard_lab import (AlphaRangeError, ConvexityError, DeformationFamily,
                           EclipseError, GeometryError, ObstacleSpec,
-                          SmoothnessError, SolveError, boundary_pair_extremes,
+                          SmoothnessError, SolveError, TableBounds,
+                          boundary_pair_extremes,
                           check_no_eclipse, circle, curvature,
                           curvature_partials, ellipse, find_orbit_segment,
                           find_periodic_orbit, lyapunov_bounds, partial_jet,
@@ -479,11 +481,23 @@ def test_several_alphas_and_pairs_equal_one_at_a_time():
             for i, k in ((1, 2), (1, 3), (2, 3))]
 
 
+def test_pair_extremes_over_alphas_equal_one_alpha_at_a_time():
+    fam = deformed_ellipse_family()
+    alphas = np.linspace(0.0, fam.alpha_max, 5)
+    pairs = (1, 1, 2), (2, 3, 3)
+    assert boundary_pair_extremes(fam, *pairs, alphas) \
+        == [boundary_pair_extremes(fam, *pairs, a) for a in alphas]
+    with pytest.raises(ValueError, match="sequences of pairs"):
+        boundary_pair_extremes(fam, 1, 2, alphas)
+
+
 @pytest.mark.parametrize("family, call, searches", [
     (deformed_ellipse_family(), "validate", 1),
     (deformed_ellipse_family(), "bounds", 2),  # the triples, then the pairs
     (translate_two_circle(), "validate", 1),
     (translate_two_circle(), "bounds", 1),     # the pair's d_min is its gap
+    (deformed_ellipse_family(), "grid", 2),    # one search per stage ...
+    (translate_two_circle(), "grid", 1),       # ... for every alpha
 ])
 def test_certificates_search_once_per_stage(monkeypatch, family, call,
                                             searches):
@@ -497,7 +511,8 @@ def test_certificates_search_once_per_stage(monkeypatch, family, call,
     if call == "validate":
         validate_family(family)
     else:
-        table_bounds(family, 0.1, phi_max_override=0.3)
+        table_bounds(family, 0.1 if call == "bounds" else [0.0, 0.1, 0.3],
+                     phi_max_override=0.3)
     assert len(rows) == searches
 
 
@@ -527,6 +542,70 @@ def test_validation_raises_for_the_first_failing_alpha(alpha_flat, error):
     else:
         assert str(info.value).endswith(f"below floor {geometry.KAPPA_FLOOR} "
                                         f"at alpha = {alphas[5]}")
+
+
+def _bounds_hex(bounds):
+    return [[float(getattr(b, f.name)).hex() for f in
+             dataclasses.fields(TableBounds)] for b in bounds]
+
+
+def _bounds_one_alpha_at_a_time(family, alphas, phi_max_override):
+    """``table_bounds`` per alpha; without an override, phi_max is each
+    alpha's observation, walked in order on one warm-start cache."""
+    cache = {}
+    out = []
+    for alpha in alphas:
+        phi_max = phi_max_override
+        if phi_max is None and family.mode == "general":
+            phi_max = phi_max_from_observation(
+                geometry._default_phi_observation(family, alpha, cache))
+        out.append(table_bounds(family, alpha, phi_max))
+    return out
+
+
+@pytest.mark.parametrize("cfg_name", ["two_circle_cfg", "breathe_cfg",
+                                      "mixed_cfg"])
+def test_grid_table_bounds_equal_one_alpha_at_a_time(cfg_name, request):
+    cfg = request.getfixturevalue(cfg_name)
+    alphas = [float(a) for a in cfg.alpha_grid[::16]]
+    grid = table_bounds(cfg.family, alphas, cfg.phi_max)
+    assert [b.alpha for b in grid] == alphas
+    assert _bounds_hex(grid) == _bounds_hex(
+        _bounds_one_alpha_at_a_time(cfg.family, alphas, cfg.phi_max))
+    assert _bounds_hex(grid[:1]) == _bounds_hex(
+        [table_bounds(cfg.family, alphas[0], cfg.phi_max)])
+
+
+_OBSTACLE = st.tuples(st.booleans(), st.floats(0.3, 2.0), st.floats(0.3, 2.0),
+                      st.floats(-0.5, 0.5), st.floats(0.0, math.pi),
+                      st.floats(-2.0, 2.0))
+
+
+def _random_obstacle(shape, x, y):
+    """A circle or an ellipse centred at (x, y) whose axes stay within
+    [0.1, 2.2] and whose tilt turns over alpha in [0, 0.4]."""
+    round_, a, b, grow, tilt, turn = shape
+    if round_:
+        return circle(x, y, (a, grow))
+    return ellipse(x, y, (a, grow), (b, -grow), (tilt, turn))
+
+
+@settings(max_examples=15, deadline=None)
+@given(shapes=st.lists(_OBSTACLE, min_size=3, max_size=3),
+       period2=st.booleans(),
+       alphas=st.lists(st.floats(0.0, 0.4), min_size=1, max_size=5))
+def test_grid_table_bounds_of_random_tables(shapes, period2, alphas):
+    # obstacles at the corners of a triangle of side 7 (or the first two
+    # of them): with axes at most 2.2 no obstacle meets another or the
+    # hull of two others
+    corners = [(0.0, 0.0), (7.0, 0.0), (3.5, 3.5 * math.sqrt(3.0))]
+    obstacles = tuple(_random_obstacle(shape, *xy)
+                      for shape, xy in zip(shapes, corners))
+    family = DeformationFamily(obstacles[:2], 0.4, mode="period2") \
+        if period2 else DeformationFamily(obstacles, 0.4)
+    override = None if period2 else 0.5
+    assert _bounds_hex(table_bounds(family, alphas, override)) \
+        == _bounds_hex([table_bounds(family, a, override) for a in alphas])
 
 
 def test_table_bounds_two_circle_exact():
@@ -587,11 +666,11 @@ def test_sweeper_phi_max_equals_table_bounds(breathe_cfg, mixed_cfg):
     # against the cold default observer, warm starts move phi_max by a
     # few ulps (largest seen over the shipped grids: 8.6e-16 relative)
     for cfg in (breathe_cfg, mixed_cfg):
-        cache = {}
         chains = {}
-        for k, alpha in enumerate((0.0, 0.1, 0.2)):
-            warm = table_bounds(cfg.family, alpha, None,
-                                phi_cache=cache).phi_max
+        alphas = (0.0, 0.1, 0.2)
+        walk = table_bounds(cfg.family, alphas)
+        for k, alpha in enumerate(alphas):
+            warm = walk[k].phi_max
             cold = table_bounds(cfg.family, alpha).phi_max
             assert warm == _phi_one_word_at_a_time(cfg.family, alpha, chains)
             if k == 0:
@@ -673,6 +752,30 @@ def test_table_bounds_refuses_what_validate_family_refuses(family, alpha,
         validate_family(family)
     with pytest.raises(error, match=needle):
         table_bounds(family, alpha)
+
+
+def _refusal(family, alpha):
+    with pytest.raises(GeometryError) as info:
+        table_bounds(family, alpha)
+    return info.value
+
+
+@pytest.mark.parametrize("family, error, needle", [
+    # obstacle 2 eclipses from alpha = 0.11 on
+    (_sinking_and_flattening(0.4), EclipseError, "no-eclipse condition"),
+    # the second circle, centred at 4 - 10 alpha, meets the first from
+    # alpha = 0.2 on
+    (_pair(circle(0.0, 0.0, 1.0), circle((4.0, -10.0), 0.0, 1.0)),
+     GeometryError, "obstacles 1 and 2 overlap"),
+], ids=["eclipse", "overlap-period2"])
+def test_grid_table_bounds_raise_for_the_first_failing_alpha(family, error,
+                                                             needle):
+    alphas = [0.0, 0.05, 0.25, 0.3, 0.1]
+    with pytest.raises(error, match=needle) as info:
+        table_bounds(family, alphas, phi_max_override=0.3)
+    first = _refusal(family, 0.25)
+    assert type(info.value) is type(first) and str(info.value) == str(first)
+    table_bounds(family, [0.0, 0.05, 0.1], phi_max_override=0.3)
 
 
 def test_validate_family_passes_on_sane_table():

@@ -18,6 +18,8 @@ from billiard_lab import (GeometryError, Word, default_seed_curvature,
                           periodic_curvature_fixed_point, propagate_curvature,
                           sample_itinerary, seed_sensitivity, table_bounds)
 
+from billiard_lab.experiments import solve_word
+
 from conftest import (static_three_circle, static_two_circle,
                       translate_two_circle)
 
@@ -193,6 +195,68 @@ def test_segment_kdot_starts_at_zero_and_F_matches_fd():
         o = find_orbit_segment(word, fam, s * h)
         lam[s] = lyapunov_estimate(o, burn_in=0, m=20).lambda_m
     assert F == pytest.approx((lam[+1] - lam[-1]) / (2.0 * h), abs=1e-8)
+
+
+def _loop_propagate(d, g, k0, steps):
+    """The curvature recursion flight by flight on NumPy scalars: the
+    reference for ``propagate_curvature``."""
+    p = len(d)
+    k = np.empty(steps)
+    delta = np.empty(steps)
+    k[0] = k0
+    for j in range(steps):
+        delta[j] = 1.0 / (1.0 + d[j % p] * k[j])
+        if j + 1 < steps:
+            k[j + 1] = k[j] * delta[j] + g[(j + 1) % p]
+    return k, delta
+
+
+def _loop_kdot(periodic, delta, k, d_dot, g_dot):
+    """The k_dot recursion and its forcing element by element on NumPy
+    scalars: the reference for ``kdot_trace``."""
+    p = len(k)
+    beta = delta ** 2
+    forcing = np.empty(p)
+    for j in range(p):
+        forcing[j] = -beta[j] * d_dot[j] * (k[j] * k[j]) + g_dot[(j + 1) % p]
+    k_dot = np.empty(p)
+    k_dot[0] = 0.0
+    if periodic:
+        acc = 0.0
+        for j in range(p):
+            acc = beta[j] * acc + forcing[j]
+        k_dot[0] = acc / (1.0 - float(np.prod(beta)))
+    for j in range(p - 1):
+        k_dot[j + 1] = beta[j] * k_dot[j] + forcing[j]
+    return k_dot, beta, forcing
+
+
+def _hex(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+@pytest.mark.parametrize("cfg_name", ["breathe_cfg", "mixed_cfg"])
+def test_recursions_on_floats_equal_the_scalar_loops(cfg_name, request):
+    cfg = request.getfixturevalue(cfg_name)
+    for alpha in (0.0, 0.25):
+        for _, word in cfg.words:
+            orb = solve_word(cfg, word, alpha)
+            d = orb.records.d
+            g = 2.0 * orb.records.kappa / np.array(
+                [math.cos(phi) for phi in orb.records.phi.tolist()])
+            k0 = default_seed_curvature(orb)
+            steps = (3 * len(d),) if orb.kind == "periodic" else (len(d), 5)
+            for n in steps:
+                tr = propagate_curvature(orb, k0, n)
+                assert [_hex(tr.k), _hex(tr.delta)] \
+                    == [_hex(x) for x in _loop_propagate(d, g, k0, n)]
+            tr = lyapunov_estimate(orb).trace
+            dv = orbit_alpha_derivatives(orb, cfg.family)
+            kd = kdot_trace(orb, dv, tr)
+            want = _loop_kdot(orb.kind == "periodic", tr.delta, tr.k,
+                              dv.d_dot, dv.g_dot)
+            assert [_hex(kd.k_dot), _hex(kd.beta), _hex(kd.forcing)] \
+                == [_hex(x) for x in want]
 
 
 def test_trace_length_mismatch_rejected():

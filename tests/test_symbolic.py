@@ -148,8 +148,8 @@ def test_batched_corpus_solve_matches_one_chain_at_a_time(cfg_name, alpha,
     neighbour = table_at(fam, alpha + (0.01 if alpha < 0.2 else -0.01))
     for words in _phi_corpus(fam.z0):
         cyclic = words[0].cyclic
-        symbols = np.array([_pad_symbols(w.symbols, 0 if cyclic else PHI_PADDING)
-                            for w in words])
+        symbols = _pad_symbols(np.array([w.symbols for w in words]),
+                               0 if cyclic else PHI_PADDING)
         cold = _seed_chain(table, symbols, cyclic)
         warm = _solve_chain(neighbour, symbols,
                              _seed_chain(neighbour, symbols, cyclic), cyclic,
@@ -192,6 +192,76 @@ def test_a_singular_damped_hessian_flags_only_its_chain():
     np.testing.assert_array_equal(steps[[0, 2]], [[-0.5] * 3, [-1.0] * 3])
 
 
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_batched_solve_rows_equal_lone_rows(monkeypatch, cyclic):
+    # crude and warm seeds, a non-finite seed, a degenerate chain and
+    # forced singular Newton steps (by a row-wise rule, so that a row
+    # meets it alone as in the batch): every row is its solve alone
+    newton_steps = symbolic._newton_steps
+
+    def sometimes_singular(diag, off, grad, mu, cyc):
+        steps, singular = newton_steps(diag, off, grad, mu, cyc)
+        forced = (mu == 0.0) & (grad[:, 0] > 0.0)
+        steps[forced] = math.nan
+        return steps, singular | forced
+
+    monkeypatch.setattr(symbolic, "_newton_steps", sometimes_singular)
+    table = table_at(mixed_family(), 0.15)
+    if cyclic:
+        symbols = np.array([w.symbols for w in enumerate_cyclic_words(3, 6)
+                            if len(w) == 6][:6])
+    else:
+        symbols = _pad_symbols(np.array(
+            [sample_itinerary(3, 8, seed=s).symbols for s in range(6)]), 3)
+    symbols[1, 1] = symbols[1, 0]     # not admissible: coincident points
+    us0 = _seed_chain(table, symbols, cyclic)
+    us0[1, :2] = 0.5
+    us0[3] = math.nan
+    # near the solution: Newton only
+    us0[4] = _solve_chain(table, symbols[4:5], us0[4:5], cyclic,
+                          TOL_ORBIT)[0][0] + 1e-4
+    us, residual, errors = _solve_chain(table, symbols, us0, cyclic,
+                                        TOL_ORBIT)
+    assert "degenerate" in str(errors[1]) and "stalled" in str(errors[3])
+    assert sum(e is None for e in errors) >= 3
+    for b in range(len(symbols)):
+        alone, res, err = _solve_chain(table, symbols[b:b + 1],
+                                       us0[b:b + 1], cyclic, TOL_ORBIT)
+        assert _hex(us[b]) == _hex(alone[0])
+        assert _hex(residual[b]) == _hex(res[0])
+        assert repr(errors[b]) == repr(err[0])
+
+
+@pytest.mark.parametrize("du_orders", [(0, 1, 2), (3, 1), (2, 0, 3, 1),
+                                       (5, 4)])
+def test_coords_orders_agree_with_the_shifted_formula(du_orders):
+    # one cos/sin pair and its quarter turn against cos/sin(u + l pi/2)
+    # per order: the shifted argument rounds by up to about an ulp of
+    # u + l pi/2, so the values agree to 1e-15 per unit of coefficient
+    # size |P_m| + |Q_m| (+ |centre| for l = 0)
+    rng = np.random.default_rng(sum(du_orders))
+    for fam in (rotating_ellipse_family(), mixed_family()):
+        for _ in range(20):
+            table = table_at(fam, rng.uniform(0.0, fam.alpha_max))
+            m = int(rng.integers(0, fam.smoothness[1] + 1))
+            symbols = rng.integers(1, fam.z0 + 1, (3, 7))
+            us = rng.uniform(0.0, 2.0 * math.pi, (3, 7))
+            got = table.coords(symbols, us, du_orders, m)
+            for l, (x, y) in zip(du_orders, got):
+                shift = us + l * (np.pi / 2.0)
+                z = table.phase[symbols] * (
+                    table.p[m][symbols] * np.cos(shift)
+                    + table.iq[m][symbols] * np.sin(shift))
+                size = np.abs(table.p[m][symbols]) \
+                    + np.abs(table.iq[m][symbols])
+                if l == 0:
+                    z = z + table.center[m][symbols]
+                    size = size + np.abs(table.center[m][symbols])
+                tol = 1e-15 * np.maximum(size, 1.0)
+                assert (np.abs(x - z.real) <= tol).all()
+                assert (np.abs(y - z.imag) <= tol).all()
+
+
 def rotating_ellipse_family():
     # every coefficient moves with alpha, so the alpha-jets are not zero
     return DeformationFamily(
@@ -200,11 +270,13 @@ def rotating_ellipse_family():
 
 
 def _stacked_jet(table, symbols, us, du_order, dalpha_order):
-    """One jet per call, gathered and stacked into (..., 2)."""
-    shift = us + du_order * (np.pi / 2.0)
+    """One jet per call, gathered and stacked into (..., 2); cos and sin
+    of u + l pi/2 from the quarter turn of one cos/sin pair."""
+    c, s = np.cos(us), np.sin(us)
+    cos_l, sin_l = ((c, s), (-s, c), (-c, -s), (s, -c))[du_order % 4]
     z = table.phase[symbols] * (
-        table.p[dalpha_order][symbols] * np.cos(shift)
-        + table.iq[dalpha_order][symbols] * np.sin(shift))
+        table.p[dalpha_order][symbols] * cos_l
+        + table.iq[dalpha_order][symbols] * sin_l)
     if du_order == 0:
         z = z + table.center[dalpha_order][symbols]
     return np.stack([np.real(z), np.imag(z)], axis=-1)
@@ -400,6 +472,30 @@ def test_tridiag_solve_isolates_bad_chains(cyclic, with_singular):
     assert np.isnan(x[bad]).all()
 
 
+@pytest.mark.parametrize("cyclic", [False, True])
+@pytest.mark.parametrize("nonfinite", [False, True])
+@pytest.mark.parametrize("singular", [False, True])
+def test_tridiag_solve_rows_equal_lone_rows(cyclic, nonfinite, singular):
+    # all-finite batches skip the gather of the finite rows, and batches
+    # without a singular row skip the NaN scatter: each row is its solve
+    # alone either way
+    rng = np.random.default_rng(11)
+    diag, off = _random_bands(rng, 6, 5, cyclic, "dominant")
+    rhs = rng.normal(size=(6, 5, 2))
+    if nonfinite:
+        off[2, 1] = np.inf
+    if singular:
+        diag[4] = 0.0
+        off[4] = 0.0
+    x, bad = _tridiag_solve(diag, off, rhs, cyclic)
+    assert bad.tolist() == [False, False, nonfinite, False, singular, False]
+    assert np.isnan(x[bad]).all()
+    for b in range(6):
+        alone, bad_alone = _tridiag_solve(diag[b:b + 1], off[b:b + 1],
+                                          rhs[b:b + 1], cyclic)
+        assert _hex(x[b]) == _hex(alone[0]) and bad[b] == bad_alone[0]
+
+
 @pytest.mark.parametrize("cyclic", [True, False])
 def test_alpha_derivatives_and_cond_match_dense_algebra(mixed_cfg, cyclic):
     # the banded u_dot and condition number on the shipped cyclic word
@@ -463,10 +559,29 @@ def test_an_indefinite_chain_hessian_is_rejected(mixed_cfg, cyclic,
         orbit_alpha_derivatives(orb, fam)
 
 
+def _pad_one_by_one(symbols, padding):
+    """The word-at-a-time padding: one pad per side per step, each the
+    first of 1, 2 that differs from its neighbour."""
+    left = list(symbols)
+    for _ in range(padding):
+        left.insert(0, 1 if left[0] != 1 else 2)
+        left.append(1 if left[-1] != 1 else 2)
+    return tuple(left)
+
+
+@pytest.mark.parametrize("padding", [0, 1, 4, 7])
+def test_pad_symbols_of_a_batch_pads_each_word(padding):
+    words = [sample_itinerary(4, 6, seed=s).symbols for s in range(12)]
+    padded = _pad_symbols(np.array(words), padding)
+    assert [tuple(row) for row in padded.tolist()] \
+        == [_pad_one_by_one(w, padding) for w in words]
+
+
 def test_pad_symbols_alternates_off_the_core():
-    assert _pad_symbols((3, 1, 2), 2) == (2, 1, 3, 1, 2, 1, 2)
-    padded = _pad_symbols(tuple(sample_itinerary(3, 9, seed=2).symbols), 5)
-    assert is_admissible(Word(padded, cyclic=False), 3)
+    assert _pad_symbols(np.array((3, 1, 2)), 2).tolist() \
+        == [2, 1, 3, 1, 2, 1, 2]
+    padded = _pad_symbols(np.array(sample_itinerary(3, 9, seed=2).symbols), 5)
+    assert is_admissible(Word(tuple(padded.tolist()), cyclic=False), 3)
 
 
 # ------------------------------------------------------- orbit solving
@@ -560,13 +675,14 @@ def test_segment_without_shadow_check():
 
 
 def test_shallow_padding_is_a_worse_approximation():
-    # deeper padding moves the core less: compare cores at padding 4 and 8
+    # deeper padding moves the core less: compare cores at padding 4 and 6
     # against the depth-12 chain, whose truncation bound meets TOL_SHADOW
+    # (at padding 8 the core already equals it to the last bit)
     fam = static_three_circle()
     word = sample_itinerary(3, 12, seed=9)
     ref = find_orbit_segment(word, fam, 0.0, padding=12)
     gaps = []
-    for pad in (4, 8):
+    for pad in (4, 6):
         orb = find_orbit_segment(word, fam, 0.0, padding=pad,
                                  shadow_check=False)
         gap = float(np.abs(orb.records.point - ref.records.point)
@@ -729,6 +845,33 @@ def test_batched_orbits_and_derivatives_equal_batches_of_one(
     for o, d in zip(orbits, derivs):
         if not isinstance(d, SolveError):
             assert _same_result(d, orbit_alpha_derivatives(o, fam))
+
+
+def test_implicit_derivative_reads_the_flights_of_the_records(mixed_cfg):
+    # d_dot = e . (q_dot(succ) - q_dot(node)) with e = v / d, d the
+    # records' flight length and split products: on these 20 words of
+    # the shipped mixed table, 32 of the 600 core flights once differed
+    # in the last bit between the derivative and the records
+    fam = mixed_cfg.family
+    words = [sample_itinerary(3, 30, seed=s) for s in range(20)]
+    orbits = find_orbits(words, fam, 0.2, padding=mixed_cfg.padding)
+    table = table_at(fam, 0.2)
+    for orb, der in zip(orbits, alpha_derivatives(orbits, fam)):
+        symbols, us = np.array([orb.chain_symbols]), np.array([orb.chain_us])
+        ev = _chain_system(table, symbols, us, False, want_alpha=True)
+        udot = _tridiag_solve(ev.hess, ev.off, -ev.g_alpha, False)[0][0]
+        (px, py), (tx, ty) = (
+            (x[0], y[0]) for x, y in table.coords(symbols, us, (0, 1)))
+        (pax, pay), = ((x[0], y[0]) for x, y in table.coords(symbols, us,
+                                                             (0,), 1))
+        qx, qy = tx * udot + pax, ty * udot + pay
+        node = slice(orb.core_start, orb.core_start + len(orb.records))
+        succ = slice(node.start + 1, node.stop + 1)
+        vx, vy = px[succ] - px[node], py[succ] - py[node]
+        assert _hex(np.sqrt(vx * vx + vy * vy)) == _hex(orb.records.d)
+        ex, ey = vx / orb.records.d, vy / orb.records.d
+        d_dot = ex * (qx[succ] - qx[node]) + ey * (qy[succ] - qy[node])
+        assert _hex(der.d_dot) == _hex(d_dot)
 
 
 def _warm_pass_against_records(table, words, chains):
