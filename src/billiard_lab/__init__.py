@@ -18,7 +18,7 @@ from .symbolic import (AlphaDerivatives, BilliardOrbit, CoreReflections,
 from .lyapunov import (CurvatureTrace, FrontExpansionReport, KdotTrace,
                        LyapunovReport, default_seed_curvature,
                        f_derivative_sum, front_expansion_check,
-                       jacobian_lyapunov_oracle, kdot_trace, lyapunov_bounds,
+                       jacobian_lyapunov_oracle, kdot_trace,
                        lyapunov_estimate, periodic_curvature_fixed_point,
                        propagate_curvature, seed_sensitivity)
 

@@ -25,8 +25,7 @@ from .experiments import (analyze_orbit, emit_outputs, run_check,
                           run_derivative, run_sweep, solve_word,
                           write_bounds_csv)
 from .geometry import EclipseError, GeometryError, table_bounds
-from .lyapunov import (jacobian_lyapunov_oracle, lyapunov_bounds,
-                       seed_sensitivity)
+from .lyapunov import jacobian_lyapunov_oracle, seed_sensitivity
 from .symbolic import ShadowingError, SolveError
 
 
@@ -40,12 +39,11 @@ def _resolve_word(cfg: LabConfig, text: str):
 
 
 def _print_bounds(tb) -> None:
-    lo, hi = lyapunov_bounds(tb)
     print(f"alpha={tb.alpha:.6g}  d=[{tb.d_min:.9g}, {tb.d_max:.9g}]  "
           f"kappa=[{tb.kappa_min:.9g}, {tb.kappa_max:.9g}]  "
           f"phi_max={tb.phi_max:.9g}")
     print(f"  front curvature k=[{tb.k_min:.9g}, {tb.k_max:.9g}]  "
-          f"per-flight bracket=[{lo:.9g}, {hi:.9g}]")
+          f"per-flight bracket=[{tb.lower:.9g}, {tb.upper:.9g}]")
 
 
 def cmd_check(args) -> int:

@@ -17,7 +17,9 @@ import numpy as np
 
 from .geometry import (DeformationFamily, GeometryError, ObstacleSpec,
                        validate_family)
-from .symbolic import TOL_ORBIT, Word, is_admissible, sample_itinerary
+from .lyapunov import DEFAULT_BURN_IN, DEFAULT_H_FD
+from .symbolic import (DEFAULT_PADDING, TOL_ORBIT, Word, is_admissible,
+                       sample_itinerary)
 
 
 class ConfigError(ValueError):
@@ -266,13 +268,13 @@ def load_config(path, *, validate: bool = True) -> LabConfig:
     tol_orbit = top.get("tol_orbit", TOL_ORBIT)
     if not (_is_number(tol_orbit) and 0.0 < tol_orbit <= 1e-6):
         raise ConfigError("tol_orbit must lie in (0, 1e-6]")
-    padding = top.get("padding", 12)
+    padding = top.get("padding", DEFAULT_PADDING)
     if not _is_integer(padding) or padding < 1:
         raise ConfigError("padding must be a positive integer")
-    burn_in = top.get("burn_in", 10)
+    burn_in = top.get("burn_in", DEFAULT_BURN_IN)
     if not _is_integer(burn_in) or burn_in < 0:
         raise ConfigError("burn_in must be a nonnegative integer")
-    h_fd = top.get("h_fd", 1e-6)
+    h_fd = top.get("h_fd", DEFAULT_H_FD)
     if not (_is_number(h_fd) and 1e-7 <= h_fd <= 1e-4):
         raise ConfigError("h_fd must lie in [1e-7, 1e-4]")
     phi_max = top.get("phi_max")

@@ -34,8 +34,7 @@ import numpy as np
 
 from .config import ConfigError, LabConfig
 from .geometry import GeometryError, TableBounds, table_bounds
-from .lyapunov import (f_derivative_sum, kdot_trace, lyapunov_bounds,
-                       lyapunov_estimate)
+from .lyapunov import f_derivative_sum, kdot_trace, lyapunov_estimate
 from .symbolic import (BilliardOrbit, SolveError, Word, alpha_derivatives,
                        find_orbit_segment, find_orbits, find_periodic_orbit,
                        orbit_alpha_derivatives)
@@ -59,27 +58,13 @@ class SweepRow:
     cond: float
 
 
-@dataclass(frozen=True)
-class BoundsRow:
-    alpha: float
-    d_min: float
-    d_max: float
-    kappa_min: float
-    kappa_max: float
-    phi_max: float
-    k_min: float
-    k_max: float
-    lower: float
-    upper: float
-
-
 def _columns(row_type) -> list:
     """CSV columns of a row type: its fields, in declaration order."""
     return [f.name for f in dataclasses.fields(row_type)]
 
 
 SWEEP_HEADER = ",".join(_columns(SweepRow))
-BOUNDS_HEADER = ",".join(_columns(BoundsRow))
+BOUNDS_HEADER = ",".join(_columns(TableBounds))
 
 
 @dataclass
@@ -88,12 +73,6 @@ class SweepResult:
     bounds: list
     summary: dict
     failures: list = field(default_factory=list)
-
-
-def _bounds_row(tb: TableBounds) -> BoundsRow:
-    lo, hi = lyapunov_bounds(tb)
-    return BoundsRow(tb.alpha, tb.d_min, tb.d_max, tb.kappa_min, tb.kappa_max,
-                     tb.phi_max, tb.k_min, tb.k_max, lo, hi)
 
 
 def solve_word(cfg: LabConfig, word: Word, alpha: float, init=None):
@@ -327,8 +306,8 @@ def run_check(cfg: LabConfig):
     ``table_bounds`` call over the grid, which warm-starts the
     collision-angle observation along it (validation already ran at load
     time; this recomputes and reports)."""
-    return [_bounds_row(tb) for tb in table_bounds(
-        cfg.family, [float(a) for a in cfg.alpha_grid], cfg.phi_max)]
+    return table_bounds(cfg.family, [float(a) for a in cfg.alpha_grid],
+                        cfg.phi_max)
 
 
 def _fmt(value) -> str:
@@ -352,7 +331,7 @@ def write_sweep_csv(path, rows) -> None:
 
 
 def write_bounds_csv(path, rows) -> None:
-    _write_csv(path, BoundsRow, rows)
+    _write_csv(path, TableBounds, rows)
 
 
 def write_plot_script(path, result: SweepResult) -> None:

@@ -493,8 +493,11 @@ class TableBounds:
 
     k_min and k_max bound the propagated front curvature on the trapped
     set: k_min = 2 kappa_min, k_max = 1/d_min + 2 kappa_max / cos(phi_max).
+    [lower, upper] = [log(1 + d_min k_min), log(1 + d_max k_max)] brackets
+    the per-flight exponent.  The fields are the ``bounds.csv`` columns.
     """
 
+    alpha: float
     d_min: float
     d_max: float
     kappa_min: float
@@ -502,7 +505,8 @@ class TableBounds:
     phi_max: float
     k_min: float
     k_max: float
-    alpha: float = 0.0
+    lower: float
+    upper: float
 
 
 @lru_cache(maxsize=None)
@@ -676,8 +680,9 @@ def table_bounds(family: DeformationFamily, alpha,
                 f"phi_max = {phi_max:.6f} >= pi/2; k_max undefined")
         k_min = 2.0 * kap_lo
         k_max = 1.0 / d_min + 2.0 * kap_hi / math.cos(phi_max)
-        out.append(TableBounds(d_min, d_max, kap_lo, kap_hi, phi_max, k_min,
-                               k_max, x))
+        out.append(TableBounds(x, d_min, d_max, kap_lo, kap_hi, phi_max,
+                               k_min, k_max, math.log1p(d_min * k_min),
+                               math.log1p(d_max * k_max)))
     return out if np.ndim(alpha) else out[0]
 
 

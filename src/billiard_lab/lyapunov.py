@@ -13,6 +13,9 @@ orbit's itinerary, from node data (point, |T|, cos phi, v_t, outgoing
 chord) built once per reflection.  The estimate, its derivative and the Jacobian
 oracle average one window: a periodic orbit's full period, or a
 segment's first m flights after a burn-in.
+On a cycle the recursions close without iteration: each step is a
+Moebius map (affine for k_dot), so the start is the fixed point of one
+2x2 matrix product, the root of a quadratic, then run once around.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from .dynamics import _tangent_frame, boundary_map
 from .geometry import DeformationFamily, GeometryError, TableBounds, partial_jet
 from .symbolic import AlphaDerivatives, BilliardOrbit, SolveError, Word
 
-_FIXED_POINT_TOL = 1e-13
-_DEFAULT_BURN_IN = 10     # flights discarded before averaging, open words only
+DEFAULT_BURN_IN = 10      # flights discarded before averaging, open words only
+DEFAULT_H_FD = 1e-6       # finite-difference step of the Jacobian oracle
 _RENORM_EVERY = 5
 
 
@@ -70,13 +73,46 @@ def default_seed_curvature(orbit: BilliardOrbit) -> float:
     return 2.0 * float(orbit.records.kappa[0])
 
 
-def _orbit_dgc(orbit: BilliardOrbit):
+def _orbit_dg(orbit: BilliardOrbit):
+    """Lists d[j], g[j] = 2 kappa / cos phi; Python floats run the same
+    IEEE operations as NumPy scalars, faster."""
     records = orbit.records
     # math.cos per reflection: numpy's cos may round differently
-    cphi = np.array([math.cos(phi) for phi in records.phi.tolist()])
-    if np.min(cphi) < 1e-9:
+    cphi = [math.cos(phi) for phi in records.phi.tolist()]
+    if min(cphi) < 1e-9:
         raise GeometryError("collision angle too close to pi/2")
-    return records.d, 2.0 * records.kappa / cphi, cphi
+    return records.d.tolist(), [2.0 * kap / c for kap, c
+                                in zip(records.kappa.tolist(), cphi)]
+
+
+def _recurse(d, g, k0: float, steps: int):
+    """(k, delta) of the curvature recursion from k0 over ``steps``
+    flights, cycling through the p flights of (d, g)."""
+    p = len(d)
+    k = [k0]
+    delta = []
+    for j in range(steps):
+        delta.append(1.0 / (1.0 + d[j % p] * k[j]))
+        if j + 1 < steps:
+            k.append(k[j] * delta[j] + g[(j + 1) % p])
+    return np.array(k), np.array(delta)
+
+
+def _cycle_fixed_point(steps) -> float:
+    """Fixed point of k -> (a k + b) / (c k + e), [[a, b], [c, e]] the
+    product of the step matrices [[a_j, b_j], [c_j, 1]], first step first,
+    rescaled by e after each step so that a long cycle stays finite.  It
+    is the root of c k^2 + (e - a) k - b = 0 without cancellation: the
+    positive one for curvature steps, b / (e - a) for affine ones (c = 0).
+    """
+    a, b, c = 1.0, 0.0, 0.0
+    for aj, bj, cj in steps:
+        e = cj * b + 1.0
+        a, b, c = (aj * a + bj * c) / e, (aj * b + bj) / e, \
+            (cj * a + c) / e
+    h = 1.0 - a
+    root = math.sqrt(h * h + 4.0 * b * c)
+    return 2.0 * b / (h + root) if h > 0.0 else (root - h) / (2.0 * c)
 
 
 def propagate_curvature(orbit: BilliardOrbit, k0: float,
@@ -88,46 +124,24 @@ def propagate_curvature(orbit: BilliardOrbit, k0: float,
     if not k0 > 0.0:
         raise GeometryError("seed curvature must be positive")
     p = len(orbit.records)
-    d, g, _ = _orbit_dgc(orbit)
-    if steps is None:
-        steps = p
-    if orbit.kind == "segment" and steps > p:
-        raise ValueError(f"segment supports at most {p} flights, got {steps}")
-    # Python floats: the same IEEE operations as NumPy scalars, faster
-    d, g = d.tolist(), g.tolist()
-    k = [float(k0)]
-    delta = []
-    for j in range(steps):
-        delta.append(1.0 / (1.0 + d[j % p] * k[j]))
-        if j + 1 < steps:
-            k.append(k[j] * delta[j] + g[(j + 1) % p])
-    return CurvatureTrace(np.array(k), np.array(delta), k0)
+    steps = p if steps is None else steps
+    cap = p if orbit.kind == "segment" else math.inf
+    if not 1 <= steps <= cap:
+        raise ValueError(f"steps must lie in 1..{cap}, got {steps}")
+    d, g = _orbit_dg(orbit)
+    return CurvatureTrace(*_recurse(d, g, float(k0), steps), k0)
 
 
 def periodic_curvature_fixed_point(orbit: BilliardOrbit) -> CurvatureTrace:
-    """Periodic trace: the unique positive fixed point of the full cycle."""
+    """Periodic trace: the unique positive fixed point of the full cycle,
+    closed exactly (module docstring); step j maps k[j] to k[j+1] by the
+    matrix [[1 + g[j+1] d[j], g[j+1]], [d[j], 1]]."""
     if orbit.kind != "periodic":
         raise ValueError("fixed point needs a periodic orbit")
-    p = len(orbit.records)
-    d, g, _ = _orbit_dgc(orbit)
-    k = g.copy()
-    for _ in range(500):
-        prev = k.copy()
-        for j in range(p):
-            nxt = (j + 1) % p
-            k[nxt] = k[j] / (1.0 + d[j] * k[j]) + g[nxt]
-        if float(np.abs(k - prev).max()) < _FIXED_POINT_TOL:
-            break
-    else:
-        raise SolveError("curvature fixed point iteration did not settle")
-    delta = 1.0 / (1.0 + d * k)
-    return CurvatureTrace(k, delta, math.nan)
-
-
-def lyapunov_bounds(bounds: TableBounds) -> tuple[float, float]:
-    """A priori per-flight bracket [log(1+d_min k_min), log(1+d_max k_max)]."""
-    return (math.log1p(bounds.d_min * bounds.k_min),
-            math.log1p(bounds.d_max * bounds.k_max))
+    d, g = _orbit_dg(orbit)
+    k0 = _cycle_fixed_point((1.0 + gn * dj, gn, dj)
+                            for dj, gn in zip(d, g[1:] + g[:1]))
+    return CurvatureTrace(*_recurse(d, g, k0, len(d)), math.nan)
 
 
 def _window(orbit: BilliardOrbit, burn_in: Optional[int],
@@ -136,7 +150,7 @@ def _window(orbit: BilliardOrbit, burn_in: Optional[int],
 
     A periodic orbit is averaged over its full period, and a window that
     asks for anything else is refused.  A segment averages its first m
-    flights (default all) less ``burn_in`` (default ``_DEFAULT_BURN_IN``).
+    flights (default all) less ``burn_in`` (default ``DEFAULT_BURN_IN``).
     """
     p = len(orbit.records)
     if orbit.kind == "periodic":
@@ -148,17 +162,15 @@ def _window(orbit: BilliardOrbit, burn_in: Optional[int],
     m_use = p if m is None else m
     if not 1 <= m_use <= p:
         raise ValueError(f"m must lie in 1..{p}")
-    burn = _DEFAULT_BURN_IN if burn_in is None else burn_in
+    burn = DEFAULT_BURN_IN if burn_in is None else burn_in
     if not 0 <= burn < m_use:
         raise ValueError("burn-in must leave at least one flight")
     return burn, m_use
 
 
-def _segment_estimate(orbit: BilliardOrbit, k0: float, burn: int,
-                      m_use: int):
-    """(mean of flights burn..m_use-1, trace) of a segment seeded with k0."""
-    trace = propagate_curvature(orbit, k0, m_use)
-    return float((-np.log(trace.delta))[burn:].mean()), trace
+def _flight_mean(trace: CurvatureTrace, burn: int) -> float:
+    """Mean of log(1 + d_j k_j) over the trace's flights from ``burn``."""
+    return float((-np.log(trace.delta))[burn:].mean())
 
 
 def lyapunov_estimate(orbit: BilliardOrbit, burn_in: Optional[int] = None,
@@ -168,18 +180,22 @@ def lyapunov_estimate(orbit: BilliardOrbit, burn_in: Optional[int] = None,
 
     Periodic orbits use the cycle fixed point (exact per-period mean, no
     seed, no burn-in; any other window is refused).  Segments propagate
-    from the default seed k0 and discard ``burn_in`` flights.
+    from the default seed k0 and discard ``burn_in`` flights.  The
+    bracket comes from ``bounds``, which must be taken at the orbit's alpha.
     """
-    lower, upper = lyapunov_bounds(bounds) if bounds is not None \
-        else (math.nan, math.nan)
+    if bounds is not None and bounds.alpha != orbit.alpha:
+        raise ValueError(f"bounds at alpha = {bounds.alpha} given for an "
+                         f"orbit at alpha = {orbit.alpha}")
     burn, m_use = _window(orbit, burn_in, m)
     if orbit.kind == "periodic":
         trace = periodic_curvature_fixed_point(orbit)
-        lam = float((-np.log(trace.delta)).mean())
-        return LyapunovReport(lam, m_use, lower, upper, trace)
-    lam, trace = _segment_estimate(orbit, default_seed_curvature(orbit), burn,
-                                   m_use)
-    return LyapunovReport(lam, m_use - burn, lower, upper, trace)
+    else:
+        trace = propagate_curvature(orbit, default_seed_curvature(orbit),
+                                    m_use)
+    lower, upper = (math.nan, math.nan) if bounds is None \
+        else (bounds.lower, bounds.upper)
+    return LyapunovReport(_flight_mean(trace, burn), m_use - burn, lower,
+                          upper, trace)
 
 
 def seed_sensitivity(orbit: BilliardOrbit, burn_in: Optional[int] = None,
@@ -191,8 +207,9 @@ def seed_sensitivity(orbit: BilliardOrbit, burn_in: Optional[int] = None,
     if orbit.kind == "periodic":
         return 0.0
     k0 = default_seed_curvature(orbit)
-    return abs(_segment_estimate(orbit, 2.0 * k0, burn, m_use)[0]
-               - _segment_estimate(orbit, 0.5 * k0, burn, m_use)[0])
+    return abs(_flight_mean(propagate_curvature(orbit, 2.0 * k0, m_use), burn)
+               - _flight_mean(propagate_curvature(orbit, 0.5 * k0, m_use),
+                              burn))
 
 
 def kdot_trace(orbit: BilliardOrbit, derivs: AlphaDerivatives,
@@ -202,7 +219,7 @@ def kdot_trace(orbit: BilliardOrbit, derivs: AlphaDerivatives,
     Differentiating k[j+1] = k[j] delta[j] + g[j+1] gives the linear
     recursion with factor beta = delta^2; segments start from
     k_dot[0] = 0 (the seed is held fixed), periodic traces close the
-    cycle with the geometric-series formula.
+    cycle exactly through the affine steps [[beta, forcing], [0, 1]].
     """
     p = len(orbit.records)
     steps = len(trace.k)
@@ -217,11 +234,7 @@ def kdot_trace(orbit: BilliardOrbit, derivs: AlphaDerivatives,
     if orbit.kind == "segment":
         k_dot = [0.0]
     else:
-        acc = 0.0
-        for j in range(p):
-            acc = b[j] * acc + f[j]
-        # acc maps k_dot[0] = 0 once around; solve the affine fixed point
-        k_dot = [acc / (1.0 - float(np.prod(beta)))]
+        k_dot = [_cycle_fixed_point((bj, fj, 0.0) for bj, fj in zip(b, f))]
     for j in range(steps - 1):
         k_dot.append(b[j] * k_dot[j] + f[j])
     return KdotTrace(np.array(k_dot), beta, forcing)
@@ -299,8 +312,8 @@ def _node_data(family, orbit, j, alpha):
 
 
 def jacobian_lyapunov_oracle(word: Word, family: DeformationFamily, alpha: float,
-                             m: Optional[int] = None, h: float = 1e-6, *,
-                             orbit: BilliardOrbit,
+                             m: Optional[int] = None, h: float = DEFAULT_H_FD,
+                             *, orbit: BilliardOrbit,
                              burn_in: Optional[int] = None) -> float:
     """Exponent from finite-difference Jacobians of the boundary map.
 

@@ -31,6 +31,7 @@ from .geometry import (DeformationFamily, curvature_partials,  # noqa: F401
 
 TOL_ORBIT = 1e-11       # convergence threshold on the sup-norm of the length gradient
 TOL_SHADOW = 1e-9       # admissible first-order truncation bound of a core
+DEFAULT_PADDING = 12    # minimum pad depth of open chains on each side
 MAX_PADDING = 64        # open chains are deepened by 4 pads up to this depth
 COND_LIMIT = 1e12       # chain Hessians worse than this are rejected for derivatives
 _GD_TRIGGER = 0.5       # seed residual above which gradient descent runs first
@@ -631,7 +632,7 @@ def _segment_solve(table, words, depth, inits, tol):
 
 
 def find_orbits(words, family: DeformationFamily, alpha: float, inits=None,
-                padding: int = 12, tol: float = TOL_ORBIT,
+                padding: int = DEFAULT_PADDING, tol: float = TOL_ORBIT,
                 shadow_check: bool = True) -> list:
     """Orbits realizing a batch of words at one alpha.
 
@@ -724,7 +725,8 @@ def find_periodic_orbit(word: Word, family: DeformationFamily, alpha: float,
 
 
 def find_orbit_segment(word: Word, family: DeformationFamily, alpha: float,
-                       padding: int = 12, init=None, tol: float = TOL_ORBIT,
+                       padding: int = DEFAULT_PADDING, init=None,
+                       tol: float = TOL_ORBIT,
                        shadow_check: bool = True) -> BilliardOrbit:
     """Trapped-orbit piece realizing an open word: a batch of one through
     ``find_orbits``, which says how the word is padded and deepened."""

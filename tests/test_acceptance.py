@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from billiard_lab import (Word, front_expansion_check,
-                          jacobian_lyapunov_oracle, lyapunov_bounds,
-                          lyapunov_estimate, orbit_alpha_derivatives,
+                          jacobian_lyapunov_oracle, lyapunov_estimate,
+                          orbit_alpha_derivatives,
                           periodic_curvature_fixed_point, propagate_curvature,
                           sample_itinerary)
 from billiard_lab.cli import main
@@ -111,7 +111,7 @@ def test_criterion_05_bracket_membership(two_circle_cfg, breathe_cfg,
         alphas = (0.0, 0.5 * b, b)
         for alpha, tb in zip(alphas, table_bounds(cfg.family, alphas,
                                                   cfg.phi_max)):
-            lo, hi = lyapunov_bounds(tb)
+            lo, hi = tb.lower, tb.upper
             for ident, word in cfg.words:
                 orbit = solve_word(cfg, word, alpha)
                 burn = None if orbit.kind == "periodic" \

@@ -21,7 +21,7 @@ from billiard_lab import (AlphaRangeError, ConvexityError, DeformationFamily,
                           boundary_pair_extremes,
                           check_no_eclipse, circle, curvature,
                           curvature_partials, ellipse, find_orbit_segment,
-                          find_periodic_orbit, lyapunov_bounds, partial_jet,
+                          find_periodic_orbit, partial_jet,
                           phi_max_from_observation, table_bounds,
                           validate_family)
 from billiard_lab import geometry
@@ -617,7 +617,7 @@ def test_table_bounds_two_circle_exact():
     assert tb.phi_max == 0.0
     assert tb.k_min == pytest.approx(2.0, abs=1e-12)
     assert tb.k_max == pytest.approx(0.5 + 2.0, abs=1e-10)
-    lo, hi = lyapunov_bounds(tb)
+    lo, hi = tb.lower, tb.upper
     assert lo == pytest.approx(math.log(5.0), abs=1e-9)
     assert hi == pytest.approx(math.log(6.0), abs=1e-9)
 

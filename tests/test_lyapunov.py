@@ -3,18 +3,18 @@ the independent Jacobian oracle."""
 
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from billiard_lab import (GeometryError, Word, default_seed_curvature,
                           f_derivative_sum, find_orbit_segment,
                           find_periodic_orbit, front_expansion_check,
                           jacobian_lyapunov_oracle, kdot_trace,
-                          lyapunov_bounds, lyapunov_estimate,
-                          orbit_alpha_derivatives,
+                          lyapunov_estimate, orbit_alpha_derivatives,
                           periodic_curvature_fixed_point, propagate_curvature,
                           sample_itinerary, seed_sensitivity, table_bounds)
 
@@ -61,6 +61,9 @@ def test_propagate_curvature_validates():
         propagate_curvature(orb, 0.0)
     with pytest.raises(ValueError):
         propagate_curvature(orb, 2.0, steps=len(orb.records) + 1)
+    for steps in (0, -1):
+        with pytest.raises(ValueError, match="must lie in 1"):
+            propagate_curvature(orb, 2.0, steps=steps)
 
 
 def test_periodic_fixed_point_two_circle():
@@ -84,6 +87,52 @@ def test_periodic_fixed_point_closes_the_cycle():
         assert tr.k[nxt] == pytest.approx(expect, abs=1e-12)
     with pytest.raises(ValueError):
         periodic_curvature_fixed_point(_segment_fixture()[2])
+
+
+def _cycle_of(d, g):
+    """A stand-in periodic orbit whose flights are d and whose reflection
+    kicks 2 kappa / cos phi are g (phi = 0, so g is exact)."""
+    records = SimpleNamespace(d=np.array(d), kappa=np.array(g) / 2.0,
+                              phi=np.zeros(len(d)))
+    return SimpleNamespace(kind="periodic", records=records)
+
+
+def _iterated_fixed_point(d, g):
+    """The cycle's curvatures by plain iteration of the recursion: the
+    reference for the closed form.  With d, g >= 0.5 every flight
+    contracts the curvature error by delta^2 <= 0.64, so 100 sweeps
+    leave only rounding."""
+    p = len(d)
+    k = list(g)
+    for _ in range(100):
+        for j in range(p):
+            k[(j + 1) % p] = k[j] / (1.0 + d[j] * k[j]) + g[(j + 1) % p]
+    return np.array(k)
+
+
+_LONG_RNG = np.random.default_rng(400)
+_LONG_CYCLE = (_LONG_RNG.uniform(0.5, 10.0, 400).tolist(),
+               _LONG_RNG.uniform(0.5, 10.0, 400).tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda p: st.tuples(
+    st.lists(st.floats(0.5, 10.0), min_size=p, max_size=p),
+    st.lists(st.floats(0.5, 10.0), min_size=p, max_size=p))))
+@example(_LONG_CYCLE)
+def test_cycle_closure_is_the_fixed_point(dg):
+    d, g = dg
+    p = len(d)
+    tr = periodic_curvature_fixed_point(_cycle_of(d, g))
+    # finite even for the 400-cycle, whose unscaled product overflows
+    assert np.isfinite(tr.k).all() and np.isfinite(tr.delta).all()
+    assert tr.k[0] > 0.0 and len(tr.k) == len(tr.delta) == p
+    # one more flight from k[p-1] returns to k[0]
+    closed = tr.k[-1] * tr.delta[-1] + g[0]
+    assert closed == pytest.approx(tr.k[0], rel=1e-13, abs=0.0)
+    np.testing.assert_allclose(tr.k, _iterated_fixed_point(d, g),
+                               rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(tr.delta, 1.0 / (1.0 + np.array(d) * tr.k))
 
 
 # -------------------------------------------------------- estimates
@@ -128,9 +177,15 @@ def test_segment_estimate_window_and_diagnostics():
         lyapunov_estimate(orb, burn_in=35, m=35)
 
 
+def test_estimate_refuses_bounds_at_another_alpha():
+    fam, word, orb = _segment_fixture()
+    with pytest.raises(ValueError, match="bounds at alpha = 0.1"):
+        lyapunov_estimate(orb, bounds=table_bounds(fam, 0.1))
+
+
 def test_estimate_within_a_priori_bracket():
     tb = _three_circle_bounds()
-    lo, hi = lyapunov_bounds(tb)
+    lo, hi = tb.lower, tb.upper
     fam, word, orb = _segment_fixture()
     rep = lyapunov_estimate(orb, bounds=tb)
     assert lo <= rep.lambda_m <= hi
