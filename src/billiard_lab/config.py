@@ -1,9 +1,9 @@
 """Flat text configuration for tables and experiment runs.
 
-Format: one ``key = value`` per line, values as JSON fragments, ``#``
-comments (quote-aware).  Obstacles use dotted keys ``obstacleN.field``
-with N counting from 1.  Unknown keys are rejected rather than ignored
-so typos fail loudly.
+Format: one ``key = value`` per line, values as JSON fragments (no NaN
+or Infinity); a ``#`` comment may fill a line or follow a value.
+Obstacles use dotted keys ``obstacleN.field`` with N counting from 1.
+Unknown keys are rejected rather than ignored so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -47,46 +47,35 @@ class LabConfig:
     output_dir: str
 
 
-def _strip_comment(line: str) -> str:
-    out = []
-    in_str = False
-    esc = False
-    for ch in line:
-        if in_str:
-            out.append(ch)
-            if esc:
-                esc = False
-            elif ch == "\\":
-                esc = True
-            elif ch == '"':
-                in_str = False
-        else:
-            if ch == "#":
-                break
-            out.append(ch)
-            if ch == '"':
-                in_str = True
-    return "".join(out)
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# Python's json reads NaN and +-Infinity, which JSON has no literal for
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def _parse_lines(text: str) -> dict:
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
+        key, eq, value = raw.partition("=")
+        if "#" in key or not eq:
+            # a blank or comment line, unless text precedes the comment
+            if key.partition("#")[0].strip():
+                raise ConfigError(f"line {lineno}: expected 'key = value'")
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
+        key, value = key.strip(), value.lstrip()
+        if not key or not value or value.startswith("#"):
             raise ConfigError(f"line {lineno}: empty key or value")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            entries[key] = json.loads(value)
-        except json.JSONDecodeError as exc:
+            # the decoder finds where the value ends; a comment may follow
+            entries[key], end = _DECODER.raw_decode(value)
+            rest = value[end:].lstrip()
+            if rest and rest[0] != "#":
+                raise json.JSONDecodeError("Extra data", value, end)
+        except ValueError as exc:
             raise ConfigError(
                 f"line {lineno}: value for {key!r} is not valid JSON: {exc}") \
                 from exc

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -72,10 +72,6 @@ def _poly_der(c: np.ndarray, n: int = 1) -> np.ndarray:
             return np.zeros(1, dtype=c.dtype)
         c = c[1:] * np.arange(1, c.shape[0])
     return c
-
-
-def _poly_eval(c, x):
-    return np.polynomial.polynomial.polyval(x, np.asarray(c))
 
 
 @dataclass(frozen=True)
@@ -173,21 +169,40 @@ class DeformationFamily:
             raise AlphaRangeError(
                 f"alpha = {alpha} outside the declared range [0, {self.alpha_max}]")
 
+    @cached_property
+    def alpha_stack(self) -> np.ndarray:
+        """Every alpha-polynomial of the table, built on first use and
+        evaluated once per snapshot by ``TableAt``.
 
-def _axis_polys(spec: ObstacleSpec, orders: int):
-    """Complex alpha-polynomials P_n, Q_n, n = 0..orders-1, with
+        Coefficients run lowest order first along axis 0, zero-padded to
+        one length.  Column i is obstacle i (column 0 is zero).  Row 0 is
+        psi; then come, for m = 0..r' in turn, the complex polynomials
+        P_m, Q_m of
 
-        d^n/da^n [e^{i psi}(A cos u + i B sin u)] = e^{i psi}(P_n cos u + i Q_n sin u),
+            d^m/da^m [e^{i psi}(A cos u + i B sin u)] = e^{i psi}(P_m cos u + i Q_m sin u),
 
-    obtained from the recursion P_{n+1} = P_n' + i psi' P_n (and likewise Q)."""
-    a, b, psi = spec.axes()
-    psip = _poly_der(np.asarray(psi, float))
-    p = np.asarray(a, complex)
-    q = np.asarray(b, complex)
-    for _ in range(orders):
-        yield p, q
-        p = _rot_step(p, psip)
-        q = _rot_step(q, psip)
+        from the recursion P_{m+1} = P_m' + i psi' P_m (and likewise Q),
+        and the m-th derivatives of the centre's x and y.
+        """
+        orders = self.smoothness[1] + 1
+        columns = [[np.zeros(1)] * (1 + 4 * orders)]
+        for spec in self.obstacles:
+            a, b, psi = spec.axes()
+            psip = _poly_der(np.asarray(psi, float))
+            p, q = [np.asarray(a, complex)], [np.asarray(b, complex)]
+            for _ in range(orders - 1):
+                p.append(_rot_step(p[-1], psip))
+                q.append(_rot_step(q[-1], psip))
+            cx, cy = ([_poly_der(np.asarray(c, float), m) for m in range(orders)]
+                      for c in (spec.center_x, spec.center_y))
+            columns.append([np.asarray(psi, float), *p, *q, *cx, *cy])
+        stack = np.zeros((max(len(c) for col in columns for c in col),
+                          len(columns[0]), len(columns)), complex)
+        for i, col in enumerate(columns):
+            for k, c in enumerate(col):
+                stack[:len(c), k, i] = c
+        stack.flags.writeable = False
+        return stack
 
 
 def _rot_step(c: np.ndarray, psip: np.ndarray) -> np.ndarray:
@@ -226,30 +241,19 @@ class TableAt:
 
     def __init__(self, family: DeformationFamily, alpha: float):
         family.check_alpha(alpha)
-        n = family.z0 + 1
-        orders = family.smoothness[1] + 1
-        self.p = np.zeros((orders, n), complex)        # P_m(alpha)
-        self.iq = np.zeros((orders, n), complex)       # i Q_m(alpha)
-        self.center = np.zeros((orders, n), complex)   # d^m/dalpha^m of the centre
-        self.phase = np.ones(n, complex)               # e^{i psi}
-        self.center_xy = np.zeros((n, 2))
-        self.axes = np.ones((n, 2))                    # semi-axes (A, B)
-        self.rotation = np.zeros((n, 2, 2))            # rotation by -psi
-        for i, spec in enumerate(family.obstacles, start=1):
-            a, b, psi = spec.axes()
-            psiv = _poly_eval(psi, alpha)
-            self.phase[i] = np.exp(1j * psiv)
-            cp, sp = math.cos(psiv), math.sin(psiv)
-            self.rotation[i] = (cp, sp), (-sp, cp)
-            self.axes[i] = float(_poly_eval(a, alpha)), float(_poly_eval(b, alpha))
-            self.center_xy[i] = (float(_poly_eval(spec.center_x, alpha)),
-                                 float(_poly_eval(spec.center_y, alpha)))
-            for m, (p, q) in enumerate(_axis_polys(spec, orders)):
-                self.p[m, i] = _poly_eval(p, alpha)
-                self.iq[m, i] = 1j * _poly_eval(q, alpha)
-                cx = _poly_eval(_poly_der(np.asarray(spec.center_x, float), m), alpha)
-                cy = _poly_eval(_poly_der(np.asarray(spec.center_y, float), m), alpha)
-                self.center[m, i] = cx + 1j * cy
+        values = np.polynomial.polynomial.polyval(alpha, family.alpha_stack)
+        psi = values[0]
+        p, q, cx, cy = values[1:].reshape(4, -1, family.z0 + 1)
+        self.p = p                                     # P_m(alpha)
+        self.iq = 1j * q                               # i Q_m(alpha)
+        self.center = cx + 1j * cy                     # d^m/dalpha^m of the centre
+        self.phase = np.exp(1j * psi)                  # e^{i psi}
+        self.center_xy = np.stack([cx[0].real, cy[0].real], axis=-1)
+        self.axes = np.stack([p[0].real, q[0].real], axis=-1)   # semi-axes (A, B)
+        # sin(-0.0) is -0.0, a sign that 1j * psi drops from the phase
+        c, s = self.phase.real, np.where(psi == 0.0, psi.real, self.phase.imag)
+        self.rotation = np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
+        self.axes[0], self.rotation[0] = 1.0, 0.0      # row 0 is no obstacle
         for arr in (self.p, self.iq, self.center, self.phase, self.center_xy,
                     self.axes, self.rotation):
             arr.flags.writeable = False

@@ -2,6 +2,7 @@
 validation failures that must fail loudly."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,9 +48,15 @@ def test_minimal_config_parses(tmp_path):
 
 
 def test_comments_and_quoted_hash(tmp_path):
-    text = MINIMAL + '\noutput_dir = "out#dir"  # trailing comment\n# full line\n'
+    text = (MINIMAL.replace("alpha_max = 0.5", "alpha_max = 0.5# no space")
+            .replace('words = ["1,2"]', 'words = ["1,2"]  # "quoted"')
+            + '\noutput_dir = "out#dir"  # trailing comment\n# full line\n'
+            + "phi_max = 0.25 # = 0.3\n   # indented = comment\n")
     cfg = load_config(write(tmp_path, text))
     assert cfg.output_dir == "out#dir"
+    assert cfg.family.alpha_max == 0.5
+    assert cfg.words == (("1-2", Word((1, 2))),)
+    assert cfg.phi_max == 0.25
 
 
 def test_shipped_configs_load():
@@ -142,6 +149,38 @@ def test_wrong_value_types_fail_loudly(tmp_path, mutation, needle):
 def test_non_json_value_rejected(tmp_path):
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(write(tmp_path, MINIMAL + "\nseed = yes\n"))
+
+
+@pytest.mark.parametrize("line,needle", [
+    ("seed", "expected 'key = value'"),
+    ("seed # = 1", "expected 'key = value'"),
+    ("seed = # 1", "empty key or value"),
+    (" = 1", "empty key or value"),
+    ("seed = 0.4x", "value for 'seed' is not valid JSON"),
+    ('output_dir = "a" "b"', "value for 'output_dir' is not valid JSON"),
+    ("alpha_max = 0.5 # again", "duplicate key 'alpha_max'"),
+])
+def test_malformed_lines_name_their_line(tmp_path, line, needle):
+    text = MINIMAL + line + "\n"
+    lineno = len(text.splitlines())
+    with pytest.raises(ConfigError, match=rf"^line {lineno}: {needle}"):
+        load_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("key,value,constant", [
+    ("alpha_max", "Infinity", "Infinity"),
+    ("obstacle1.radius", "[1.0, NaN]", "NaN"),
+    ("phi_max", "-Infinity", "-Infinity"),
+])
+def test_nan_and_infinity_are_not_json(tmp_path, key, value, constant):
+    # Python's json reads these literals; a config refuses them while
+    # parsing, naming the line and the key
+    lines = [ln for ln in MINIMAL.splitlines() if not ln.startswith(key + " ")]
+    lines.insert(3, f"{key} = {value}")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"line 4: value for {key!r} is not valid JSON: "
+            f"{constant} is not a JSON number")):
+        load_config(write(tmp_path, "\n".join(lines)))
 
 
 def test_validation_can_be_deferred(tmp_path):

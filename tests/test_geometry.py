@@ -153,6 +153,144 @@ def test_table_snapshot_is_shared_and_read_only():
         table_at(fam, 0.5)
 
 
+_SNAPSHOT_ARRAYS = ("p", "iq", "center", "phase", "center_xy", "axes",
+                    "rotation")
+
+
+def _reference_snapshot(family, alpha):
+    """The snapshot arrays built one obstacle and one order at a time,
+    every polynomial derived and evaluated at this alpha alone."""
+    polyval = np.polynomial.polynomial.polyval
+    n = family.z0 + 1
+    orders = family.smoothness[1] + 1
+    ref = dict(p=np.zeros((orders, n), complex),
+               iq=np.zeros((orders, n), complex),
+               center=np.zeros((orders, n), complex),
+               phase=np.ones(n, complex), center_xy=np.zeros((n, 2)),
+               axes=np.ones((n, 2)), rotation=np.zeros((n, 2, 2)))
+    for i, spec in enumerate(family.obstacles, start=1):
+        a, b, psi = spec.axes()
+        psiv = polyval(alpha, np.asarray(psi))
+        ref["phase"][i] = np.exp(1j * psiv)
+        cp, sp = math.cos(psiv), math.sin(psiv)
+        ref["rotation"][i] = (cp, sp), (-sp, cp)
+        ref["axes"][i] = (float(polyval(alpha, np.asarray(a))),
+                          float(polyval(alpha, np.asarray(b))))
+        ref["center_xy"][i] = (float(polyval(alpha, np.asarray(spec.center_x))),
+                               float(polyval(alpha, np.asarray(spec.center_y))))
+        psip = geometry._poly_der(np.asarray(psi, float))
+        p, q = np.asarray(a, complex), np.asarray(b, complex)
+        for m in range(orders):
+            ref["p"][m, i] = polyval(alpha, p)
+            ref["iq"][m, i] = 1j * polyval(alpha, q)
+            cx, cy = (polyval(alpha, geometry._poly_der(np.asarray(c, float), m))
+                      for c in (spec.center_x, spec.center_y))
+            ref["center"][m, i] = cx + 1j * cy
+            p = geometry._rot_step(p, psip)
+            q = geometry._rot_step(q, psip)
+    return ref
+
+
+def _hex(arr):
+    """``float.hex`` of every real and imaginary part, with the shape."""
+    arr = np.asarray(arr)
+    parts = (arr.real, arr.imag) if np.iscomplexobj(arr) else (arr,)
+    return arr.shape, [[float.hex(float(x)) for x in part.ravel()]
+                       for part in parts]
+
+
+def _assert_snapshot_is_reference(family, alpha):
+    table = geometry.TableAt(family, alpha)
+    ref = _reference_snapshot(family, alpha)
+    for name in _SNAPSHOT_ARRAYS:
+        arr = getattr(table, name)
+        assert _hex(arr) == _hex(ref[name]), (name, alpha)
+        assert not arr.flags.writeable, name
+
+
+def _slack_alphas(family):
+    slack = geometry.ALPHA_SLACK_REL * max(family.alpha_max, 1.0)
+    return (-slack, 0.0, family.alpha_max, family.alpha_max + slack)
+
+
+_COEFF = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _random_families(draw):
+    """Circles and ellipses of 2-5 obstacles whose parameters are
+    polynomials of degree up to r', rotations of degree >= 2."""
+    rp = draw(st.integers(0, 3))
+    z0 = draw(st.integers(2, 5))
+
+    def poly(lead, degree=None):
+        degree = draw(st.integers(0, rp)) if degree is None else degree
+        return (lead,) + tuple(draw(_COEFF) for _ in range(degree))
+
+    obstacles = []
+    for _ in range(z0):
+        centre = poly(draw(st.floats(-5.0, 5.0))), poly(draw(st.floats(-5.0, 5.0)))
+        if draw(st.booleans()):
+            obstacles.append(ObstacleSpec("circle", *centre,
+                                          radius=poly(draw(st.floats(0.2, 2.0)))))
+        else:
+            obstacles.append(ObstacleSpec(
+                "ellipse", *centre,
+                semi_axis_a=poly(draw(st.floats(0.2, 2.0))),
+                semi_axis_b=poly(draw(st.floats(0.2, 2.0))),
+                rotation=poly(draw(st.floats(-3.0, 3.0)),
+                              draw(st.integers(2, max(rp, 2))))))
+    return DeformationFamily(tuple(obstacles), draw(st.floats(0.05, 2.0)),
+                             (5, rp), "period2" if z0 == 2 else "general")
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=_random_families(),
+       inner=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+@example(family=DeformationFamily(       # psi = -0.0 below alpha = 0
+    (circle(0.0, 0.0, 1.0), circle(4.0, 0.0, 1.0),
+     ellipse(2.0, 3.0, 1.0, 0.5, (-0.0, 0.0, 0.0))), 0.4, (5, 2)),
+    inner=[0.5])
+def test_snapshot_evaluates_the_family_stack_as_the_reference(family, inner):
+    # one evaluation of the per-family stack gives every array of the
+    # per-alpha construction bit for bit, at both slack ends too
+    for alpha in _slack_alphas(family) + tuple(f * family.alpha_max
+                                               for f in inner):
+        _assert_snapshot_is_reference(family, alpha)
+
+
+@pytest.mark.parametrize("cfg_name", ["two_circle_cfg", "breathe_cfg",
+                                      "mixed_cfg"])
+def test_shipped_snapshots_equal_the_reference(cfg_name, request):
+    family = request.getfixturevalue(cfg_name).family
+    for alpha in (np.linspace(0.0, family.alpha_max, VALIDATION_ALPHAS).tolist()
+                  + list(_slack_alphas(family))):
+        _assert_snapshot_is_reference(family, alpha)
+
+
+def test_snapshots_make_no_polynomial_algebra(monkeypatch, breathe_cfg):
+    # the recursion runs once, while the family's stack is built; the
+    # 65 validation snapshots then only evaluate it
+    family = dataclasses.replace(breathe_cfg.family)
+    calls = []
+    real_step = geometry._rot_step
+    monkeypatch.setattr(geometry, "_rot_step",
+                        lambda *args: calls.append(1) or real_step(*args))
+    stack = family.alpha_stack
+    built = len(calls)
+    assert built == 2 * family.smoothness[1] * family.z0
+    assert family.alpha_stack is stack
+    assert not stack.flags.writeable
+    for alpha in np.linspace(0.0, family.alpha_max, VALIDATION_ALPHAS):
+        geometry.TableAt(family, float(alpha))
+    assert len(calls) == built
+    # the stack is a memo, not a field: equality, hashing and repr
+    # ignore it
+    assert family == breathe_cfg.family
+    assert hash(family) == hash(breathe_cfg.family)
+    assert "alpha_stack" not in repr(family)
+
+
 def test_curvature_partials_accept_symbol_arrays():
     fam = deformed_ellipse_family()
     rng = np.random.default_rng(3)

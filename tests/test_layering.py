@@ -40,29 +40,38 @@ def test_module_import_graph_is_pinned():
         assert nested == ({"symbolic"} if name == "geometry" else set()), name
 
 
-def _lru_cached(tree):
-    """Names of the functions in ``tree`` that ``functools.lru_cache``
-    decorates, bare or called, imported or qualified."""
+def _memos(tree, prefix=""):
+    """Qualified names (``Class.method`` inside a class) of the functions
+    in ``tree`` that ``functools.lru_cache`` or
+    ``functools.cached_property`` decorates, bare or called, imported or
+    qualified."""
     found = set()
-    for node in ast.walk(tree):
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            found |= _memos(node, f"{prefix}{node.name}.")
+            continue
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= _memos(node, prefix)
             continue
         for dec in node.decorator_list:
             target = dec.func if isinstance(dec, ast.Call) else dec
             name = target.attr if isinstance(target, ast.Attribute) \
                 else getattr(target, "id", None)
-            if name == "lru_cache":
-                found.add(node.name)
+            if name in ("lru_cache", "cached_property"):
+                found.add(prefix + node.name)
+        found |= _memos(node, f"{prefix}{node.name}.")
     return found
 
 
 def test_lru_caches_are_pinned():
-    # the table snapshot and the phi corpus are the package's only memos
+    # the table snapshot, the phi corpus and each family's alpha-polynomial
+    # stack are the package's only memos
     cached = set()
     for path in sorted(PACKAGE.glob("*.py")):
         cached |= {f"{path.stem}.{name}"
-                   for name in _lru_cached(ast.parse(path.read_text()))}
-    assert cached == {"geometry.table_at", "geometry._phi_corpus"}
+                   for name in _memos(ast.parse(path.read_text()))}
+    assert cached == {"geometry.table_at", "geometry._phi_corpus",
+                      "geometry.DeformationFamily.alpha_stack"}
 
 
 def _dotted_names(tree):

@@ -15,7 +15,7 @@ from billiard_lab import (AlphaDerivatives, BilliardOrbit, DeformationFamily,
                           circle, ellipse, enumerate_cyclic_words,
                           find_orbit_segment, find_orbits, find_periodic_orbit,
                           is_admissible, orbit_alpha_derivatives,
-                          sample_itinerary)
+                          sample_itinerary, validate_family)
 from billiard_lab.geometry import PHI_PADDING, _phi_corpus, table_at
 from billiard_lab import symbolic
 from billiard_lab.symbolic import (TOL_ORBIT, TOL_SHADOW, _chain_length,
@@ -672,6 +672,30 @@ def test_segment_without_shadow_check():
     assert math.isnan(orb.shadow_gap)
     assert orb.core_start == 6
     assert len(orb.records) == 10
+
+
+def test_crude_seeds_descend_before_newton(monkeypatch):
+    # a random admissible ellipse table on which Newton from the crude
+    # seed alone lands on a nonphysical chain; the descent phase, run
+    # while the residual exceeds _GD_TRIGGER, reaches the physical one
+    fam = DeformationFamily((
+        ellipse(2.5586394776277346, -0.18249793772906206,
+                [0.9107613721479844, 0.2648593939729395], 1.8723794234639424,
+                [0.1866238946472049, 0.1685383412212662]),
+        ellipse(-1.0056021942498994, 2.359810522196703,
+                [1.4084835699475569, -0.21397625241271317], 1.955901382507363,
+                [1.2131096302030224, -0.31691837294525715]),
+        ellipse(-1.0920021352295577, -2.3210930206272598,
+                [1.6836312791299557, -0.1756931764162057], 0.3769739366352019,
+                [1.168991220984931, 0.9213156189619367])), 0.4)
+    validate_family(fam)
+    word = Word((3, 1, 3, 1, 3, 2), False)
+    orb = find_orbit_segment(word, fam, 0.4)
+    assert orb.residual <= TOL_ORBIT
+    assert orb.core_start == 20
+    monkeypatch.setattr(symbolic, "_GD_TRIGGER", math.inf)
+    with pytest.raises(SolveError, match="nonphysical"):
+        find_orbit_segment(word, fam, 0.4)
 
 
 def test_shallow_padding_is_a_worse_approximation():
