@@ -1,7 +1,8 @@
 """Flat text configuration for tables and experiment runs.
 
 Format: one ``key = value`` per line, values as JSON fragments (no NaN
-or Infinity); a ``#`` comment may fill a line or follow a value.
+or Infinity, and no number beyond the float range); a ``#`` comment may
+fill a line or follow a value.
 Obstacles use dotted keys ``obstacleN.field`` with N counting from 1.
 Unknown keys are rejected rather than ignored so typos fail loudly.
 """
@@ -51,8 +52,24 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-# Python's json reads NaN and +-Infinity, which JSON has no literal for
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise OverflowError
+    return value
+
+
+def _float_sized_int(text: str) -> int:
+    value = int(text)
+    float(value)            # OverflowError beyond the float range
+    return value
+
+
+# Python's json reads NaN and +-Infinity, which JSON has no literal for,
+# reads 1e400 as inf, and keeps integers that no float can hold
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant,
+                            parse_float=_finite_float,
+                            parse_int=_float_sized_int)
 
 
 def _parse_lines(text: str) -> dict:
@@ -79,6 +96,9 @@ def _parse_lines(text: str) -> dict:
             raise ConfigError(
                 f"line {lineno}: value for {key!r} is not valid JSON: {exc}") \
                 from exc
+        except OverflowError as exc:
+            raise ConfigError(f"line {lineno}: value for {key!r} holds a "
+                              f"number beyond the float range") from exc
     return entries
 
 

@@ -31,7 +31,8 @@ TABLE_CACHE_SIZE = 256    # per-alpha snapshots kept by table_at
 BOUNDS_SAMPLES = 512      # seed directions of the support-function maxima
                           # (pair gaps, no-eclipse)
 VALIDATION_ALPHAS = 65    # alphas on which validate_family certifies the table
-SEARCH_CHUNK = 24         # rows per pass of the batched direction search
+SEARCH_CHUNK = 24         # frames, and rows, per block of the direction search's
+                          # start grid
 
 
 class GeometryError(ValueError):
@@ -353,23 +354,45 @@ def curvature_partials(family: DeformationFamily, obstacle_index, u, alpha: floa
     return kap, kap_u, kap_a
 
 
-def _frames(rows, role: int):
-    """Obstacle ``row[role]`` of each row's table as stacked transposed
-    rotations (R, 2, 2), semi-axes (R, 1, 2) and centres (R, 2, 1)."""
-    picks = [(row[0], row[role]) for row in rows]
-    return (np.stack([t.rotation[m].T for t, m in picks]),
-            np.stack([t.axes[m] for t, m in picks])[:, None, :],
-            np.stack([t.center_xy[m] for t, m in picks])[:, :, None])
+def _frame(frames: np.ndarray):
+    """Frame records, rows [R(-psi)^T (4), (A, B), centre (2)], as the
+    stacked transposed rotations (R, 2, 2), semi-axes (R, 1, 2) and
+    centres (R, 2, 1) that ``_support`` reads."""
+    return (np.ascontiguousarray(frames[:, :4]).reshape(-1, 2, 2),
+            np.ascontiguousarray(frames[:, 4:6])[:, None, :],
+            np.ascontiguousarray(frames[:, 6:])[:, :, None])
 
 
 def _support(frame, w: np.ndarray) -> np.ndarray:
     """Support functions h(w) = max over K of x.w = c.w + |diag(A, B)
-    R(-psi) w| of stacked frames at directions w of shape (R, n, 2).
-    Stacked matmul rounds as ``w @ rotation.T`` and ``w @ center`` do for
-    one obstacle; einsum does not."""
+    R(-psi) w| of R stacked frames at directions w of shape (R, n, 2),
+    or (n, 2) shared by every frame.  Stacked matmul rounds as
+    ``w @ rotation.T`` and ``w @ center`` do for one obstacle; einsum
+    does not."""
     rotation_t, axes, center = frame
     v = np.matmul(w, rotation_t) * axes
     return np.matmul(w, center)[..., 0] + np.hypot(v[..., 0], v[..., 1])
+
+
+def _distinct(frames: np.ndarray):
+    """The distinct frame records among ``frames`` and each record's
+    index among them.  Records are told apart by their bytes, so -0.0
+    and 0.0 differ and equal NaNs agree: records that share a key give
+    the same supports bit for bit."""
+    keys = np.ascontiguousarray(frames).view(
+        np.dtype((np.void, frames.shape[1] * frames.itemsize)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return frames[first], inverse
+
+
+def _grid_supports(frames: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``_support`` of each frame record at the shared directions w,
+    SEARCH_CHUNK frames at a time."""
+    out = np.empty((len(frames), len(w)))
+    for lo in range(0, len(frames), SEARCH_CHUNK):
+        out[lo:lo + SEARCH_CHUNK] = _support(
+            _frame(frames[lo:lo + SEARCH_CHUNK]), w)
+    return out
 
 
 def _max_over_directions(rows) -> np.ndarray:
@@ -380,32 +403,55 @@ def _max_over_directions(rows) -> np.ndarray:
     and the convex hull of i and k (k = i for one obstacle): a w with a
     positive value gives a separating line, the largest value is their
     distance, and it is <= 0 when they meet.  With s = -1 and k = i it is
-    the largest boundary distance max_w [h_i(w) + h_j(-w)].  The best of
-    BOUNDS_SAMPLES equally spaced directions is refined on 9-point grids,
-    each a quarter of the previous spacing, down to 1e-9 rad, SEARCH_CHUNK
-    rows at a time; no row's result depends on the others."""
-    out = np.empty((len(rows), 2))
+    the largest boundary distance max_w [h_i(w) + h_j(-w)].
+
+    The best of BOUNDS_SAMPLES equally spaced directions is refined on
+    9-point grids, each a quarter of the previous spacing, down to 1e-9
+    rad.  The start grid is evaluated once per distinct obstacle frame
+    and side (h(-w) for j, h(w) for i and k), so a static obstacle costs
+    one evaluation for every alpha; each row's start value is gathered
+    from those, SEARCH_CHUNK rows at a time, and the refinement runs for
+    all rows at once.  No row's result depends on the others."""
+    if not rows:
+        return np.empty((0, 2))
+    tables = list(dict.fromkeys(row[0] for row in rows))
+    offsets = np.cumsum([0] + [len(t.axes) for t in tables[:-1]]).tolist()
+    start = dict(zip(tables, offsets))
+    records = np.concatenate(
+        [np.concatenate([t.rotation for t in tables]).transpose(0, 2, 1)
+         .reshape(-1, 4),
+         np.concatenate([t.axes for t in tables]),
+         np.concatenate([t.center_xy for t in tables])], axis=1)
+    picks = records[np.array([(start[t] + j, start[t] + i, start[t] + k)
+                              for t, j, i, k, _ in rows])]     # (R, 3, 8)
+    sign = np.array([row[4] for row in rows], float)[:, None]
+
+    step = 2.0 * np.pi / BOUNDS_SAMPLES
+    grid = step * np.arange(BOUNDS_SAMPLES)
+    w = np.stack([np.cos(grid), np.sin(grid)], axis=-1)
+    far, far_of = _distinct(picks[:, 0])
+    near, near_of = _distinct(picks[:, 1:].reshape(-1, 8))
+    h_far, h_near = _grid_supports(far, -w), _grid_supports(near, w)
+    near_of = near_of.reshape(-1, 2)
+    top = np.empty(len(rows))
     for lo in range(0, len(rows), SEARCH_CHUNK):
-        chunk = rows[lo:lo + SEARCH_CHUNK]
-        j, i, k = (_frames(chunk, role) for role in (1, 2, 3))
-        sign = np.array([row[4] for row in chunk], float)[:, None]
-        picked = np.arange(len(chunk))
-        step = 2.0 * np.pi / BOUNDS_SAMPLES
-        thetas = np.broadcast_to(step * np.arange(BOUNDS_SAMPLES),
-                                 (len(chunk), BOUNDS_SAMPLES))
-        while True:
-            w = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-            values = sign * (-_support(j, -w)
-                             - np.maximum(_support(i, w), _support(k, w)))
-            best = np.argmax(values, axis=1)
-            top = thetas[picked, best]
-            if step < 1e-9:
-                break
-            step *= 0.25
-            thetas = top[:, None] + step * np.arange(-4, 5)
-        out[lo:lo + len(chunk)] = np.stack(
-            [values[picked, best], top % (2.0 * np.pi)], axis=-1)
-    return out
+        part = slice(lo, lo + SEARCH_CHUNK)
+        values = sign[part] * (-h_far[far_of[part]]
+                               - np.maximum(h_near[near_of[part, 0]],
+                                            h_near[near_of[part, 1]]))
+        top[part] = grid[np.argmax(values, axis=1)]
+
+    j, i, k = (_frame(picks[:, role]) for role in range(3))
+    picked = np.arange(len(rows))
+    while step >= 1e-9:
+        step *= 0.25
+        thetas = top[:, None] + step * np.arange(-4, 5)
+        w = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+        values = sign * (-_support(j, -w)
+                         - np.maximum(_support(i, w), _support(k, w)))
+        best = np.argmax(values, axis=1)
+        top = thetas[picked, best]
+    return np.stack([values[picked, best], top % (2.0 * np.pi)], axis=-1)
 
 
 def _require_gap(i: int, k: int, alpha, gap: float) -> float:
@@ -431,9 +477,9 @@ def boundary_pair_extremes(family: DeformationFamily, i, k, alpha):
         raise ValueError("a sequence of alphas needs sequences of pairs")
     alphas = list(alpha) if grid else [alpha]
     pairs = list(zip(np.atleast_1d(i).tolist(), np.atleast_1d(k).tolist()))
-    found = _max_over_directions([(table_at(family, x), b, a, a, s)
-                                  for x in alphas for a, b in pairs
-                                  for s in (1.0, -1.0)])
+    tables = [table_at(family, x) for x in alphas]
+    found = _max_over_directions([(t, b, a, a, s) for t in tables
+                                  for a, b in pairs for s in (1.0, -1.0)])
     found = found[:, 0].reshape(len(alphas), len(pairs), 2).tolist()
     out = [[(_require_gap(a, b, x, lo), hi)
             for (a, b), (lo, hi) in zip(pairs, rows)]
@@ -478,8 +524,9 @@ def check_no_eclipse(family: DeformationFamily, alpha):
     triples = [(i, j, k) for j in range(1, z0 + 1) for i in range(1, z0 + 1)
                for k in range(i + 1, z0 + 1) if j not in (i, k)]
     alphas = list(alpha) if np.ndim(alpha) else [alpha]
-    found = _max_over_directions([(table_at(family, a), j, i, k, 1.0)
-                                  for a in alphas for i, j, k in triples])
+    tables = [table_at(family, a) for a in alphas]
+    found = _max_over_directions([(t, j, i, k, 1.0) for t in tables
+                                  for i, j, k in triples])
     found = found.reshape(len(alphas), len(triples), 2)
     certs = []
     for a, rows in zip(alphas, found.tolist()):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from billiard_lab import Word
+from billiard_lab.cli import main
 from billiard_lab.config import ConfigError, load_config
 
 from conftest import CONFIGS
@@ -181,6 +182,25 @@ def test_nan_and_infinity_are_not_json(tmp_path, key, value, constant):
             f"line 4: value for {key!r} is not valid JSON: "
             f"{constant} is not a JSON number")):
         load_config(write(tmp_path, "\n".join(lines)))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("alpha_max", "1e400"),
+    ("alpha_max", "1" + "0" * 400),
+    ("obstacle1.radius", "[1.0, 1e999]"),
+], ids=["exponent", "integer", "list-entry"])
+def test_numbers_beyond_float_range_name_their_line(tmp_path, key, value):
+    # json reads 1e400 as inf and keeps integers too large for a float; a
+    # config refuses both while parsing, and the CLI exits 2
+    lines = [ln for ln in MINIMAL.splitlines() if not ln.startswith(key + " ")]
+    lines.insert(3, f"{key} = {value}")
+    path = write(tmp_path, "\n".join(lines))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"line 4: value for {key!r} holds a number beyond the float "
+            f"range")):
+        load_config(path)
+    assert main(["check", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 def test_validation_can_be_deferred(tmp_path):

@@ -609,6 +609,63 @@ def test_batched_direction_search_equals_rows_searched_alone(tables, nan_at):
             assert np.isfinite(value)
 
 
+def _start_grid_frames(monkeypatch) -> list:
+    """A list that collects how many frames each ``_support`` call
+    evaluates on the BOUNDS_SAMPLES directions of the start grid."""
+    frames = []
+    support = geometry._support
+
+    def counted(frame, w):
+        if w.shape[-2] == geometry.BOUNDS_SAMPLES:
+            frames.append(len(frame[0]))
+        return support(frame, w)
+
+    monkeypatch.setattr(geometry, "_support", counted)
+    return frames
+
+
+def test_start_grid_is_shared_by_equal_frames(monkeypatch, breathe_cfg):
+    # obstacles 2 and 3 are static, so the 65 alphas of a certification
+    # have 67 distinct frames on each side, and a pair search 68 in all
+    family = breathe_cfg.family
+    frames = _start_grid_frames(monkeypatch)
+    validate_family(family)
+    assert sum(frames) <= 134
+    frames.clear()
+    table_bounds(family, np.linspace(0.0, family.alpha_max, VALIDATION_ALPHAS),
+                 phi_max_override=0.3)
+    assert sum(frames) <= 134 + 68
+
+
+def test_direction_search_keys_frames_by_their_bytes(monkeypatch):
+    # a snapshot at a negative alpha keeps the sign of a zero coefficient:
+    # the two tables differ only in the centre's y (0.0 or -0.0) and the
+    # ellipse's rotation; a NaN frame has the same bytes in two snapshots.
+    # Equal families share one table_at entry, so these are built apart.
+    def family(zero, radius):
+        return DeformationFamily((
+            circle(0.0, zero, 1.0), ellipse(6.0, zero, 1.5, 0.8, zero),
+            circle(12.0, zero, radius), circle(6.0, 6.0, 1.0)), 0.1)
+
+    alpha = -1e-4
+    signed = [geometry.TableAt(family(zero, 1.0), alpha)
+              for zero in (0.0, -0.0)]
+    assert signed[0].rotation[2].tolist() == signed[1].rotation[2].tolist()
+    assert signed[0].rotation[2].tobytes() != signed[1].rotation[2].tobytes()
+    nan = [geometry.TableAt(family(0.0, math.nan), alpha) for _ in range(2)]
+    frames = _start_grid_frames(monkeypatch)
+    # -0.0 and 0.0 frames get a start grid each, equal NaN frames share one
+    _max_over_directions([(t, 2, 1, 1, 1.0) for t in signed])
+    _max_over_directions([(t, 3, 1, 1, 1.0) for t in nan])
+    assert frames == [2, 2, 1, 1]
+    monkeypatch.undo()
+    rows = [row for t in signed + nan for row in _search_rows(t, 4)]
+    together = _max_over_directions(rows)
+    for row, (value, theta) in zip(rows, together.tolist()):
+        alone = _max_over_directions([row])[0].tolist()
+        assert [value.hex(), theta.hex()] == [x.hex() for x in alone]
+
+
 def test_several_alphas_and_pairs_equal_one_at_a_time():
     fam = deformed_ellipse_family()
     alphas = np.linspace(0.0, fam.alpha_max, 11)
