@@ -11,11 +11,12 @@ row is the one a word-at-a-time sweep (``solve_word`` then
 ``analyze_orbit``) gives.  Table bounds come from one
 ``geometry.table_bounds`` call over the whole grid (``run_check``): one
 certification and one pair-extremes search for every grid alpha, and
-its one phi_max observer, ``geometry._default_phi_observation``, on a
-warm-start cache that the call owns: at the first grid point it solves
-each corpus word on its own, and from then on it warm-starts the corpus
-on one ``table_at`` snapshot per grid point, one batched chain solve per
-group of equal-length words.
+one call of its phi_max observer, ``geometry._default_phi_observation``,
+which walks the corpus along the grid: at the first grid point it solves
+each corpus word on its own, and from then on each group of
+equal-length words takes the rest of the grid in chunks of alphas, one
+batched chain solve per chunk on one multi-row table snapshot, every
+row seeded with its word's chain at the last alpha before the chunk.
 Emitted CSVs are fully deterministic: fixed column order, fixed float
 format, no timestamps.
 """

@@ -33,6 +33,7 @@ BOUNDS_SAMPLES = 512      # seed directions of the support-function maxima
 VALIDATION_ALPHAS = 65    # alphas on which validate_family certifies the table
 SEARCH_CHUNK = 24         # frames, and rows, per block of the direction search's
                           # start grid
+WALK_NODES = 4096         # chain nodes per batched solve of the phi grid walk
 
 
 class GeometryError(ValueError):
@@ -238,13 +239,28 @@ class TableAt:
     ``jet`` is its one-order case.  Arrays are indexed by the 1-based
     obstacle symbol (row 0 is unused) and are read-only, since
     ``table_at`` shares one snapshot per (family, alpha).
+
+    Given a 1-D sequence of R alphas, one ``polyval`` over the vector
+    builds R rows of ``stride`` = z0 + 1 entries: row r's obstacle s
+    sits at flat index r * stride + s, so a chain on row r gathers by
+    its symbols offset by r * stride.  Every row is bit for bit the
+    one-alpha snapshot.
     """
 
-    def __init__(self, family: DeformationFamily, alpha: float):
-        family.check_alpha(alpha)
-        values = np.polynomial.polynomial.polyval(alpha, family.alpha_stack)
+    def __init__(self, family: DeformationFamily, alpha):
+        self.stride = family.z0 + 1
+        polyval = np.polynomial.polynomial.polyval
+        if np.ndim(alpha):
+            for x in alpha:
+                family.check_alpha(x)
+            # (K, stride, R) -> (K, R * stride), alpha-row major
+            values = np.moveaxis(polyval(alpha, family.alpha_stack), -1, 1)
+            values = values.reshape(len(values), -1)
+        else:
+            family.check_alpha(alpha)
+            values = polyval(alpha, family.alpha_stack)
         psi = values[0]
-        p, q, cx, cy = values[1:].reshape(4, -1, family.z0 + 1)
+        p, q, cx, cy = values[1:].reshape(4, -1, values.shape[-1])
         self.p = p                                     # P_m(alpha)
         self.iq = 1j * q                               # i Q_m(alpha)
         self.center = cx + 1j * cy                     # d^m/dalpha^m of the centre
@@ -254,7 +270,8 @@ class TableAt:
         # sin(-0.0) is -0.0, a sign that 1j * psi drops from the phase
         c, s = self.phase.real, np.where(psi == 0.0, psi.real, self.phase.imag)
         self.rotation = np.stack([c, s, -s, c], axis=-1).reshape(-1, 2, 2)
-        self.axes[0], self.rotation[0] = 1.0, 0.0      # row 0 is no obstacle
+        # symbol 0 of each row is no obstacle
+        self.axes[::self.stride], self.rotation[::self.stride] = 1.0, 0.0
         for arr in (self.p, self.iq, self.center, self.phase, self.center_xy,
                     self.axes, self.rotation):
             arr.flags.writeable = False
@@ -576,53 +593,76 @@ def _phi_corpus(z0: int):
     return tuple(tuple(words) for words in groups.values())
 
 
-def _default_phi_observation(family: DeformationFamily, alpha: float,
-                             cache: Optional[dict] = None) -> float:
-    """Largest collision angle over the corpus orbits at alpha.
+def _default_phi_observation(family: DeformationFamily, alphas) -> list:
+    """The largest collision angle over the corpus orbits at each of
+    ``alphas``: the grid walk.
 
-    ``cache`` maps a word to its last solved chain.  A word without one
-    is solved cold, on its own, by ``symbolic.find_periodic_orbit`` or
-    ``symbolic.find_orbit_segment``; the cached chains of each
-    (cyclic, length) group are warm-started together as one batch on a
-    ``table_at`` snapshot.  Open words are padded by PHI_PADDING and only
-    their core angles count.  Every solved chain goes back into the
-    cache; a chain that fails to converge or converges to a nonphysical
-    configuration is left out of the estimate and out of the cache.
+    The first alpha is observed cold: each corpus word is solved on its
+    own by ``symbolic.find_periodic_orbit`` or
+    ``symbolic.find_orbit_segment``.  Each (cyclic, length) group of the
+    corpus then walks the remaining alphas in chunks of max(1,
+    WALK_NODES // its chain nodes per alpha) alphas.  A chunk is one
+    ``symbolic.max_collision_angles`` batch on one multi-row ``TableAt``
+    snapshot: every row is seeded with its word's chain at the last
+    alpha before the chunk, or with the crude seed where it has none,
+    and a row that fails from its chain is solved again from the crude
+    seed at its own alpha.  On a
+    three-obstacle table each cyclic group (6 to 54 nodes per alpha)
+    takes a 65-alpha grid in one chunk, and the open group (5,600 nodes)
+    walks one alpha at a time, each seeded from the alpha before.  Open
+    words are padded by PHI_PADDING and only their core angles count.  A
+    chain that fails twice, or converges to a nonphysical configuration
+    from both seeds, is left out of its alpha's estimate; GeometryError
+    for the first alpha at which no orbit converged.
     """
     # orbit machinery lives above geometry; import late to keep layering simple
     from . import symbolic
 
-    if cache is None:
-        cache = {}          # a cold estimate keeps nothing
-    table = table_at(family, alpha)
-    phis = []
+    alphas = list(alphas)
+    phis = [[] for _ in alphas]
+    chains = {}
     for words in _phi_corpus(family.z0):
-        warm = [w for w in words if w in cache]
-        for word in [w for w in words if w not in cache]:
+        for word in words:
             try:
                 if word.cyclic:
-                    orbit = symbolic.find_periodic_orbit(word, family, alpha)
+                    orbit = symbolic.find_periodic_orbit(word, family,
+                                                         alphas[0])
                 else:
                     orbit = symbolic.find_orbit_segment(
-                        word, family, alpha, padding=PHI_PADDING,
+                        word, family, alphas[0], padding=PHI_PADDING,
                         shadow_check=False)
             except symbolic.SolveError:
                 continue
-            cache[word] = np.asarray(orbit.chain_us)
-            phis.append(float(orbit.records.phi.max()))
-        if not warm:
-            continue
-        solutions = symbolic.max_collision_angles(
-            warm, table, PHI_PADDING, [cache[w] for w in warm])
-        for word, (chain, phi) in zip(warm, solutions):
-            if chain is None:
-                del cache[word]
-                continue
-            cache[word] = chain
-            phis.append(phi)
-    if not phis:
+            chains[word] = np.asarray(orbit.chain_us)
+            phis[0].append(float(orbit.records.phi.max()))
+    for words in _phi_corpus(family.z0):
+        n = len(words)
+        pads = 0 if words[0].cyclic else 2 * PHI_PADDING
+        size = max(1, WALK_NODES // (n * (len(words[0]) + pads)))
+        seeds = [chains.get(word) for word in words]
+        for lo in range(1, len(alphas), size):
+            part = alphas[lo:lo + size]
+            table = TableAt(family, part)
+            starts = seeds * len(part)
+            rows = np.repeat(np.arange(len(part)), n)
+            solutions = symbolic.max_collision_angles(
+                words * len(part), table, PHI_PADDING, starts, rows)
+            retry = [k for k, (start, (chain, _)) in
+                     enumerate(zip(starts, solutions))
+                     if chain is None and start is not None]
+            if retry:
+                again = symbolic.max_collision_angles(
+                    [words[k % n] for k in retry], table, PHI_PADDING,
+                    [None] * len(retry), rows[retry])
+                for k, solution in zip(retry, again):
+                    solutions[k] = solution
+            for k, (chain, phi) in enumerate(solutions):
+                if chain is not None:
+                    phis[lo + k // n].append(phi)
+            seeds = [chain for chain, _ in solutions[-n:]]
+    if not all(phis):
         raise GeometryError("collision angle estimate failed: no orbit converged")
-    return max(phis)
+    return [max(found) for found in phis]
 
 
 def phi_max_from_observation(phi_obs: float) -> float:
@@ -699,13 +739,16 @@ def table_bounds(family: DeformationFamily, alpha,
     periodic orbits of low period plus sampled itineraries, with a
     safety factor on the cosine.
 
-    For a sequence of alphas it returns the list of their TableBounds,
-    each equal to its one-alpha call's: one ``_certify`` call and one
-    pair-extremes search cover every alpha, and the phi observation
-    walks the alphas in order on a warm-start cache that this call owns
-    (the first alpha is observed cold, as a one-alpha call is).  Errors
-    are raised by stage, certification, then pair separation, then phi
-    observation, each for its first failing alpha.
+    For a sequence of alphas it returns the list of their TableBounds:
+    one ``_certify`` call and one pair-extremes search cover every alpha,
+    and one ``_default_phi_observation`` call walks the phi corpus along
+    them.  Every field but phi_max, and the k_max and upper that read it,
+    is bit for bit the one-alpha call's.  phi_max is too at the first
+    alpha, which the walk observes cold as a one-alpha call does; at the
+    others the walk warm-starts the corpus, which can move it in the
+    last bits.  Errors are raised by stage, certification, then pair
+    separation, then phi observation, then phi_max itself, each for its
+    first failing alpha.
     """
     alphas = list(alpha) if np.ndim(alpha) else [alpha]
     # period2 takes the pair's separation from its d_min search
@@ -713,19 +756,19 @@ def table_bounds(family: DeformationFamily, alpha,
     pairs = [(i, k) for i in range(1, family.z0 + 1)
              for k in range(i + 1, family.z0 + 1)]
     extremes = boundary_pair_extremes(family, *zip(*pairs), alphas)
-    cache = {}
+    if phi_max_override is not None:
+        phis = [float(phi_max_override)] * len(alphas)
+    elif family.mode == "period2":
+        phis = [0.0] * len(alphas)
+    else:
+        phis = [phi_max_from_observation(phi)
+                for phi in _default_phi_observation(family, alphas)]
     out = []
-    for x, (kap_lo, kap_hi), rows in zip(alphas, ranges, extremes):
+    for x, (kap_lo, kap_hi), rows, phi_max in zip(alphas, ranges, extremes,
+                                                  phis):
         mins, maxes = zip(*rows)
         d_min = min(mins)
         d_max = d_min if family.mode == "period2" else max(maxes)
-        if phi_max_override is not None:
-            phi_max = float(phi_max_override)
-        elif family.mode == "period2":
-            phi_max = 0.0
-        else:
-            phi_max = phi_max_from_observation(
-                _default_phi_observation(family, x, cache))
         if phi_max >= math.pi / 2:
             raise GeometryError(
                 f"phi_max = {phi_max:.6f} >= pi/2; k_max undefined")

@@ -614,13 +614,18 @@ def _pad_depth(word: Word, z0: int, padding: int, init) -> int:
     return depth
 
 
-def _segment_solve(table, words, depth, inits, tol):
+def _segment_solve(table, words, depth, inits, tol, rows=None):
     """Solve one group: words of one kind and length, each padded by
     ``depth`` on both sides (cyclic words take no pads) and started from
-    its init chain, or from the crude seed where that is None.  Returns
-    (symbols, us, residual, errors), the last three as ``_solve_chain``."""
+    its init chain, or from the crude seed where that is None.  On a
+    multi-row ``table``, ``rows`` gives each word's alpha row.  Returns
+    (symbols, us, residual, errors), the last three as ``_solve_chain``;
+    symbols are offset to their rows."""
     cyclic = words[0].cyclic
     symbols = _pad_symbols(np.array([w.symbols for w in words]), depth)
+    if rows is not None:
+        # the pads read the true end symbols, so the offset comes after
+        symbols += table.stride * np.asarray(rows)[:, None]
     us0 = np.empty(symbols.shape)
     cold = [b for b, init in enumerate(inits) if init is None]
     if cold:
@@ -736,23 +741,27 @@ def find_orbit_segment(word: Word, family: DeformationFamily, alpha: float,
                             tol=tol, shadow_check=shadow_check))
 
 
-def max_collision_angles(words, table, padding: int, chains):
+def max_collision_angles(words, table, padding: int, chains, rows=None):
     """Warm-start equal-length words of one kind as one batch.
 
     Cyclic words are solved as periodic orbits, open words as segments
     padded by ``padding`` without the shadowing check; ``chains`` holds
-    each word's starting chain, pads included.  The batch is one
-    ``_segment_solve``, as in ``find_orbits``; its core flights and
+    each word's starting chain, pads included, or None for the crude
+    seed.  On a multi-row ``table`` (several alphas) ``rows`` gives each
+    word's alpha row, so one word may come once per row.  The batch is
+    one ``_segment_solve``, as in ``find_orbits``; its core flights and
     physical test come from ``_core_flights``, which ``_build_records``
     uses too, and only the outward cosines are read.  Returns one (chain,
     phi) per word: the solved chain and its largest collision angle over
     the core, acos of the smallest cosine (acos decreases, so this is the
     largest of the angles ``_build_records`` gives), or (None, nan) when
-    the solve failed or the chain is nonphysical.
+    the solve failed or the chain is nonphysical.  Every chain runs the
+    iteration it would run alone, so each result is the word's own at
+    its row's alpha.
     """
     depth = 0 if words[0].cyclic else padding
     symbols, us, _, errors = _segment_solve(table, words, depth, chains,
-                                            TOL_ORBIT)
+                                            TOL_ORBIT, rows)
     out = [(None, math.nan)] * len(words)
     ok = np.flatnonzero([err is None for err in errors])
     _, _, _, _, c_out, physical = _core_flights(

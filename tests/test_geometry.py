@@ -24,11 +24,12 @@ from billiard_lab import (AlphaRangeError, ConvexityError, DeformationFamily,
                           find_periodic_orbit, partial_jet,
                           phi_max_from_observation, table_bounds,
                           validate_family)
-from billiard_lab import geometry
+from billiard_lab import Word, geometry, symbolic
 from billiard_lab.dynamics import _tangent_frame
 from billiard_lab.geometry import (PHI_PADDING, SEARCH_CHUNK,
-                                   VALIDATION_ALPHAS, _max_over_directions,
-                                   _phi_corpus, table_at)
+                                   VALIDATION_ALPHAS, WALK_NODES,
+                                   _max_over_directions, _phi_corpus,
+                                   table_at)
 
 from conftest import (ROOT, growing_two_circle, static_three_circle,
                       static_two_circle, translate_two_circle)
@@ -266,6 +267,47 @@ def test_shipped_snapshots_equal_the_reference(cfg_name, request):
     for alpha in (np.linspace(0.0, family.alpha_max, VALIDATION_ALPHAS).tolist()
                   + list(_slack_alphas(family))):
         _assert_snapshot_is_reference(family, alpha)
+
+
+def _assert_rows_are_snapshots(family, alphas):
+    multi = geometry.TableAt(family, alphas)
+    n = multi.stride
+    assert n == family.z0 + 1
+    for r, alpha in enumerate(alphas):
+        one = geometry.TableAt(family, alpha)
+        for name in _SNAPSHOT_ARRAYS:
+            arr = getattr(multi, name)
+            row = np.take(arr, range(r * n, (r + 1) * n),
+                          axis=1 if name in ("p", "iq", "center") else 0)
+            assert _hex(row) == _hex(getattr(one, name)), (name, alpha)
+            assert not arr.flags.writeable, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=_random_families(),
+       inner=st.lists(st.floats(0.0, 1.0), max_size=4))
+@example(family=DeformationFamily(      # signed zeros in every role
+    (circle(0.0, -0.0, (1.0, -0.0)), circle(4.0, (0.0, -0.0), 1.0),
+     ellipse(2.0, 3.0, (1.0, 0.25), 0.5, (-0.0, 0.5, -0.0))), 0.4, (5, 2)),
+    inner=[0.5])
+def test_multi_row_snapshot_rows_equal_one_alpha_snapshots(family, inner):
+    # one polyval over a vector of alphas: row r of every array is the
+    # one-alpha snapshot at alphas[r] bit for bit, signed zeros included,
+    # at both slack ends and at -0.0 too
+    _assert_rows_are_snapshots(family, list(_slack_alphas(family)) + [-0.0]
+                               + [f * family.alpha_max for f in inner])
+
+
+@pytest.mark.parametrize("cfg_name", ["two_circle_cfg", "breathe_cfg",
+                                      "mixed_cfg"])
+def test_shipped_multi_row_snapshots_equal_one_alpha_snapshots(cfg_name,
+                                                               request):
+    family = request.getfixturevalue(cfg_name).family
+    _assert_rows_are_snapshots(
+        family, np.linspace(0.0, family.alpha_max, VALIDATION_ALPHAS).tolist()
+        + list(_slack_alphas(family)))
+    with pytest.raises(AlphaRangeError):
+        geometry.TableAt(family, [0.0, 2.0 * family.alpha_max])
 
 
 def test_snapshots_make_no_polynomial_algebra(monkeypatch, breathe_cfg):
@@ -745,17 +787,12 @@ def _bounds_hex(bounds):
 
 
 def _bounds_one_alpha_at_a_time(family, alphas, phi_max_override):
-    """``table_bounds`` per alpha; without an override, phi_max is each
-    alpha's observation, walked in order on one warm-start cache."""
-    cache = {}
-    out = []
-    for alpha in alphas:
-        phi_max = phi_max_override
-        if phi_max is None and family.mode == "general":
-            phi_max = phi_max_from_observation(
-                geometry._default_phi_observation(family, alpha, cache))
-        out.append(table_bounds(family, alpha, phi_max))
-    return out
+    """``table_bounds`` per alpha; without an override, phi_max is the
+    word-by-word walk's (``_phi_one_word_at_a_time``)."""
+    phis = [phi_max_override] * len(alphas)
+    if phi_max_override is None and family.mode == "general":
+        phis = _phi_one_word_at_a_time(family, alphas)
+    return [table_bounds(family, a, phi) for a, phi in zip(alphas, phis)]
 
 
 @pytest.mark.parametrize("cfg_name", ["two_circle_cfg", "breathe_cfg",
@@ -833,44 +870,91 @@ def test_phi_override_wins():
     assert tb.k_max == pytest.approx(0.25 + 2.0 / math.cos(0.3), abs=1e-12)
 
 
-def _phi_one_word_at_a_time(family, alpha, chains):
-    """The corpus solved word by word through the finders, warm-started
-    from ``chains`` and updating it."""
-    best = 0.0
+def _phi_one_word_at_a_time(family, alphas):
+    """phi_max at each of ``alphas``, the corpus solved word by word
+    through the finders as the grid walk seeds it: cold at the first
+    alpha; then each group along the rest in chunks of max(1, WALK_NODES
+    // its nodes per alpha) alphas, each word started from its chain at
+    the last alpha before the chunk (cold without one) and solved again
+    cold when that fails."""
+    best = [0.0] * len(alphas)
     for words in _phi_corpus(family.z0):
+        pads = 0 if words[0].cyclic else 2 * PHI_PADDING
+        size = max(1, WALK_NODES // (len(words) * (len(words[0]) + pads)))
         for word in words:
-            try:
-                if word.cyclic:
-                    orbit = find_periodic_orbit(word, family, alpha,
-                                                init=chains.get(word))
-                else:
-                    orbit = find_orbit_segment(word, family, alpha,
-                                               padding=PHI_PADDING,
-                                               init=chains.get(word),
-                                               shadow_check=False)
-            except SolveError:
-                chains.pop(word, None)
-                continue
-            chains[word] = np.asarray(orbit.chain_us)
-            best = max(best, float(orbit.records.phi.max()))
-    return phi_max_from_observation(best)
+            found = []          # the word's chain at each alpha, or None
+            for k, alpha in enumerate(alphas):
+                seed = found[(k - 1) // size * size] if k else None
+                orbit = None
+                for init in [seed, None] if seed is not None else [None]:
+                    try:
+                        if word.cyclic:
+                            orbit = find_periodic_orbit(word, family, alpha,
+                                                        init=init)
+                        else:
+                            orbit = find_orbit_segment(
+                                word, family, alpha, padding=PHI_PADDING,
+                                init=init, shadow_check=False)
+                        break
+                    except SolveError:
+                        continue
+                found.append(None if orbit is None
+                             else np.asarray(orbit.chain_us))
+                if orbit is not None:
+                    best[k] = max(best[k], float(orbit.records.phi.max()))
+    return [phi_max_from_observation(b) for b in best]
 
 
 def test_sweeper_phi_max_equals_table_bounds(breathe_cfg, mixed_cfg):
-    # the sweep's warm batches give exactly the word-by-word estimate;
-    # against the cold default observer, warm starts move phi_max by a
-    # few ulps (largest seen over the shipped grids: 8.6e-16 relative)
-    for cfg in (breathe_cfg, mixed_cfg):
-        chains = {}
-        alphas = (0.0, 0.1, 0.2)
+    # the grid walk gives exactly the word-by-word estimate seeded as the
+    # walk seeds it.  Against one-alpha calls, every field but phi_max
+    # (and the k_max and upper that read it) is bit for bit equal;
+    # phi_max is equal at the first alpha, which both observe cold, and
+    # warm starts move it by a few ulps elsewhere (largest seen over the
+    # breathe grid: 6.9e-16 relative), here pinned at every breathe grid
+    # alpha
+    grid = tuple(float(a) for a in breathe_cfg.alpha_grid)
+    for cfg, alphas, word_by_word in ((breathe_cfg, (0.0, 0.1, 0.2), True),
+                                      (mixed_cfg, (0.0, 0.1, 0.2), True),
+                                      (breathe_cfg, grid, False)):
         walk = table_bounds(cfg.family, alphas)
-        for k, alpha in enumerate(alphas):
-            warm = walk[k].phi_max
-            cold = table_bounds(cfg.family, alpha).phi_max
-            assert warm == _phi_one_word_at_a_time(cfg.family, alpha, chains)
-            if k == 0:
-                assert warm == cold
-            assert warm == pytest.approx(cold, rel=4e-15, abs=0)
+        if word_by_word:
+            assert [b.phi_max for b in walk] \
+                == _phi_one_word_at_a_time(cfg.family, alphas)
+        for k, (alpha, warm) in enumerate(zip(alphas, walk)):
+            cold = table_bounds(cfg.family, alpha)
+            for f in dataclasses.fields(TableBounds):
+                if k == 0 or f.name not in ("phi_max", "k_max", "upper"):
+                    assert float(getattr(warm, f.name)).hex() \
+                        == float(getattr(cold, f.name)).hex()
+            assert warm.phi_max == pytest.approx(cold.phi_max, rel=4e-15,
+                                                 abs=0)
+
+
+def test_walk_retries_a_failed_row_from_the_crude_seed(monkeypatch,
+                                                      breathe_cfg):
+    # a nan chain at the first alpha fails every row it seeds; each is
+    # solved again from the crude seed at its own alpha and still counts
+    family = breathe_cfg.family
+    word = Word((1, 2, 3))
+    solve = symbolic.find_periodic_orbit
+    cold = solve(word, family, 0.0)
+    monkeypatch.setattr(geometry, "_phi_corpus", lambda z0: ((word,),))
+    monkeypatch.setattr(symbolic, "find_periodic_orbit", lambda *args: (
+        dataclasses.replace(solve(*args), chain_us=(math.nan,) * 3)))
+    alphas = [0.0, 0.1, 0.25]
+    want = [float(cold.records.phi.max())]
+    for alpha in alphas[1:]:
+        table = table_at(family, alpha)
+        nan_start = symbolic.max_collision_angles(
+            [word], table, PHI_PADDING, [np.full(3, math.nan)])
+        assert nan_start[0][0] is None
+        (chain, phi), = symbolic.max_collision_angles([word], table,
+                                                      PHI_PADDING, [None])
+        assert chain is not None
+        want.append(phi)
+    got = geometry._default_phi_observation(family, alphas)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_phi_max_from_observation():
