@@ -1,22 +1,25 @@
 """Experiment drivers over a configured table.
 
-The sweep walks the alpha grid alpha-major.  At each grid alpha every
-word still in the sweep is solved by one ``symbolic.find_orbits`` call,
-warm-started from its own chain at the previous grid point (cold after a
-failure); the words of one kind, length and pad depth share one batched
-chain solve, one batched truncation bound and, through
-``symbolic.alpha_derivatives``, one batched implicit-function
-derivative.  Every chain runs the iteration it would run alone, so each
-row is the one a word-at-a-time sweep (``solve_word`` then
-``analyze_orbit``) gives.  Table bounds come from one
+The sweep walks its words along the alpha grid in chunks of alphas.
+The first grid alpha is solved cold for every word; the rest go in
+chunks of max(1, WALK_NODES // N) alphas, N being the chain nodes per
+alpha of the words still in the sweep.  A chunk is one
+``symbolic.find_orbits`` call and one ``symbolic.alpha_derivatives``
+call on one multi-row table snapshot, every row seeded with its word's
+chain at the last alpha before the chunk (the crude seed where that
+solve failed), and a row that fails from its chain is solved again from
+the crude seed at its own alpha.  The rows of one kind, length and pad
+depth share one batched chain solve, one batched truncation bound and
+one batched implicit-function derivative, whatever their alphas.  Every
+chain runs the iteration it would run alone, so each row is the one a
+word-at-a-time sweep (``solve_word`` then ``analyze_orbit``) that seeds
+and retries the same way gives.  Table bounds come from one
 ``geometry.table_bounds`` call over the whole grid (``run_check``): one
 certification and one pair-extremes search for every grid alpha, and
 one call of its phi_max observer, ``geometry._default_phi_observation``,
-which walks the corpus along the grid: at the first grid point it solves
-each corpus word on its own, and from then on each group of
-equal-length words takes the rest of the grid in chunks of alphas, one
-batched chain solve per chunk on one multi-row table snapshot, every
-row seeded with its word's chain at the last alpha before the chunk.
+which walks the corpus along the grid in the same way: each corpus word
+on its own at the first grid point, then each group of equal-length
+words in chunks of alphas.
 Emitted CSVs are fully deterministic: fixed column order, fixed float
 format, no timestamps.
 """
@@ -34,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError, LabConfig
-from .geometry import GeometryError, TableBounds, table_bounds
+from .geometry import WALK_NODES, GeometryError, TableBounds, table_bounds
 from .lyapunov import f_derivative_sum, kdot_trace, lyapunov_estimate
 from .symbolic import (BilliardOrbit, SolveError, Word, alpha_derivatives,
                        find_orbit_segment, find_orbits, find_periodic_orbit,
@@ -128,35 +131,63 @@ def _require_smoothness(cfg, need, what):
             f"table declares C^({r},{rp})")
 
 
+def _solve_rows(cfg, words, alphas, seeds) -> list:
+    """One ``find_orbits`` call for the sweep's rows, each word at its
+    alpha from its seed; a row that fails from a seed chain is solved
+    again from the crude seed at its alpha, and only a second failure is
+    returned."""
+    kwargs = dict(padding=cfg.padding, tol=cfg.tol_orbit)
+    orbits = find_orbits(words, cfg.family, alphas, seeds, **kwargs)
+    retry = [k for k, (seed, orbit) in enumerate(zip(seeds, orbits))
+             if seed is not None and not isinstance(orbit, BilliardOrbit)]
+    if retry:
+        again = find_orbits([words[k] for k in retry], cfg.family,
+                            [alphas[k] for k in retry], None, **kwargs)
+        for k, orbit in zip(retry, again):
+            orbits[k] = orbit
+    return orbits
+
+
 def run_sweep(cfg: LabConfig) -> SweepResult:
     """Exponent, exact derivative and diagnostics for every configured
     word across the alpha grid, plus the per-alpha table bounds of
     ``run_check``.
 
-    The grid is walked alpha-major (see the module docstring); rows,
-    failures (word-major) and summaries are those of a word-at-a-time
-    sweep.  An analysis error is raised as that sweep would raise it:
-    the first in word-major order.
+    The grid is walked in chunks of alphas (see the module docstring);
+    rows, failures (word-major) and summaries are those of a
+    word-at-a-time sweep that seeds and retries each word as the walk
+    does.  An analysis error is raised as that sweep would raise it: the
+    first failing alpha of the lowest failing word; the chunks after it
+    drop the words after that word.
     """
     _require_smoothness(cfg, (4, 2), "the sweep's derivative columns")
     bounds = run_check(cfg)
 
-    n_words = len(cfg.words)
-    chains = [None] * n_words       # each word's chain at the last alpha
-    word_rows = [{} for _ in cfg.words]
-    word_failures = [[] for _ in cfg.words]
-    fatal = {}                      # word index -> its analysis error
+    words = [word for _, word in cfg.words]
+    chains = [None] * len(words)    # each word's chain at the last alpha
+    word_rows = [{} for _ in words]
+    word_failures = [[] for _ in words]
+    fatal = {}                      # word index -> its first analysis error
     cd_obs = 0.0
     ck_obs = 0.0
-    for gi, b in enumerate(bounds):
+    lo = 0
+    while lo < len(bounds):
         # a word-at-a-time sweep never reaches the words after a raise
-        live = range(min(fatal, default=n_words))
-        orbits = find_orbits([cfg.words[i][1] for i in live], cfg.family,
-                             b.alpha, [chains[i] for i in live],
-                             padding=cfg.padding, tol=cfg.tol_orbit)
+        live = range(min(fatal, default=len(words)))
+        if not live:
+            break
+        nodes = sum(len(words[i]) + (0 if words[i].cyclic else 2 * cfg.padding)
+                    for i in live)
+        hi = 1 if lo == 0 else lo + max(1, WALK_NODES // nodes)
+        batch = [(gi, i) for gi in range(lo, min(hi, len(bounds)))
+                 for i in live]
+        seeds = [chains[i] for _, i in batch]
+        orbits = _solve_rows(cfg, [words[i] for _, i in batch],
+                             [bounds[gi].alpha for gi, _ in batch], seeds)
         derivs = iter(alpha_derivatives(
             [o for o in orbits if isinstance(o, BilliardOrbit)], cfg.family))
-        for i, orbit in zip(live, orbits):
+        for (gi, i), orbit in zip(batch, orbits):
+            b = bounds[gi]
             ident = cfg.words[i][0]
             if not isinstance(orbit, BilliardOrbit):
                 word_failures[i].append((ident, b.alpha, str(orbit)))
@@ -167,7 +198,7 @@ def run_sweep(cfg: LabConfig) -> SweepResult:
                 res = _analysis(cfg, orbit,
                                 functools.partial(_value, next(derivs)))
             except (SolveError, GeometryError) as exc:
-                fatal[i] = exc
+                fatal.setdefault(i, exc)
                 continue
             derivs_i = res["derivs"]
             cd_obs = max(cd_obs, float(np.abs(derivs_i.d_dot).max()))
@@ -178,6 +209,7 @@ def run_sweep(cfg: LabConfig) -> SweepResult:
                 float(np.abs(derivs_i.u_dot).max()),
                 float(np.abs(res["kdot"].k_dot).max()),
                 orbit.residual, derivs_i.cond)
+        lo = hi
     if fatal:
         raise fatal[min(fatal)]
 

@@ -33,7 +33,8 @@ BOUNDS_SAMPLES = 512      # seed directions of the support-function maxima
 VALIDATION_ALPHAS = 65    # alphas on which validate_family certifies the table
 SEARCH_CHUNK = 24         # frames, and rows, per block of the direction search's
                           # start grid
-WALK_NODES = 4096         # chain nodes per batched solve of the phi grid walk
+WALK_NODES = 4096         # chain nodes per batched solve of a grid walk: the
+                          # phi corpus's and the sweep's
 
 
 class GeometryError(ValueError):
@@ -206,6 +207,18 @@ class DeformationFamily:
         stack.flags.writeable = False
         return stack
 
+    @cached_property
+    def coefficient_bits(self) -> bytes:
+        """The bytes of every coefficient of the obstacles' polynomials.
+        They tell apart families that differ only in the sign of a zero
+        coefficient, which compare and hash equal; ``table_at`` keys its
+        snapshots by them, without building ``alpha_stack``."""
+        return np.array([c for spec in self.obstacles
+                         for poly in (spec.center_x, spec.center_y,
+                                      spec.radius, spec.semi_axis_a,
+                                      spec.semi_axis_b, spec.rotation)
+                         for c in poly], float).tobytes()
+
 
 def _rot_step(c: np.ndarray, psip: np.ndarray) -> np.ndarray:
     der = _poly_der(c)
@@ -238,7 +251,7 @@ class TableAt:
     for boundary points of any shape and evaluates several u-orders;
     ``jet`` is its one-order case.  Arrays are indexed by the 1-based
     obstacle symbol (row 0 is unused) and are read-only, since
-    ``table_at`` shares one snapshot per (family, alpha).
+    ``table_at`` shares one snapshot per (family, alpha) and their bits.
 
     Given a 1-D sequence of R alphas, one ``polyval`` over the vector
     builds R rows of ``stride`` = z0 + 1 entries: row r's obstacle s
@@ -309,10 +322,21 @@ class TableAt:
         return np.asarray(z)[..., None].view(np.float64)
 
 
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def table_at(family: DeformationFamily, alpha: float) -> TableAt:
     """The shared snapshot of ``family`` at ``alpha``; refuses an alpha
-    outside the declared range."""
+    outside the declared range.  Snapshots are shared by equality and by
+    the bits of the family's coefficients and the sign of alpha, so
+    families or alphas that differ only in the sign of a zero, which
+    compare and hash equal, each get their own."""
+    return _shared_table(family, family.coefficient_bits, alpha,
+                         math.copysign(1.0, alpha))
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _shared_table(family: DeformationFamily, coefficient_bits: bytes,
+                  alpha: float, alpha_sign: float) -> TableAt:
+    """``table_at``'s cache, keyed by the bits too: equal floats differ
+    in their bits only as 0.0 and -0.0, so alpha's sign completes it."""
     return TableAt(family, alpha)
 
 
@@ -353,7 +377,12 @@ def curvature_partials(family: DeformationFamily, obstacle_index, u, alpha: floa
     symbols = np.asarray(obstacle_index)
     if not np.all((symbols >= 1) & (symbols <= family.z0)):
         raise GeometryError(f"obstacle index outside 1..{family.z0}")
-    u = np.asarray(u, float)
+    return _curvature_partials(table, symbols, np.asarray(u, float))
+
+
+def _curvature_partials(table: TableAt, symbols, u):
+    """``curvature_partials`` on a snapshot, unchecked: ``symbols`` index
+    its rows as ``TableAt.coords`` reads them."""
     (tx, ty), (sx, sy), (wx, wy) = table.coords(symbols, u, (1, 2, 3))
     (tax, tay), (sax, say) = table.coords(symbols, u, (1, 2), 1)
     num = tx * sy - ty * sx

@@ -26,8 +26,9 @@ from scipy.linalg.lapack import dgtsv, dstebz
 
 # partial_jet is not called here but stays bound: the benchmark's tracer
 # patches it at every binding site, and its tests check this one
-from .geometry import (DeformationFamily, curvature_partials,  # noqa: F401
-                       partial_jet, table_at)
+from .geometry import (DeformationFamily, TableAt,  # noqa: F401
+                       _check_orders, _curvature_partials, partial_jet,
+                       table_at)
 
 TOL_ORBIT = 1e-11       # convergence threshold on the sup-norm of the length gradient
 TOL_SHADOW = 1e-9       # admissible first-order truncation bound of a core
@@ -532,9 +533,10 @@ def _core_flights(table, symbols, us, core_start, core_len, cyclic, du_orders):
 
 def _build_records(table, symbols, us, core_start, core_len, cyclic):
     """The core reflections of a batch of solved chains: symbols and us
-    are (B, m).  Returns, per chain, its CoreReflections (rows of
-    read-only batch columns), or the SolveError of a nonphysical chain
-    (see ``_core_flights``)."""
+    are (B, m), the symbols offset to their rows of ``table``; the
+    records hold the obstacle symbols themselves.  Returns, per chain,
+    its CoreReflections (rows of read-only batch columns), or the
+    SolveError of a nonphysical chain (see ``_core_flights``)."""
     xy, speed, d, _, c_out, physical = _core_flights(
         table, symbols, us, core_start, core_len, cyclic, (0, 1, 2))
     rows = slice(core_start, core_start + core_len)
@@ -543,8 +545,9 @@ def _build_records(table, symbols, us, core_start, core_len, cyclic):
     # math.acos per reflection: numpy's arccos may round differently
     phi = np.array(list(map(math.acos, np.clip(c_out, -1.0, 1.0)
                             .ravel().tolist()))).reshape(c_out.shape)
-    columns = (symbols[:, rows], us[:, rows] % (2.0 * math.pi),
-               np.stack([px, py], axis=-1), d, phi, kappa)
+    columns = (symbols[:, rows] % table.stride,
+               us[:, rows] % (2.0 * math.pi), np.stack([px, py], axis=-1),
+               d, phi, kappa)
     for col in columns:
         col.flags.writeable = False     # and so is every row view
     return [CoreReflections(*row) if good
@@ -636,10 +639,25 @@ def _segment_solve(table, words, depth, inits, tol, rows=None):
     return (symbols,) + _solve_chain(table, symbols, us0, cyclic, tol)
 
 
-def find_orbits(words, family: DeformationFamily, alpha: float, inits=None,
+def _snapshot(family: DeformationFamily, alphas):
+    """One table for items at ``alphas`` (one alpha per item) and each
+    item's row in it: the shared one-alpha snapshot and rows None when
+    the items share one alpha, else one multi-row ``TableAt`` over the
+    distinct alphas, told apart by their bits as ``table_at`` tells
+    them."""
+    keys = [float(a).hex() for a in alphas]
+    distinct = {key: r for r, key in enumerate(dict.fromkeys(keys))}
+    if len(distinct) < 2:
+        return (table_at(family, alphas[0]) if alphas else None), None
+    return (TableAt(family, [float.fromhex(key) for key in distinct]),
+            np.array([distinct[key] for key in keys]))
+
+
+def find_orbits(words, family: DeformationFamily, alpha, inits=None,
                 padding: int = DEFAULT_PADDING, tol: float = TOL_ORBIT,
                 shadow_check: bool = True) -> list:
-    """Orbits realizing a batch of words at one alpha.
+    """Orbits realizing a batch of words at one alpha, or at one alpha
+    per word when ``alpha`` is a sequence.
 
     A cyclic word gives its periodic orbit.  An open word is padded on
     both sides, the open chain is solved, and only the core reflections
@@ -647,16 +665,22 @@ def find_orbits(words, family: DeformationFamily, alpha: float, inits=None,
     more pads keeps its depth).  With ``shadow_check`` a segment's
     ``shadow_gap`` is ``_truncation_bound``; while it exceeds TOL_SHADOW
     the chain is re-solved 4 pads deeper, and past MAX_PADDING the word
-    fails with ShadowingError.  ``inits`` holds each word's starting
-    chain, pads included, or None for the crude seed.
+    fails with ShadowingError, which names the word's alpha.  ``inits``
+    holds each word's starting chain, pads included, or None for the
+    crude seed.
 
-    Words of one kind, length and pad depth form a group: one
-    ``_segment_solve`` (one seed call for its cold words, one
-    ``_solve_chain`` call), one batched bound, and one more
-    ``_segment_solve`` for the words it deepens.  Every chain runs the
-    iteration it would run alone, so a word's orbit does not depend on
-    the batch it came in.  Returns, per word, its BilliardOrbit or the
-    SolveError or ShadowingError it failed with; a malformed request
+    The batch is solved on one table: the shared snapshot at one alpha,
+    or one multi-row ``TableAt`` over the distinct alphas, each word's
+    chain offset to its alpha's row.  Words of one kind, length and pad
+    depth form a group, whatever their alphas: one ``_segment_solve``
+    (one seed call for its cold words, one ``_solve_chain`` call), one
+    batched bound, and one more ``_segment_solve`` for the words it
+    deepens.  Every chain runs the iteration it would run alone on every
+    row, so a word's orbit does not depend on the batch it came in: it
+    is the one ``find_orbits([word], family, its_alpha, [init])`` gives,
+    with the obstacle symbols themselves in ``chain_symbols`` and the
+    records, and its own alpha.  Returns, per word, its BilliardOrbit or
+    the SolveError or ShadowingError it failed with; a malformed request
     raises ValueError.
     """
     inits = [None] * len(words) if inits is None else list(inits)
@@ -665,7 +689,14 @@ def find_orbits(words, family: DeformationFamily, alpha: float, inits=None,
     inits = [None if c is None else np.asarray(c, float) for c in inits]
     depths = [_pad_depth(w, family.z0, padding, c)
               for w, c in zip(words, inits)]
-    table = table_at(family, alpha)
+    if np.ndim(alpha):
+        alphas = list(alpha)
+        if len(alphas) != len(words):
+            raise ValueError("one alpha per word")
+        table, rows = _snapshot(family, alphas)
+    else:
+        alphas = [alpha] * len(words)
+        table, rows = table_at(family, alpha), None
     out = [None] * len(words)
     groups = {}
     for i, word in enumerate(words):
@@ -676,8 +707,10 @@ def find_orbits(words, family: DeformationFamily, alpha: float, inits=None,
         depth, idx, group_inits = pending.pop(0)
         group = [words[i] for i in idx]
         cyclic, m = group[0].cyclic, len(group[0])
-        symbols, us, residual, errors = _segment_solve(table, group, depth,
-                                                       group_inits, tol)
+        symbols, us, residual, errors = _segment_solve(
+            table, group, depth, group_inits, tol,
+            None if rows is None else rows[idx])
+        raw = symbols % table.stride    # the obstacle symbols themselves
         for b in np.flatnonzero([e is not None for e in errors]):
             out[idx[b]] = errors[b]
         ok = np.flatnonzero([e is None for e in errors])
@@ -691,10 +724,14 @@ def find_orbits(words, family: DeformationFamily, alpha: float, inits=None,
                     out[idx[b]] = ShadowingError(
                         f"truncation bound {gaps[b]:.3e} exceeds "
                         f"{TOL_SHADOW:.1e} at padding {depth}; word "
-                        f"{group[b].label} at alpha = {alpha}")
+                        f"{group[b].label} at alpha = {alphas[idx[b]]}")
             elif deepen.size:
-                # the solved chain, with 4 freshly seeded pads on each side
-                outer = _seed_chain(table, _pad_symbols(symbols[deepen], 4),
+                # the solved chain, with 4 freshly seeded pads on each
+                # side: the pads read the true end symbols, then go to
+                # the chain's row
+                offset = (symbols - raw)[deepen, :1]
+                outer = _seed_chain(table,
+                                    _pad_symbols(raw[deepen], 4) + offset,
                                     cyclic=False)
                 seeds = np.concatenate([outer[:, :4], us[deepen],
                                         outer[:, -4:]], axis=1)
@@ -707,9 +744,10 @@ def find_orbits(words, family: DeformationFamily, alpha: float, inits=None,
         for b, recs in zip(ok, records):
             gap = float(gaps[b]) if shadow_check and not cyclic else math.nan
             out[idx[b]] = recs if isinstance(recs, SolveError) \
-                else BilliardOrbit(group[b], alpha, recs, float(residual[b]),
-                                   kind, tuple(symbols[b].tolist()),
-                                   tuple(us[b]), depth, gap)
+                else BilliardOrbit(group[b], alphas[idx[b]], recs,
+                                   float(residual[b]), kind,
+                                   tuple(raw[b].tolist()), tuple(us[b]),
+                                   depth, gap)
     return out
 
 
@@ -825,25 +863,34 @@ def _tridiag_eigenvalue(diag, off, i: int) -> float:
 
 
 def alpha_derivatives(orbits, family: DeformationFamily) -> list:
-    """Implicit-function alpha-derivatives of a batch of solved orbits.
+    """Implicit-function alpha-derivatives of a batch of solved orbits,
+    at their own alphas.
 
-    Orbits at one alpha of one kind whose chains have one length and
-    whose cores have one start and one length form a group, evaluated
-    on one batched chain system with one batched tridiagonal solve; the
-    condition number stays per chain.  Returns, per orbit, its
-    AlphaDerivatives or the SolveError its chain is rejected with (a
-    degenerate chain, or cond not below COND_LIMIT).
+    The batch is evaluated on one table, as ``find_orbits`` solves it:
+    the shared snapshot when the orbits share one alpha, else one
+    multi-row ``TableAt`` over their distinct alphas.  Orbits of one
+    kind whose chains have one length and whose cores have one start and
+    one length form a group, whatever their alphas, evaluated on one
+    batched chain system with one batched tridiagonal solve; the
+    condition number stays per chain.  Each result is the orbit's
+    derivative alone.  Returns, per orbit, its AlphaDerivatives or the
+    SolveError its chain is rejected with (a degenerate chain, or cond
+    not below COND_LIMIT).
     """
     out = [None] * len(orbits)
+    if not orbits:
+        return out
+    table, alpha_rows = _snapshot(family, [o.alpha for o in orbits])
     groups = {}
     for i, o in enumerate(orbits):
-        key = (o.alpha, o.kind, len(o.chain_us), o.core_start, len(o.records))
+        key = (o.kind, len(o.chain_us), o.core_start, len(o.records))
         groups.setdefault(key, []).append(i)
-    for (alpha, kind, _, start, n), idx in groups.items():
+    for (kind, _, start, n), idx in groups.items():
         cyclic = kind == "periodic"
         sym = np.array([orbits[i].chain_symbols for i in idx])
+        if alpha_rows is not None:
+            sym += table.stride * alpha_rows[idx][:, None]
         us = np.array([orbits[i].chain_us for i in idx])
-        table = table_at(family, alpha)
         ev = _chain_system(table, sym, us, cyclic, want_alpha=True)
         conds = {}
         for b, i in enumerate(idx):
@@ -863,8 +910,9 @@ def alpha_derivatives(orbits, family: DeformationFamily) -> list:
         ok = list(conds)
         sym, us = sym[ok], us[ok]
         rows = slice(start, start + n)
-        kap, kap_u, kap_a = curvature_partials(family, sym[:, rows],
-                                               us[:, rows], alpha)
+        _check_orders(family, 3, 1)     # as curvature_partials checks
+        kap, kap_u, kap_a = _curvature_partials(table, sym[:, rows],
+                                                us[:, rows])
         udot_full = _tridiag_solve(ev.hess[ok], ev.off[ok], -ev.g_alpha[ok],
                                    cyclic)[0]
 

@@ -103,23 +103,69 @@ def test_breathe_sweep_solves_each_open_word_once(breathe_cfg, monkeypatch):
     assert words == chains == {True: 520, False: 100}
 
 
+def _nodes(cfg):
+    """Chain nodes per alpha of every configured word."""
+    return sum(len(w) + (0 if w.cyclic else 2 * cfg.padding)
+               for _, w in cfg.words)
+
+
+def test_breathe_sweep_walks_the_grid_in_chunks(breathe_cfg, monkeypatch):
+    # the first alpha alone, then chunks of WALK_NODES // 517 = 7 alphas
+    # (two cycles of 2 and 3 nodes, eight open words of 40 + 2 * 12):
+    # one find_orbits and one alpha_derivatives call per chunk
+    nodes = _nodes(breathe_cfg)
+    size = experiments.WALK_NODES // nodes
+    calls = {"find_orbits": [], "alpha_derivatives": []}
+    for name in calls:
+        def counted(*args, fn=getattr(experiments, name), name=name,
+                    **kwargs):
+            calls[name].append(len(args[0]))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    result = run_sweep(breathe_cfg)
+    assert not result.failures
+    n_alphas = len(breathe_cfg.alpha_grid)
+    expected = 1 + math.ceil((n_alphas - 1) / size)
+    assert (nodes, size, expected) == (517, 7, 11)
+    words = len(breathe_cfg.words)
+    rows = [words] + [words * len(range(lo, min(lo + size, n_alphas)))
+                      for lo in range(1, n_alphas, size)]
+    assert calls == {"find_orbits": rows, "alpha_derivatives": rows}
+
+
+def _chunk_starts(cfg, n_alphas):
+    """The first grid index of the walk's chunk holding each grid index:
+    the first alpha alone, then chunks of WALK_NODES // (chain nodes per
+    alpha of every word) alphas."""
+    size = max(1, experiments.WALK_NODES // _nodes(cfg))
+    return [0] + [1 + (gi - 1) // size * size for gi in range(1, n_alphas)]
+
+
 def _word_at_a_time(cfg):
     """Reference sweep: each word solved and analysed alone along the
-    grid, warm-started from its previous solve and cold after a failure.
-    Returns (rows sorted by word and alpha, failures)."""
+    grid, seeded from its chain at the last alpha before the alpha's
+    chunk (crude where that solve failed or there is none), and solved
+    again from the crude seed after a failure from a chain.  Returns
+    (rows sorted by word and alpha, failures)."""
     bounds = run_check(cfg)
+    starts = _chunk_starts(cfg, len(bounds))
     rows, failures = [], []
     for ident, word in cfg.words:
         solved = {}
-        init = None
+        chains = {}
         for gi, b in enumerate(bounds):
+            init = chains.get(starts[gi] - 1)
             try:
-                orbit = solve_word(cfg, word, b.alpha, init=init)
+                try:
+                    orbit = solve_word(cfg, word, b.alpha, init=init)
+                except (SolveError, symbolic.ShadowingError):
+                    if init is None:
+                        raise
+                    orbit = solve_word(cfg, word, b.alpha)
             except (SolveError, symbolic.ShadowingError) as exc:
                 failures.append((ident, b.alpha, str(exc)))
-                init = None
                 continue
-            init = np.asarray(orbit.chain_us)
+            chains[gi] = np.asarray(orbit.chain_us)
             res = analyze_orbit(cfg, orbit)
             solved[gi] = experiments.SweepRow(
                 b.alpha, ident, res["report"].m, res["report"].lambda_m,
@@ -148,41 +194,61 @@ def test_sweep_rows_equal_a_word_at_a_time_sweep(which, small_cfg,
     assert result.failures == failures == []
 
 
-def _inject_failures(monkeypatch, spots):
+def _spots(cfg):
+    """The (word index, grid index) of a word at a grid alpha."""
+    index = {word: i for i, (_, word) in enumerate(cfg.words)}
+    grid = [float(a) for a in cfg.alpha_grid]
+    return lambda word, alpha: (index[word], grid.index(alpha))
+
+
+def _chunks_of(monkeypatch, cfg, size):
+    """Walk the grid after its first alpha in chunks of ``size`` alphas."""
+    monkeypatch.setattr(experiments, "WALK_NODES", size * _nodes(cfg))
+
+
+def _inject_failures(monkeypatch, cfg, spots, warm_only=False):
     """Make find_orbits fail word ``i`` at grid point ``gi`` for every
-    (i, gi) in ``spots``; returns the inits each call received."""
-    calls = []
+    (i, gi) in ``spots``: on every attempt, or with ``warm_only`` only
+    from a seed chain.  Returns the (i, gi, cold) of every row of every
+    call, in call order."""
+    spot_of = _spots(cfg)
+    rows = []
     find_orbits = symbolic.find_orbits
 
-    def failing(words, family, alpha, inits, **kwargs):
-        calls.append(list(inits))
-        out = find_orbits(words, family, alpha, inits, **kwargs)
-        for i, gi in spots:
-            if gi == len(calls) - 1:
-                out[i] = SolveError(f"injected {i} at {gi}")
+    def failing(words, family, alphas, inits, **kwargs):
+        inits = [None] * len(words) if inits is None else list(inits)
+        out = find_orbits(words, family, alphas, inits, **kwargs)
+        for k, (word, alpha, init) in enumerate(zip(words, alphas, inits)):
+            spot = spot_of(word, alpha)
+            rows.append(spot + (init is None,))
+            if spot in spots and not (warm_only and init is None):
+                out[k] = SolveError(f"injected {spot[0]} at {spot[1]}")
         return out
 
     monkeypatch.setattr(experiments, "find_orbits", failing)
-    return calls
+    return rows
 
 
 def test_a_failed_solve_restarts_its_word_cold(small_cfg, monkeypatch):
-    clean = run_sweep(small_cfg)
-    # word 1 fails at grid point 1 and word 0 at grid point 3: an
+    # chunks [0], [1, 2], [3, 4]: word 1 fails at grid point 2, the last
+    # of its chunk, and starts the next chunk cold; word 0 fails at grid
+    # point 3 inside a chunk, so grid point 4 keeps its seed from 2.  An
     # alpha-major walk meets them in the other order
-    calls = _inject_failures(monkeypatch, [(1, 1), (0, 3)])
+    _chunks_of(monkeypatch, small_cfg, 2)
+    clean = run_sweep(small_cfg)
+    rows = _inject_failures(monkeypatch, small_cfg, {(1, 2), (0, 3)})
     result = run_sweep(small_cfg)
     grid = small_cfg.alpha_grid
     (id0, _), (id1, _) = small_cfg.words
     assert result.failures == [(id0, grid[3], "injected 0 at 3"),
-                               (id1, grid[1], "injected 1 at 1")]
-    # cold at the first grid point and right after each failure only
-    cold = {(gi, i) for gi, inits in enumerate(calls)
-            for i, init in enumerate(inits) if init is None}
-    assert cold == {(0, 0), (0, 1), (2, 1), (4, 0)}
+                               (id1, grid[2], "injected 1 at 2")]
+    # cold at the first grid point, in the retry of each failed row, and
+    # in the chunk after a failure at a chunk's last alpha only
+    cold = {(i, gi) for i, gi, is_cold in rows if is_cold}
+    assert cold == {(0, 0), (1, 0), (1, 2), (0, 3), (1, 3), (1, 4)}
     # every other row is unchanged, but for the secant slopes next to
     # the lost rows
-    lost = {(id1, grid[1]), (id0, grid[3])}
+    lost = {(id1, grid[2]), (id0, grid[3])}
 
     def no_slope(rows):
         return [dataclasses.replace(r, fd_slope=0.0) for r in rows
@@ -192,23 +258,49 @@ def test_a_failed_solve_restarts_its_word_cold(small_cfg, monkeypatch):
     assert no_slope(result.rows) == no_slope(clean.rows)
 
 
+def test_a_failed_row_is_retried_crude_at_its_own_alpha(small_cfg,
+                                                        monkeypatch):
+    # word 1 fails at grid point 2 from its chain only: the crude retry
+    # at that alpha stands in for it, and nothing is reported
+    rows = _inject_failures(monkeypatch, small_cfg, {(1, 2)}, warm_only=True)
+    result = run_sweep(small_cfg)
+    assert result.failures == []
+    assert len(result.rows) == 2 * len(small_cfg.alpha_grid)
+    assert [(i, gi) for i, gi, is_cold in rows if is_cold] \
+        == [(0, 0), (1, 0), (1, 2)]
+    assert rows.index((1, 2, True)) > rows.index((1, 2, False))
+    ident, word = small_cfg.words[1]
+    alpha = small_cfg.alpha_grid[2]
+    row = next(r for r in result.rows
+               if (r.word_id, r.alpha) == (ident, alpha))
+    orbit = solve_word(small_cfg, word, alpha)
+    res = analyze_orbit(small_cfg, orbit)
+    assert (row.lambda_m, row.F_m, row.residual) \
+        == (res["report"].lambda_m, res["F_m"], orbit.residual)
+
+
 def test_a_failed_analysis_raises_in_word_major_order(small_cfg,
                                                       monkeypatch):
+    # chunks [0], [1, 2], [3, 4]: word 1 fails its analysis at grid point
+    # 1, so the last chunk drops it, and word 0 fails at grid point 3
+    _chunks_of(monkeypatch, small_cfg, 2)
+    spot_of = _spots(small_cfg)
     derivatives = symbolic.alpha_derivatives
-    seen = []
+    walked = []
 
     def failing(orbits, family):
-        seen.append(None)
         out = derivatives(orbits, family)
-        gi = len(seen) - 1
-        for i, gi_bad in ((1, 1), (0, 3)):
-            if gi == gi_bad:
-                out[i] = SolveError(f"injected {i} at {gi}")
+        spots = [spot_of(o.word, o.alpha) for o in orbits]
+        walked.append({i for i, _ in spots})
+        for k, (i, gi) in enumerate(spots):
+            if (i, gi) in ((1, 1), (0, 3)):
+                out[k] = SolveError(f"injected {i} at {gi}")
         return out
 
     monkeypatch.setattr(experiments, "alpha_derivatives", failing)
     with pytest.raises(SolveError, match="injected 0 at 3"):
         run_sweep(small_cfg)
+    assert walked == [{0, 1}, {0, 1}, {0}]
 
 
 def test_effective_burn_in_clips(small_cfg):

@@ -679,11 +679,35 @@ def test_start_grid_is_shared_by_equal_frames(monkeypatch, breathe_cfg):
     assert sum(frames) <= 134 + 68
 
 
+@pytest.mark.parametrize("first,alpha", [(0.0, -1e-4), (-0.0, -2e-4)])
+def test_table_at_keeps_a_snapshot_per_signed_zero(first, alpha):
+    # families that differ only in the sign of zero coefficients compare
+    # and hash equal, but at a negative alpha the first ellipse's rotation
+    # keeps the sign of its zero; at alphas 0.0 and -0.0 the second
+    # ellipse's rotation -0.0 + alpha does.  Called in either order,
+    # each gets its own snapshot
+    def family(zero):
+        return DeformationFamily((
+            circle(0.0, zero, 1.0), ellipse(6.0, zero, 1.5, 0.8, zero),
+            ellipse(6.0, 6.0, 1.5, 0.8, (zero, 1.0))), 0.1)
+
+    families = [family(zero) for zero in (first, -first)]
+    assert families[0] == families[1]
+    assert hash(families[0]) == hash(families[1])
+    calls = [(fam, alpha) for fam in families] \
+        + [(family(-0.0), zero) for zero in (first, -first)]
+    for fam, a in calls:
+        own = geometry.TableAt(fam, a).rotation.tobytes()
+        assert table_at(fam, a).rotation.tobytes() == own
+    for pair in (calls[:2], calls[2:]):
+        assert len({geometry.TableAt(f, a).rotation.tobytes()
+                    for f, a in pair}) == 2
+
+
 def test_direction_search_keys_frames_by_their_bytes(monkeypatch):
     # a snapshot at a negative alpha keeps the sign of a zero coefficient:
     # the two tables differ only in the centre's y (0.0 or -0.0) and the
-    # ellipse's rotation; a NaN frame has the same bytes in two snapshots.
-    # Equal families share one table_at entry, so these are built apart.
+    # ellipse's rotation; a NaN frame has the same bytes in two snapshots
     def family(zero, radius):
         return DeformationFamily((
             circle(0.0, zero, 1.0), ellipse(6.0, zero, 1.5, 0.8, zero),

@@ -64,14 +64,16 @@ def _memos(tree, prefix=""):
 
 
 def test_lru_caches_are_pinned():
-    # the table snapshot, the phi corpus and each family's alpha-polynomial
-    # stack are the package's only memos
+    # the table snapshot (``table_at``'s cache, keyed by bits as well),
+    # the phi corpus, and each family's alpha-polynomial stack and the
+    # bytes of its coefficients are the package's only memos
     cached = set()
     for path in sorted(PACKAGE.glob("*.py")):
         cached |= {f"{path.stem}.{name}"
                    for name in _memos(ast.parse(path.read_text()))}
-    assert cached == {"geometry.table_at", "geometry._phi_corpus",
-                      "geometry.DeformationFamily.alpha_stack"}
+    assert cached == {"geometry._shared_table", "geometry._phi_corpus",
+                      "geometry.DeformationFamily.alpha_stack",
+                      "geometry.DeformationFamily.coefficient_bits"}
 
 
 def _dotted_names(tree):

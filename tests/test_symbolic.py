@@ -872,6 +872,71 @@ def test_batched_orbits_and_derivatives_equal_batches_of_one(
             assert _same_result(d, orbit_alpha_derivatives(o, fam))
 
 
+@settings(max_examples=10)
+@given(table=st.sampled_from(["breathe", "mixed"]),
+       alphas=st.lists(st.floats(0.0, 0.39), min_size=2, max_size=4,
+                       unique=True),
+       picks=st.lists(st.tuples(st.booleans(), st.integers(0, 5),
+                                st.booleans(), st.integers(0, 3)),
+                      min_size=3, max_size=8))
+def test_multi_alpha_orbits_and_derivatives_equal_batches_of_one(
+        breathe_cfg, mixed_cfg, table, alphas, picks):
+    # one batch over several alphas (one multi-row snapshot) mixes warm
+    # and cold starts of cyclic and open words; a cold open word deepens
+    # from padding 6 at two alphas, so at least one re-pad is on a row
+    # past the first, and a nan start fails.  Every row is its word's
+    # batch of one at its alpha, obstacle symbols and alpha included
+    fam = (breathe_cfg if table == "breathe" else mixed_cfg).family
+    cycles = [w for w in enumerate_cyclic_words(3, 4) if len(w) > 2]
+    words, at, inits = [], [], []
+    for cyclic, k, warm, r in picks:
+        word = cycles[k % len(cycles)] if cyclic \
+            else sample_itinerary(3, (4, 8)[k % 2], seed=k)
+        alpha = alphas[r % len(alphas)]
+        init = None
+        if warm:
+            near = find_orbits([word], fam, alpha + 0.01)[0]
+            init = np.asarray(near.chain_us)
+        words.append(word)
+        at.append(alpha)
+        inits.append(init)
+    deepening = sample_itinerary(3, 8, seed=11)
+    solved = find_orbit_segment(deepening, fam, alphas[0])
+    words += [deepening, deepening, deepening]
+    at += [alphas[0], alphas[-1], alphas[-1]]
+    inits += [None, None, np.full(len(solved.chain_us), np.nan)]
+
+    batch = find_orbits(words, fam, at, inits, padding=6)
+    alone = [find_orbits([w], fam, a, [c], padding=6)[0]
+             for w, a, c in zip(words, at, inits)]
+    assert all(_same_result(a, b) for a, b in zip(batch, alone))
+    assert batch[-3].core_start > 6 and batch[-2].core_start > 6
+    assert isinstance(batch[-1], SolveError)
+    orbits = [o for o in batch if isinstance(o, BilliardOrbit)]
+    for o, a in zip(batch, at):
+        if isinstance(o, BilliardOrbit):
+            assert o.alpha == a
+            assert set(o.chain_symbols) | set(o.records.obstacle.tolist()) \
+                <= {1, 2, 3}
+
+    derivs = alpha_derivatives(orbits, fam)
+    assert all(_same_result(d, alpha_derivatives([o], fam)[0])
+               for d, o in zip(derivs, orbits))
+
+
+def test_a_multi_alpha_batch_names_each_words_alpha(monkeypatch):
+    # a word past the padding cap fails with the alpha of its own row
+    monkeypatch.setattr(symbolic, "MAX_PADDING", 12)
+    word = sample_itinerary(3, 12, seed=0)
+    fam = static_three_circle(3.0)
+    batch = find_orbits([word, word], fam, [0.0, 0.2], padding=12)
+    for got, alpha in zip(batch, (0.0, 0.2)):
+        assert isinstance(got, ShadowingError)
+        assert str(got).endswith(f"at alpha = {alpha}")
+        assert _same_result(got, find_orbits([word], fam, alpha,
+                                             padding=12)[0])
+
+
 def test_implicit_derivative_reads_the_flights_of_the_records(mixed_cfg):
     # d_dot = e . (q_dot(succ) - q_dot(node)) with e = v / d, d the
     # records' flight length and split products: on these 20 words of
