@@ -1,25 +1,13 @@
 """Experiment drivers over a configured table.
 
-The sweep walks its words along the alpha grid in chunks of alphas.
-The first grid alpha is solved cold for every word; the rest go in
-chunks of max(1, WALK_NODES // N) alphas, N being the chain nodes per
-alpha of the words still in the sweep.  A chunk is one
-``symbolic.find_orbits`` call and one ``symbolic.alpha_derivatives``
-call on one multi-row table snapshot, every row seeded with its word's
-chain at the last alpha before the chunk (the crude seed where that
-solve failed), and a row that fails from its chain is solved again from
-the crude seed at its own alpha.  The rows of one kind, length and pad
-depth share one batched chain solve, one batched truncation bound and
-one batched implicit-function derivative, whatever their alphas.  Every
-chain runs the iteration it would run alone, so each row is the one a
-word-at-a-time sweep (``solve_word`` then ``analyze_orbit``) that seeds
-and retries the same way gives.  Table bounds come from one
-``geometry.table_bounds`` call over the whole grid (``run_check``): one
-certification and one pair-extremes search for every grid alpha, and
-one call of its phi_max observer, ``geometry._default_phi_observation``,
-which walks the corpus along the grid in the same way: each corpus word
-on its own at the first grid point, then each group of equal-length
-words in chunks of alphas.
+The sweep follows its words along the alpha grid in one
+``symbolic.walk``, which says how the grid is chunked, seeded and
+retried.  A chunk is one ``symbolic.find_orbits`` call and one
+``symbolic.alpha_derivatives`` call on one multi-row table snapshot,
+and each row is the one a word-at-a-time sweep (``solve_word`` then
+``analyze_orbit``) that seeds and retries the same way gives.  Table
+bounds come from one ``geometry.table_bounds`` call over the whole grid
+(``run_check``), whose phi_max observer walks its corpus the same way.
 Emitted CSVs are fully deterministic: fixed column order, fixed float
 format, no timestamps.
 """
@@ -37,11 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError, LabConfig
-from .geometry import WALK_NODES, GeometryError, TableBounds, table_bounds
+from .geometry import GeometryError, TableBounds, table_bounds
 from .lyapunov import f_derivative_sum, kdot_trace, lyapunov_estimate
 from .symbolic import (BilliardOrbit, SolveError, Word, alpha_derivatives,
                        find_orbit_segment, find_orbits, find_periodic_orbit,
-                       orbit_alpha_derivatives)
+                       orbit_alpha_derivatives, walk)
 
 _FLOAT_FMT = "%.12e"
 
@@ -131,69 +119,52 @@ def _require_smoothness(cfg, need, what):
             f"table declares C^({r},{rp})")
 
 
-def _solve_rows(cfg, words, alphas, seeds) -> list:
-    """One ``find_orbits`` call for the sweep's rows, each word at its
-    alpha from its seed; a row that fails from a seed chain is solved
-    again from the crude seed at its alpha, and only a second failure is
-    returned."""
-    kwargs = dict(padding=cfg.padding, tol=cfg.tol_orbit)
-    orbits = find_orbits(words, cfg.family, alphas, seeds, **kwargs)
-    retry = [k for k, (seed, orbit) in enumerate(zip(seeds, orbits))
-             if seed is not None and not isinstance(orbit, BilliardOrbit)]
-    if retry:
-        again = find_orbits([words[k] for k in retry], cfg.family,
-                            [alphas[k] for k in retry], None, **kwargs)
-        for k, orbit in zip(retry, again):
-            orbits[k] = orbit
-    return orbits
-
-
 def run_sweep(cfg: LabConfig) -> SweepResult:
     """Exponent, exact derivative and diagnostics for every configured
     word across the alpha grid, plus the per-alpha table bounds of
     ``run_check``.
 
-    The grid is walked in chunks of alphas (see the module docstring);
-    rows, failures (word-major) and summaries are those of a
-    word-at-a-time sweep that seeds and retries each word as the walk
-    does.  An analysis error is raised as that sweep would raise it: the
-    first failing alpha of the lowest failing word; the chunks after it
-    drop the words after that word.
+    The words follow the grid in one ``symbolic.walk``; rows, failures
+    (word-major) and summaries are those of a word-at-a-time sweep that
+    seeds and retries each word as the walk does.  An analysis error is
+    raised as that sweep would raise it: the first failing alpha of the
+    lowest failing word; the chunks after it analyse only the words
+    before that word.
     """
     _require_smoothness(cfg, (4, 2), "the sweep's derivative columns")
     bounds = run_check(cfg)
 
     words = [word for _, word in cfg.words]
-    chains = [None] * len(words)    # each word's chain at the last alpha
     word_rows = [{} for _ in words]
     word_failures = [[] for _ in words]
     fatal = {}                      # word index -> its first analysis error
     cd_obs = 0.0
     ck_obs = 0.0
-    lo = 0
-    while lo < len(bounds):
+
+    def solve(batch, alphas, inits):
+        orbits = find_orbits(batch, cfg.family, alphas, inits,
+                             padding=cfg.padding, tol=cfg.tol_orbit)
+        return [(np.asarray(o.chain_us) if isinstance(o, BilliardOrbit)
+                 else None, o) for o in orbits]
+
+    for lo, rows in walk(solve, words, [b.alpha for b in bounds],
+                         cfg.padding):
         # a word-at-a-time sweep never reaches the words after a raise
-        live = range(min(fatal, default=len(words)))
+        live = min(fatal, default=len(words))
         if not live:
             break
-        nodes = sum(len(words[i]) + (0 if words[i].cyclic else 2 * cfg.padding)
-                    for i in live)
-        hi = 1 if lo == 0 else lo + max(1, WALK_NODES // nodes)
-        batch = [(gi, i) for gi in range(lo, min(hi, len(bounds)))
-                 for i in live]
-        seeds = [chains[i] for _, i in batch]
-        orbits = _solve_rows(cfg, [words[i] for _, i in batch],
-                             [bounds[gi].alpha for gi, _ in batch], seeds)
+        batch = [(lo + k // len(words), k % len(words), orbit)
+                 for k, (_, orbit) in enumerate(rows)
+                 if k % len(words) < live]
         derivs = iter(alpha_derivatives(
-            [o for o in orbits if isinstance(o, BilliardOrbit)], cfg.family))
-        for (gi, i), orbit in zip(batch, orbits):
+            [o for _, _, o in batch if isinstance(o, BilliardOrbit)],
+            cfg.family))
+        for gi, i, orbit in batch:
             b = bounds[gi]
             ident = cfg.words[i][0]
             if not isinstance(orbit, BilliardOrbit):
                 word_failures[i].append((ident, b.alpha, str(orbit)))
-                chains[i] = None
                 continue
-            chains[i] = np.asarray(orbit.chain_us)
             try:
                 res = _analysis(cfg, orbit,
                                 functools.partial(_value, next(derivs)))
@@ -209,7 +180,6 @@ def run_sweep(cfg: LabConfig) -> SweepResult:
                 float(np.abs(derivs_i.u_dot).max()),
                 float(np.abs(res["kdot"].k_dot).max()),
                 orbit.residual, derivs_i.cond)
-        lo = hi
     if fatal:
         raise fatal[min(fatal)]
 
@@ -336,8 +306,8 @@ def run_derivative(cfg: LabConfig, word: Word):
 
 def run_check(cfg: LabConfig):
     """Table bounds and certificates at every grid alpha, from one
-    ``table_bounds`` call over the grid, which warm-starts the
-    collision-angle observation along it (validation already ran at load
+    ``table_bounds`` call over the grid, whose collision-angle observer
+    walks the grid as the sweep does (validation already ran at load
     time; this recomputes and reports)."""
     return table_bounds(cfg.family, [float(a) for a in cfg.alpha_grid],
                         cfg.phi_max)

@@ -33,8 +33,6 @@ BOUNDS_SAMPLES = 512      # seed directions of the support-function maxima
 VALIDATION_ALPHAS = 65    # alphas on which validate_family certifies the table
 SEARCH_CHUNK = 24         # frames, and rows, per block of the direction search's
                           # start grid
-WALK_NODES = 4096         # chain nodes per batched solve of a grid walk: the
-                          # phi corpus's and the sweep's
 
 
 class GeometryError(ValueError):
@@ -624,25 +622,17 @@ def _phi_corpus(z0: int):
 
 def _default_phi_observation(family: DeformationFamily, alphas) -> list:
     """The largest collision angle over the corpus orbits at each of
-    ``alphas``: the grid walk.
+    ``alphas``.
 
     The first alpha is observed cold: each corpus word is solved on its
     own by ``symbolic.find_periodic_orbit`` or
     ``symbolic.find_orbit_segment``.  Each (cyclic, length) group of the
-    corpus then walks the remaining alphas in chunks of max(1,
-    WALK_NODES // its chain nodes per alpha) alphas.  A chunk is one
-    ``symbolic.max_collision_angles`` batch on one multi-row ``TableAt``
-    snapshot: every row is seeded with its word's chain at the last
-    alpha before the chunk, or with the crude seed where it has none,
-    and a row that fails from its chain is solved again from the crude
-    seed at its own alpha.  On a
-    three-obstacle table each cyclic group (6 to 54 nodes per alpha)
-    takes a 65-alpha grid in one chunk, and the open group (5,600 nodes)
-    walks one alpha at a time, each seeded from the alpha before.  Open
+    corpus then follows its chains along the remaining alphas in one
+    ``symbolic.walk`` of ``symbolic.max_collision_angles`` batches.  Open
     words are padded by PHI_PADDING and only their core angles count.  A
-    chain that fails twice, or converges to a nonphysical configuration
-    from both seeds, is left out of its alpha's estimate; GeometryError
-    for the first alpha at which no orbit converged.
+    chain that fails, or is nonphysical, on every try is left out of its
+    alpha's estimate; GeometryError for the first alpha at which no orbit
+    converged.
     """
     # orbit machinery lives above geometry; import late to keep layering simple
     from . import symbolic
@@ -664,33 +654,21 @@ def _default_phi_observation(family: DeformationFamily, alphas) -> list:
                 continue
             chains[word] = np.asarray(orbit.chain_us)
             phis[0].append(float(orbit.records.phi.max()))
+
+    def solve(words, alphas, inits):
+        return symbolic.max_collision_angles(words, family, alphas, inits,
+                                             PHI_PADDING)
+
     for words in _phi_corpus(family.z0):
-        n = len(words)
-        pads = 0 if words[0].cyclic else 2 * PHI_PADDING
-        size = max(1, WALK_NODES // (n * (len(words[0]) + pads)))
-        seeds = [chains.get(word) for word in words]
-        for lo in range(1, len(alphas), size):
-            part = alphas[lo:lo + size]
-            table = TableAt(family, part)
-            starts = seeds * len(part)
-            rows = np.repeat(np.arange(len(part)), n)
-            solutions = symbolic.max_collision_angles(
-                words * len(part), table, PHI_PADDING, starts, rows)
-            retry = [k for k, (start, (chain, _)) in
-                     enumerate(zip(starts, solutions))
-                     if chain is None and start is not None]
-            if retry:
-                again = symbolic.max_collision_angles(
-                    [words[k % n] for k in retry], table, PHI_PADDING,
-                    [None] * len(retry), rows[retry])
-                for k, solution in zip(retry, again):
-                    solutions[k] = solution
-            for k, (chain, phi) in enumerate(solutions):
+        for lo, rows in symbolic.walk(solve, words, alphas[1:], PHI_PADDING,
+                                      [chains.get(word) for word in words]):
+            for k, (chain, phi) in enumerate(rows):
                 if chain is not None:
-                    phis[lo + k // n].append(phi)
-            seeds = [chain for chain, _ in solutions[-n:]]
-    if not all(phis):
-        raise GeometryError("collision angle estimate failed: no orbit converged")
+                    phis[1 + lo + k // len(words)].append(phi)
+    for alpha, found in zip(alphas, phis):
+        if not found:
+            raise GeometryError("collision angle estimate failed: no orbit "
+                                f"converged at alpha = {alpha}")
     return [max(found) for found in phis]
 
 

@@ -36,6 +36,7 @@ DEFAULT_PADDING = 12    # minimum pad depth of open chains on each side
 MAX_PADDING = 64        # open chains are deepened by 4 pads up to this depth
 COND_LIMIT = 1e12       # chain Hessians worse than this are rejected for derivatives
 _GD_TRIGGER = 0.5       # seed residual above which gradient descent runs first
+WALK_NODES = 4096       # chain nodes per batched solve of a grid walk
 
 
 class SolveError(RuntimeError):
@@ -669,19 +670,17 @@ def find_orbits(words, family: DeformationFamily, alpha, inits=None,
     holds each word's starting chain, pads included, or None for the
     crude seed.
 
-    The batch is solved on one table: the shared snapshot at one alpha,
-    or one multi-row ``TableAt`` over the distinct alphas, each word's
-    chain offset to its alpha's row.  Words of one kind, length and pad
-    depth form a group, whatever their alphas: one ``_segment_solve``
-    (one seed call for its cold words, one ``_solve_chain`` call), one
-    batched bound, and one more ``_segment_solve`` for the words it
-    deepens.  Every chain runs the iteration it would run alone on every
-    row, so a word's orbit does not depend on the batch it came in: it
-    is the one ``find_orbits([word], family, its_alpha, [init])`` gives,
-    with the obstacle symbols themselves in ``chain_symbols`` and the
-    records, and its own alpha.  Returns, per word, its BilliardOrbit or
-    the SolveError or ShadowingError it failed with; a malformed request
-    raises ValueError.
+    The batch is solved on ``_snapshot``'s table for the words' alphas.
+    Words of one kind, length and pad depth form a group, whatever their
+    alphas: one ``_segment_solve`` (one seed call for its cold words, one
+    ``_solve_chain`` call), one batched bound, and one more
+    ``_segment_solve`` for the words it deepens.  Every chain runs the
+    iteration it would run alone on every row, so a word's orbit does not
+    depend on the batch it came in: it is the one ``find_orbits([word],
+    family, its_alpha, [init])`` gives, with the obstacle symbols
+    themselves in ``chain_symbols`` and the records, and its own alpha.
+    Returns, per word, its BilliardOrbit or the SolveError or
+    ShadowingError it failed with; a malformed request raises ValueError.
     """
     inits = [None] * len(words) if inits is None else list(inits)
     if len(inits) != len(words):
@@ -689,14 +688,10 @@ def find_orbits(words, family: DeformationFamily, alpha, inits=None,
     inits = [None if c is None else np.asarray(c, float) for c in inits]
     depths = [_pad_depth(w, family.z0, padding, c)
               for w, c in zip(words, inits)]
-    if np.ndim(alpha):
-        alphas = list(alpha)
-        if len(alphas) != len(words):
-            raise ValueError("one alpha per word")
-        table, rows = _snapshot(family, alphas)
-    else:
-        alphas = [alpha] * len(words)
-        table, rows = table_at(family, alpha), None
+    alphas = list(alpha) if np.ndim(alpha) else [alpha] * len(words)
+    if len(alphas) != len(words):
+        raise ValueError("one alpha per word")
+    table, rows = _snapshot(family, alphas)
     out = [None] * len(words)
     groups = {}
     for i, word in enumerate(words):
@@ -779,24 +774,24 @@ def find_orbit_segment(word: Word, family: DeformationFamily, alpha: float,
                             tol=tol, shadow_check=shadow_check))
 
 
-def max_collision_angles(words, table, padding: int, chains, rows=None):
-    """Warm-start equal-length words of one kind as one batch.
+def max_collision_angles(words, family: DeformationFamily, alphas, chains,
+                         padding: int):
+    """The largest collision angle of equal-length words of one kind, each
+    at its own alpha of ``alphas``, as one batch: one ``_segment_solve``
+    on ``_snapshot``'s table, as in ``find_orbits``.
 
     Cyclic words are solved as periodic orbits, open words as segments
     padded by ``padding`` without the shadowing check; ``chains`` holds
     each word's starting chain, pads included, or None for the crude
-    seed.  On a multi-row ``table`` (several alphas) ``rows`` gives each
-    word's alpha row, so one word may come once per row.  The batch is
-    one ``_segment_solve``, as in ``find_orbits``; its core flights and
-    physical test come from ``_core_flights``, which ``_build_records``
-    uses too, and only the outward cosines are read.  Returns one (chain,
-    phi) per word: the solved chain and its largest collision angle over
-    the core, acos of the smallest cosine (acos decreases, so this is the
-    largest of the angles ``_build_records`` gives), or (None, nan) when
-    the solve failed or the chain is nonphysical.  Every chain runs the
-    iteration it would run alone, so each result is the word's own at
-    its row's alpha.
+    seed.  The core flights and physical test come from
+    ``_core_flights``, as for ``_build_records``, and only the outward
+    cosines are read.  Returns one (chain, phi) per word: the solved
+    chain and acos of its smallest core cosine (the largest of the angles
+    ``_build_records`` gives, since acos decreases), or (None, nan) when
+    the solve failed or the chain is nonphysical.  Each result is the
+    word's own at its alpha, whatever the batch.
     """
+    table, rows = _snapshot(family, alphas)
     depth = 0 if words[0].cyclic else padding
     symbols, us, _, errors = _segment_solve(table, words, depth, chains,
                                             TOL_ORBIT, rows)
@@ -810,6 +805,47 @@ def max_collision_angles(words, table, padding: int, chains, rows=None):
         if good:
             out[b] = (us[b].copy(), math.acos(c_min))
     return out
+
+
+def walk(solve, words, alphas, padding: int, chains=None):
+    """Follow ``words`` along the grid ``alphas`` by natural-parameter
+    continuation, in chunks of alphas.
+
+    ``solve(words, alphas, inits)`` solves a batch of rows, each a word at
+    its alpha from its init chain (pads included) or from the crude seed
+    where that is None, and returns one (chain or None, result) per row.
+    A chunk is one ``solve`` call over every word at each of the chunk's
+    alphas, alpha-major: row k is ``words[k % n]`` at the chunk's k // n-th
+    alpha.  The chunk holds one alpha while no word has a chain, else
+    max(1, WALK_NODES // N) alphas, N being the chain nodes per alpha:
+    word length, plus 2 ``padding`` for an open word.  Each row is seeded
+    with its word's chain at the last alpha before the chunk (``chains``
+    before the first chunk), and a row that fails from a chain is solved
+    once more, crude, at its own alpha, in one more ``solve`` call.  The
+    batched solvers run every chain as it would run alone, so each row is
+    the one a word walked on its own, seeded and retried alike, gets.
+    Yields, per chunk, the index of its first alpha and its rows.
+    """
+    n = len(words)
+    nodes = sum(len(w) + (0 if w.cyclic else 2 * padding) for w in words)
+    seeds = [None] * n if chains is None else list(chains)
+    lo = 0
+    while lo < len(alphas):
+        warm = any(seed is not None for seed in seeds)
+        part = alphas[lo:lo + (max(1, WALK_NODES // nodes) if warm else 1)]
+        inits = seeds * len(part)
+        rows = solve(words * len(part), [a for a in part for _ in words],
+                     inits)
+        retry = [k for k, (init, (chain, _)) in enumerate(zip(inits, rows))
+                 if chain is None and init is not None]
+        if retry:
+            again = solve([words[k % n] for k in retry],
+                          [part[k // n] for k in retry], [None] * len(retry))
+            for k, row in zip(retry, again):
+                rows[k] = row
+        yield lo, rows
+        seeds = [chain for chain, _ in rows[-n:]]
+        lo += len(part)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from billiard_lab import DeformationFamily, ObstacleSpec, circle
+from billiard_lab import DeformationFamily, ObstacleSpec, circle, symbolic
 from billiard_lab.config import load_config
 
 settings.register_profile(
@@ -14,6 +14,16 @@ settings.load_profile("repro")
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+
+
+def chunk_starts(n_alphas, nodes):
+    """The first grid index of the grid walk's chunk holding each of
+    ``n_alphas`` grid indices, for words of ``nodes`` chain nodes per
+    alpha: index 0 alone, then chunks of max(1, WALK_NODES // nodes)
+    alphas.  The reference walks of the sweep and of the phi corpus seed
+    by it, apart from ``symbolic.walk``."""
+    size = max(1, symbolic.WALK_NODES // nodes)
+    return [0] + [1 + (gi - 1) // size * size for gi in range(1, n_alphas)]
 
 
 def static_two_circle():

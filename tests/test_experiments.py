@@ -17,6 +17,8 @@ from billiard_lab.experiments import (BOUNDS_HEADER, SWEEP_HEADER,
                                       run_sweep, solve_word, write_bounds_csv,
                                       write_sweep_csv)
 
+from conftest import chunk_starts
+
 SQRT2 = math.sqrt(2.0)
 
 SMALL = """
@@ -114,7 +116,7 @@ def test_breathe_sweep_walks_the_grid_in_chunks(breathe_cfg, monkeypatch):
     # (two cycles of 2 and 3 nodes, eight open words of 40 + 2 * 12):
     # one find_orbits and one alpha_derivatives call per chunk
     nodes = _nodes(breathe_cfg)
-    size = experiments.WALK_NODES // nodes
+    size = symbolic.WALK_NODES // nodes
     calls = {"find_orbits": [], "alpha_derivatives": []}
     for name in calls:
         def counted(*args, fn=getattr(experiments, name), name=name,
@@ -133,14 +135,6 @@ def test_breathe_sweep_walks_the_grid_in_chunks(breathe_cfg, monkeypatch):
     assert calls == {"find_orbits": rows, "alpha_derivatives": rows}
 
 
-def _chunk_starts(cfg, n_alphas):
-    """The first grid index of the walk's chunk holding each grid index:
-    the first alpha alone, then chunks of WALK_NODES // (chain nodes per
-    alpha of every word) alphas."""
-    size = max(1, experiments.WALK_NODES // _nodes(cfg))
-    return [0] + [1 + (gi - 1) // size * size for gi in range(1, n_alphas)]
-
-
 def _word_at_a_time(cfg):
     """Reference sweep: each word solved and analysed alone along the
     grid, seeded from its chain at the last alpha before the alpha's
@@ -148,7 +142,7 @@ def _word_at_a_time(cfg):
     again from the crude seed after a failure from a chain.  Returns
     (rows sorted by word and alpha, failures)."""
     bounds = run_check(cfg)
-    starts = _chunk_starts(cfg, len(bounds))
+    starts = chunk_starts(len(bounds), _nodes(cfg))
     rows, failures = [], []
     for ident, word in cfg.words:
         solved = {}
@@ -203,7 +197,7 @@ def _spots(cfg):
 
 def _chunks_of(monkeypatch, cfg, size):
     """Walk the grid after its first alpha in chunks of ``size`` alphas."""
-    monkeypatch.setattr(experiments, "WALK_NODES", size * _nodes(cfg))
+    monkeypatch.setattr(symbolic, "WALK_NODES", size * _nodes(cfg))
 
 
 def _inject_failures(monkeypatch, cfg, spots, warm_only=False):

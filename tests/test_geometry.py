@@ -27,12 +27,12 @@ from billiard_lab import (AlphaRangeError, ConvexityError, DeformationFamily,
 from billiard_lab import Word, geometry, symbolic
 from billiard_lab.dynamics import _tangent_frame
 from billiard_lab.geometry import (PHI_PADDING, SEARCH_CHUNK,
-                                   VALIDATION_ALPHAS, WALK_NODES,
-                                   _max_over_directions, _phi_corpus,
-                                   table_at)
+                                   VALIDATION_ALPHAS, _max_over_directions,
+                                   _phi_corpus, table_at)
 
-from conftest import (ROOT, growing_two_circle, static_three_circle,
-                      static_two_circle, translate_two_circle)
+from conftest import (ROOT, chunk_starts, growing_two_circle,
+                      static_three_circle, static_two_circle,
+                      translate_two_circle)
 
 
 def deformed_ellipse_family():
@@ -897,18 +897,19 @@ def test_phi_override_wins():
 def _phi_one_word_at_a_time(family, alphas):
     """phi_max at each of ``alphas``, the corpus solved word by word
     through the finders as the grid walk seeds it: cold at the first
-    alpha; then each group along the rest in chunks of max(1, WALK_NODES
-    // its nodes per alpha) alphas, each word started from its chain at
+    alpha; then each group along the rest in the chunks ``chunk_starts``
+    gives for its nodes per alpha, each word started from its chain at
     the last alpha before the chunk (cold without one) and solved again
     cold when that fails."""
     best = [0.0] * len(alphas)
     for words in _phi_corpus(family.z0):
         pads = 0 if words[0].cyclic else 2 * PHI_PADDING
-        size = max(1, WALK_NODES // (len(words) * (len(words[0]) + pads)))
+        starts = chunk_starts(len(alphas),
+                              len(words) * (len(words[0]) + pads))
         for word in words:
             found = []          # the word's chain at each alpha, or None
             for k, alpha in enumerate(alphas):
-                seed = found[(k - 1) // size * size] if k else None
+                seed = found[starts[k] - 1] if k else None
                 orbit = None
                 for init in [seed, None] if seed is not None else [None]:
                     try:
@@ -969,16 +970,30 @@ def test_walk_retries_a_failed_row_from_the_crude_seed(monkeypatch,
     alphas = [0.0, 0.1, 0.25]
     want = [float(cold.records.phi.max())]
     for alpha in alphas[1:]:
-        table = table_at(family, alpha)
         nan_start = symbolic.max_collision_angles(
-            [word], table, PHI_PADDING, [np.full(3, math.nan)])
+            [word], family, [alpha], [np.full(3, math.nan)], PHI_PADDING)
         assert nan_start[0][0] is None
-        (chain, phi), = symbolic.max_collision_angles([word], table,
-                                                      PHI_PADDING, [None])
+        (chain, phi), = symbolic.max_collision_angles(
+            [word], family, [alpha], [None], PHI_PADDING)
         assert chain is not None
         want.append(phi)
     got = geometry._default_phi_observation(family, alphas)
     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_phi_observation_names_the_first_alpha_without_an_orbit(
+        monkeypatch, breathe_cfg):
+    # every warm row fails, and so does its crude retry; the first alpha,
+    # observed cold, keeps its orbit, so the error names the second
+    monkeypatch.setattr(geometry, "_phi_corpus",
+                        lambda z0: ((Word((1, 2, 3)),),))
+    monkeypatch.setattr(symbolic, "max_collision_angles",
+                        lambda words, *args: [(None, math.nan)] * len(words))
+    alphas = [0.0, 0.1, 0.25]
+    with pytest.raises(GeometryError) as info:
+        geometry._default_phi_observation(breathe_cfg.family, alphas)
+    assert str(info.value) == ("collision angle estimate failed: no orbit "
+                               f"converged at alpha = {alphas[1]}")
 
 
 def test_phi_max_from_observation():

@@ -101,3 +101,43 @@ def test_chain_systems_have_no_dense_solve():
              if name.endswith("linalg.solve")
              or name.rsplit(".", 1)[-1] in {"eye", "solve_banded"}}
     assert dense == set()
+
+
+def _name(node):
+    """The name a node reads, calls through or imports, if any."""
+    for attr in ("id", "attr", "name"):
+        if isinstance(getattr(node, attr, None), str):
+            return getattr(node, attr)
+    return None
+
+
+def _sites(tree, match, prefix):
+    """Qualified names of the functions in ``tree`` (``prefix`` for the
+    module level) holding a node that ``match`` accepts; a node inside a
+    nested function counts for that function."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            found |= _sites(node, match, f"{prefix}.{node.name}")
+            continue
+        if match(node):
+            found.add(prefix)
+        found |= _sites(node, match, prefix)
+    return found
+
+
+def test_one_snapshot_builder_and_one_grid_walk():
+    # a table snapshot is built by table_at's cache or by _snapshot's
+    # multi-row table alone, and the grid walk's chunk budget lives in
+    # symbolic, read by symbolic.walk alone: a third snapshot or walk
+    # path fails here
+    builders, budget = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        builders |= _sites(tree, lambda node: isinstance(node, ast.Call)
+                           and _name(node.func) == "TableAt", path.stem)
+        budget |= _sites(tree, lambda node: _name(node) == "WALK_NODES",
+                         path.stem)
+    assert builders == {"geometry._shared_table", "symbolic._snapshot"}
+    assert budget == {"symbolic", "symbolic.walk"}

@@ -16,8 +16,7 @@ from billiard_lab import (AlphaDerivatives, BilliardOrbit, DeformationFamily,
                           find_orbit_segment, find_orbits, find_periodic_orbit,
                           is_admissible, orbit_alpha_derivatives,
                           sample_itinerary, validate_family)
-from billiard_lab.geometry import (PHI_PADDING, TableAt, _phi_corpus,
-                                   table_at)
+from billiard_lab.geometry import PHI_PADDING, _phi_corpus, table_at
 from billiard_lab import symbolic
 from billiard_lab.symbolic import (TOL_ORBIT, TOL_SHADOW, _chain_length,
                                    _chain_system, _hessian_matrix,
@@ -964,11 +963,13 @@ def test_implicit_derivative_reads_the_flights_of_the_records(mixed_cfg):
         assert _hex(der.d_dot) == _hex(d_dot)
 
 
-def _warm_pass_against_records(table, words, chains):
-    """The warm pass on one group, checked against the largest angle that
-    _build_records gives the same solved chains; returns the pass's
-    results and the solve errors."""
-    got = symbolic.max_collision_angles(words, table, PHI_PADDING, chains)
+def _warm_pass_against_records(family, alpha, words, chains):
+    """The warm pass on one group at one alpha, checked against the
+    largest angle that _build_records gives the same solved chains;
+    returns the pass's results and the solve errors."""
+    got = symbolic.max_collision_angles(words, family, [alpha] * len(words),
+                                        chains, PHI_PADDING)
+    table = table_at(family, alpha)
     cyclic = words[0].cyclic
     depth = 0 if cyclic else PHI_PADDING
     symbols, us, _, errors = symbolic._segment_solve(table, words, depth,
@@ -1000,7 +1001,6 @@ def test_warm_phi_pass_reads_the_largest_record_angle(
     # the far sides of the 1,2 cycle (circles 1 and 2 lie on the x-axis
     # in both tables) are a converged but nonphysical chain
     fam = (breathe_cfg if table == "breathe" else mixed_cfg).family
-    tab = table_at(fam, alpha)
     group = next(g for g in _phi_corpus(fam.z0)
                  if g[0].cyclic == cyclic and len(g) > 3)
     words = [group[k] for k in dict.fromkeys(k % len(group) for k in picks)]
@@ -1008,13 +1008,14 @@ def test_warm_phi_pass_reads_the_largest_record_angle(
                        shadow_check=False)
     chains = [np.asarray(o.chain_us) for o in near]
     got, errors = _warm_pass_against_records(
-        tab, words + [words[0]], chains + [np.full(len(chains[0]), np.nan)])
+        fam, alpha, words + [words[0]],
+        chains + [np.full(len(chains[0]), np.nan)])
     assert errors[-1] is not None and got[-1][0] is None
     assert all(chain is not None for chain, _ in got[:-1])
 
     pair = Word((1, 2))
     got, errors = _warm_pass_against_records(
-        tab, [pair, pair, Word((1, 3))],
+        fam, alpha, [pair, pair, Word((1, 3))],
         [np.array([math.pi, 0.0]), np.array([0.1, 3.0]),
          np.array([0.5, 4.0])])
     assert errors[0] is None and got[0][0] is None
@@ -1029,24 +1030,115 @@ def test_multi_row_phi_batch_rows_equal_words_solved_alone(breathe_cfg,
     # chain from a nearby alpha, or the crude seed)
     fam = (breathe_cfg if table == "breathe" else mixed_cfg).family
     alphas = [0.05, 0.1, 0.3, 0.4]
-    multi = TableAt(fam, alphas)
     for group in _phi_corpus(fam.z0):
         words = list(group[:4])
         near = find_orbits(words, fam, 0.0, padding=PHI_PADDING,
                            shadow_check=False)
         seeds = [np.asarray(o.chain_us) for o in near]
         seeds[1] = None
-        rows = np.repeat(np.arange(len(alphas)), len(words))
+        rows = [a for a in alphas for _ in words]
         got = symbolic.max_collision_angles(
-            words * len(alphas), multi, PHI_PADDING, seeds * len(alphas),
-            rows)
+            words * len(alphas), fam, rows, seeds * len(alphas), PHI_PADDING)
         for k, (chain, phi) in enumerate(got):
             word, seed = words[k % len(words)], seeds[k % len(words)]
             (chain_ref, phi_ref), = symbolic.max_collision_angles(
-                [word], table_at(fam, alphas[rows[k]]), PHI_PADDING, [seed])
+                [word], fam, [rows[k]], [seed], PHI_PADDING)
             assert chain_ref is not None
             assert chain.tobytes() == chain_ref.tobytes()
             assert phi.hex() == phi_ref.hex()
+
+
+# ------------------------------------------------------ the grid walk
+
+_WALKERS = [Word((1, 2)), Word((1, 2, 3), cyclic=False)]
+_GRID = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]
+_CLOSED, _OPEN = (w.label for w in _WALKERS)
+
+
+def _stub_solve(fails=()):
+    """A ``solve`` for ``walk`` that solves nothing: the row of a word at
+    alpha a returns the chain (label, a), or None when (label, a, warm)
+    is in ``fails``, warm meaning that it had an init chain.  Returns the
+    solve and the list of its calls, each the (label, alpha, init) of
+    its rows."""
+    calls = []
+
+    def solve(words, alphas, inits):
+        rows = [(w.label, a, init) for w, a, init in zip(words, alphas, inits)]
+        calls.append(rows)
+        return [(None if (label, a, init is not None) in fails
+                 else (label, a), a) for label, a, init in rows]
+
+    return solve, calls
+
+
+def _chunk(alphas, inits):
+    """The rows of one chunk: every word at each of ``alphas``, the word's
+    init from ``inits``."""
+    return [(w.label, a, init) for a in alphas
+            for w, init in zip(_WALKERS, inits)]
+
+
+def test_walk_chunks_and_seeds_the_grid(monkeypatch):
+    # N = 2 + (3 + 2 * 2) = 9 nodes per alpha, so 18 nodes make chunks of
+    # 2 alphas (3 if the pads went uncounted); with no chain the first
+    # chunk holds one alpha
+    monkeypatch.setattr(symbolic, "WALK_NODES", 18)
+    solve, calls = _stub_solve()
+    walked = list(symbolic.walk(solve, _WALKERS, _GRID, 2))
+    assert [lo for lo, _ in walked] == [0, 1, 3, 5]
+    for lo, rows in walked:
+        part = _GRID[lo:lo + len(rows) // 2]
+        assert rows == [((w.label, a), a) for a in part for w in _WALKERS]
+
+    def chains_at(alpha):
+        return [(_CLOSED, alpha), (_OPEN, alpha)]
+
+    assert calls == [_chunk(_GRID[:1], [None, None]),
+                     _chunk(_GRID[1:3], chains_at(0.0)),
+                     _chunk(_GRID[3:5], chains_at(0.2)),
+                     _chunk(_GRID[5:], chains_at(0.4))]
+    # given chains, every chunk is full from the first
+    solve, calls = _stub_solve()
+    walked = list(symbolic.walk(solve, _WALKERS, _GRID, 2, ["a", "b"]))
+    assert [lo for lo, _ in walked] == [0, 2, 4]
+    assert calls[0] == _chunk(_GRID[:2], ["a", "b"])
+    assert list(symbolic.walk(solve, _WALKERS, [], 2, ["a", "b"])) == []
+    assert len(calls) == 3
+
+
+def test_walk_retries_only_warm_failures_once_crude(monkeypatch):
+    # chunks [0], [1, 2], [3, 4], [5].  The cycle fails cold at 0 (no
+    # retry) and at 0.4, the last alpha of its chunk, from both seeds, so
+    # it starts the next chunk crude; the open word fails from its chain
+    # at 0.2 (the crude retry stands in) and at 0.3 from both seeds, in
+    # the middle of its chunk, so 0.4 keeps the seed from 0.2
+    monkeypatch.setattr(symbolic, "WALK_NODES", 18)
+    fails = {(_CLOSED, 0.0, False), (_OPEN, 0.2, True),
+             (_CLOSED, 0.4, True), (_CLOSED, 0.4, False),
+             (_OPEN, 0.3, True), (_OPEN, 0.3, False)}
+    solve, calls = _stub_solve(fails)
+    walked = dict(symbolic.walk(solve, _WALKERS, _GRID, 2))
+    assert calls == [
+        _chunk(_GRID[:1], [None, None]),
+        _chunk(_GRID[1:3], [None, (_OPEN, 0.0)]),
+        [(_OPEN, 0.2, None)],
+        _chunk(_GRID[3:5], [(_CLOSED, 0.2), (_OPEN, 0.2)]),
+        [(_OPEN, 0.3, None), (_CLOSED, 0.4, None)],
+        _chunk(_GRID[5:], [None, (_OPEN, 0.4)])]
+    assert walked[1][3] == ((_OPEN, 0.2), 0.2)
+    assert walked[3] == [((_CLOSED, 0.3), 0.3), (None, 0.3),
+                         (None, 0.4), ((_OPEN, 0.4), 0.4)]
+
+
+def test_walk_takes_one_alpha_while_no_word_has_a_chain(monkeypatch):
+    # both words fail at 0.2 from both seeds: the chunk after it holds
+    # one alpha, and full chunks follow once the words have chains again
+    monkeypatch.setattr(symbolic, "WALK_NODES", 18)
+    fails = {(w.label, 0.2, warm) for w in _WALKERS for warm in (False, True)}
+    solve, _ = _stub_solve(fails)
+    assert [lo for lo, _ in symbolic.walk(solve, _WALKERS, _GRID, 2)] \
+        == [0, 1, 3, 4]
 
 
 # -------------------------------------------------- alpha-derivatives
