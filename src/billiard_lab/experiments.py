@@ -27,9 +27,9 @@ import numpy as np
 from .config import ConfigError, LabConfig
 from .geometry import GeometryError, TableBounds, table_bounds
 from .lyapunov import f_derivative_sum, kdot_trace, lyapunov_estimate
-from .symbolic import (BilliardOrbit, SolveError, Word, alpha_derivatives,
-                       find_orbit_segment, find_orbits, find_periodic_orbit,
-                       orbit_alpha_derivatives, walk)
+from .symbolic import (BilliardOrbit, SolveError, Word, _value,
+                       alpha_derivatives, find_orbit_segment, find_orbits,
+                       find_periodic_orbit, orbit_alpha_derivatives, walk)
 
 _FLOAT_FMT = "%.12e"
 
@@ -101,14 +101,6 @@ def _analysis(cfg, orbit, derivatives, bounds=None):
     F_m, f_dot = f_derivative_sum(orbit, derivs, trace, kdot, burn_in=burn)
     return {"report": report, "derivs": derivs, "trace": trace, "kdot": kdot,
             "F_m": F_m, "f_dot": f_dot, "burn_in": burn}
-
-
-def _value(result):
-    """A batched call's result for one item: its value, or its error
-    raised."""
-    if isinstance(result, Exception):
-        raise result
-    return result
 
 
 def _require_smoothness(cfg, need, what):

@@ -239,8 +239,8 @@ def _check_orders(family: DeformationFamily, du_order: int,
 
 
 class TableAt:
-    """The table frozen at one alpha: the only evaluator of the
-    alpha-polynomials.
+    """The table frozen at one alpha, or at R alphas in R rows: the only
+    evaluator of the alpha-polynomials.
 
     Per obstacle it holds the complex axis values and the centre for
     every alpha-derivative order 0..r', the rotation phase, and the
@@ -248,28 +248,21 @@ class TableAt:
     (A, B), rotation by -psi).  ``coords`` gathers them once by symbol
     for boundary points of any shape and evaluates several u-orders;
     ``jet`` is its one-order case.  Arrays are indexed by the 1-based
-    obstacle symbol (row 0 is unused) and are read-only, since
+    obstacle symbol (symbol 0 is unused) and are read-only, since
     ``table_at`` shares one snapshot per (family, alpha) and their bits.
-
-    Given a 1-D sequence of R alphas, one ``polyval`` over the vector
-    builds R rows of ``stride`` = z0 + 1 entries: row r's obstacle s
-    sits at flat index r * stride + s, so a chain on row r gathers by
-    its symbols offset by r * stride.  Every row is bit for bit the
-    one-alpha snapshot.
+    One ``polyval`` over the alphas, a scalar being one alpha, builds the
+    rows, each bit for bit the one-alpha snapshot; ``_snapshot`` says how
+    a batch addresses them.
     """
 
     def __init__(self, family: DeformationFamily, alpha):
         self.stride = family.z0 + 1
-        polyval = np.polynomial.polynomial.polyval
-        if np.ndim(alpha):
-            for x in alpha:
-                family.check_alpha(x)
-            # (K, stride, R) -> (K, R * stride), alpha-row major
-            values = np.moveaxis(polyval(alpha, family.alpha_stack), -1, 1)
-            values = values.reshape(len(values), -1)
-        else:
-            family.check_alpha(alpha)
-            values = polyval(alpha, family.alpha_stack)
+        alphas = np.atleast_1d(alpha)
+        for x in alphas.tolist():
+            family.check_alpha(x)
+        values = np.polynomial.polynomial.polyval(alphas, family.alpha_stack)
+        # (K, stride, R) -> (K, R * stride), alpha-row major
+        values = values.transpose(0, 2, 1).reshape(len(values), -1)
         psi = values[0]
         p, q, cx, cy = values[1:].reshape(4, -1, values.shape[-1])
         self.p = p                                     # P_m(alpha)
@@ -336,6 +329,25 @@ def _shared_table(family: DeformationFamily, coefficient_bits: bytes,
     """``table_at``'s cache, keyed by the bits too: equal floats differ
     in their bits only as 0.0 and -0.0, so alpha's sign completes it."""
     return TableAt(family, alpha)
+
+
+def _snapshot(family: DeformationFamily, alphas):
+    """One table for a batch of items, one alpha each, and each item's
+    row in it: (table, rows).
+
+    Item n's obstacle s sits at flat index rows[n] * table.stride + s of
+    the table's arrays, so a batch gathers by its symbols offset by
+    their rows.  When the items share one alpha, the table is the shared
+    snapshot ``table_at`` keeps and every row is 0; otherwise it is one
+    multi-row ``TableAt`` over the distinct alphas in order of first
+    appearance, told apart by their bits as ``table_at`` tells them.  An
+    empty batch has no table (None)."""
+    keys = [float(a).hex() for a in alphas]
+    distinct = {key: r for r, key in enumerate(dict.fromkeys(keys))}
+    rows = np.array([distinct[key] for key in keys], dtype=int)
+    if len(distinct) < 2:
+        return (table_at(family, alphas[0]) if keys else None), rows
+    return TableAt(family, [float.fromhex(key) for key in distinct]), rows
 
 
 def partial_jet(family: DeformationFamily, obstacle_index: int, u, alpha: float,
@@ -439,15 +451,16 @@ def _grid_supports(frames: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_over_directions(rows) -> np.ndarray:
+def _max_over_directions(table: TableAt, rows) -> np.ndarray:
     """(max, theta) per row, as an (R, 2) array, over unit directions
-    w = (cos theta, sin theta).  Row (table, j, i, k, s) maximizes
+    w = (cos theta, sin theta).  Row (r, j, i, k, s) maximizes
     s [-h_j(-w) - max(h_i(w), h_k(w))], h_m the support function of
-    obstacle m of ``table``.  With s = 1 it is the gap between obstacle j
-    and the convex hull of i and k (k = i for one obstacle): a w with a
-    positive value gives a separating line, the largest value is their
-    distance, and it is <= 0 when they meet.  With s = -1 and k = i it is
-    the largest boundary distance max_w [h_i(w) + h_j(-w)].
+    obstacle m of ``table``'s row r (``_snapshot``'s rows).  With s = 1 it
+    is the gap between obstacle j and the convex hull of i and k (k = i
+    for one obstacle): a w with a positive value gives a separating line,
+    the largest value is their distance, and it is <= 0 when they meet.
+    With s = -1 and k = i it is the largest boundary distance
+    max_w [h_i(w) + h_j(-w)].
 
     The best of BOUNDS_SAMPLES equally spaced directions is refined on
     9-point grids, each a quarter of the previous spacing, down to 1e-9
@@ -458,16 +471,10 @@ def _max_over_directions(rows) -> np.ndarray:
     all rows at once.  No row's result depends on the others."""
     if not rows:
         return np.empty((0, 2))
-    tables = list(dict.fromkeys(row[0] for row in rows))
-    offsets = np.cumsum([0] + [len(t.axes) for t in tables[:-1]]).tolist()
-    start = dict(zip(tables, offsets))
-    records = np.concatenate(
-        [np.concatenate([t.rotation for t in tables]).transpose(0, 2, 1)
-         .reshape(-1, 4),
-         np.concatenate([t.axes for t in tables]),
-         np.concatenate([t.center_xy for t in tables])], axis=1)
-    picks = records[np.array([(start[t] + j, start[t] + i, start[t] + k)
-                              for t, j, i, k, _ in rows])]     # (R, 3, 8)
+    records = np.concatenate([table.rotation.transpose(0, 2, 1).reshape(-1, 4),
+                              table.axes, table.center_xy], axis=1)
+    at = np.array([row[:4] for row in rows])
+    picks = records[at[:, :1] * table.stride + at[:, 1:]]     # (R, 3, 8)
     sign = np.array([row[4] for row in rows], float)[:, None]
 
     step = 2.0 * np.pi / BOUNDS_SAMPLES
@@ -521,9 +528,10 @@ def boundary_pair_extremes(family: DeformationFamily, i, k, alpha):
         raise ValueError("a sequence of alphas needs sequences of pairs")
     alphas = list(alpha) if grid else [alpha]
     pairs = list(zip(np.atleast_1d(i).tolist(), np.atleast_1d(k).tolist()))
-    tables = [table_at(family, x) for x in alphas]
-    found = _max_over_directions([(t, b, a, a, s) for t in tables
-                                  for a, b in pairs for s in (1.0, -1.0)])
+    table, rows = _snapshot(family, alphas)
+    found = _max_over_directions(table, [(r, b, a, a, s) for r in rows
+                                         for a, b in pairs
+                                         for s in (1.0, -1.0)])
     found = found[:, 0].reshape(len(alphas), len(pairs), 2).tolist()
     out = [[(_require_gap(a, b, x, lo), hi)
             for (a, b), (lo, hi) in zip(pairs, rows)]
@@ -568,9 +576,9 @@ def check_no_eclipse(family: DeformationFamily, alpha):
     triples = [(i, j, k) for j in range(1, z0 + 1) for i in range(1, z0 + 1)
                for k in range(i + 1, z0 + 1) if j not in (i, k)]
     alphas = list(alpha) if np.ndim(alpha) else [alpha]
-    tables = [table_at(family, a) for a in alphas]
-    found = _max_over_directions([(t, j, i, k, 1.0) for t in tables
-                                  for i, j, k in triples])
+    table, rows = _snapshot(family, alphas)
+    found = _max_over_directions(table, [(r, j, i, k, 1.0) for r in rows
+                                         for i, j, k in triples])
     found = found.reshape(len(alphas), len(triples), 2)
     certs = []
     for a, rows in zip(alphas, found.tolist()):
@@ -701,8 +709,9 @@ def _certify(family: DeformationFamily, alphas, pair_gap: bool = True) -> list:
     if family.mode == "general":
         certs = check_no_eclipse(family, alphas)
     elif pair_gap:
-        gaps = _max_over_directions([(table_at(family, a), 2, 1, 1, 1.0)
-                                     for a in alphas])[:, 0].tolist()
+        table, rows = _snapshot(family, alphas)
+        gaps = _max_over_directions(
+            table, [(r, 2, 1, 1, 1.0) for r in rows])[:, 0].tolist()
     vertices = np.arange(4) * (np.pi / 2.0)
     ranges = []
     for n, alpha in enumerate(alphas):

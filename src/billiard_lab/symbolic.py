@@ -26,9 +26,8 @@ from scipy.linalg.lapack import dgtsv, dstebz
 
 # partial_jet is not called here but stays bound: the benchmark's tracer
 # patches it at every binding site, and its tests check this one
-from .geometry import (DeformationFamily, TableAt,  # noqa: F401
-                       _check_orders, _curvature_partials, partial_jet,
-                       table_at)
+from .geometry import (DeformationFamily, _check_orders,  # noqa: F401
+                       _curvature_partials, _snapshot, partial_jet)
 
 TOL_ORBIT = 1e-11       # convergence threshold on the sup-norm of the length gradient
 TOL_SHADOW = 1e-9       # admissible first-order truncation bound of a core
@@ -618,18 +617,17 @@ def _pad_depth(word: Word, z0: int, padding: int, init) -> int:
     return depth
 
 
-def _segment_solve(table, words, depth, inits, tol, rows=None):
+def _segment_solve(table, words, depth, inits, tol, rows):
     """Solve one group: words of one kind and length, each padded by
     ``depth`` on both sides (cyclic words take no pads) and started from
-    its init chain, or from the crude seed where that is None.  On a
-    multi-row ``table``, ``rows`` gives each word's alpha row.  Returns
-    (symbols, us, residual, errors), the last three as ``_solve_chain``;
-    symbols are offset to their rows."""
+    its init chain, or from the crude seed where that is None, each on
+    its row of ``table`` (``_snapshot``'s rows).  Returns (symbols, us,
+    residual, errors), the last three as ``_solve_chain``; symbols are
+    offset to their rows."""
     cyclic = words[0].cyclic
     symbols = _pad_symbols(np.array([w.symbols for w in words]), depth)
-    if rows is not None:
-        # the pads read the true end symbols, so the offset comes after
-        symbols += table.stride * np.asarray(rows)[:, None]
+    # the pads read the true end symbols, so the offset comes after
+    symbols += table.stride * rows[:, None]
     us0 = np.empty(symbols.shape)
     cold = [b for b, init in enumerate(inits) if init is None]
     if cold:
@@ -638,20 +636,6 @@ def _segment_solve(table, words, depth, inits, tol, rows=None):
         if init is not None:
             us0[b] = init
     return (symbols,) + _solve_chain(table, symbols, us0, cyclic, tol)
-
-
-def _snapshot(family: DeformationFamily, alphas):
-    """One table for items at ``alphas`` (one alpha per item) and each
-    item's row in it: the shared one-alpha snapshot and rows None when
-    the items share one alpha, else one multi-row ``TableAt`` over the
-    distinct alphas, told apart by their bits as ``table_at`` tells
-    them."""
-    keys = [float(a).hex() for a in alphas]
-    distinct = {key: r for r, key in enumerate(dict.fromkeys(keys))}
-    if len(distinct) < 2:
-        return (table_at(family, alphas[0]) if alphas else None), None
-    return (TableAt(family, [float.fromhex(key) for key in distinct]),
-            np.array([distinct[key] for key in keys]))
 
 
 def find_orbits(words, family: DeformationFamily, alpha, inits=None,
@@ -670,15 +654,16 @@ def find_orbits(words, family: DeformationFamily, alpha, inits=None,
     holds each word's starting chain, pads included, or None for the
     crude seed.
 
-    The batch is solved on ``_snapshot``'s table for the words' alphas.
-    Words of one kind, length and pad depth form a group, whatever their
-    alphas: one ``_segment_solve`` (one seed call for its cold words, one
-    ``_solve_chain`` call), one batched bound, and one more
-    ``_segment_solve`` for the words it deepens.  Every chain runs the
-    iteration it would run alone on every row, so a word's orbit does not
-    depend on the batch it came in: it is the one ``find_orbits([word],
-    family, its_alpha, [init])`` gives, with the obstacle symbols
-    themselves in ``chain_symbols`` and the records, and its own alpha.
+    The batch is solved on ``_snapshot``'s table for the words' alphas,
+    each chain on its row.  Words of one kind, length and pad depth form
+    a group, whatever their alphas: one ``_segment_solve`` (one seed call
+    for its cold words, one ``_solve_chain`` call), one batched bound,
+    and one more ``_segment_solve`` for the words it deepens.  Every
+    chain runs the iteration it would run alone on every row, so a
+    word's orbit does not depend on the batch it came in: it is the one
+    ``find_orbits([word], family, its_alpha, [init])`` gives, with the
+    obstacle symbols themselves in ``chain_symbols`` and the records,
+    and its own alpha.
     Returns, per word, its BilliardOrbit or the SolveError or
     ShadowingError it failed with; a malformed request raises ValueError.
     """
@@ -702,9 +687,9 @@ def find_orbits(words, family: DeformationFamily, alpha, inits=None,
         depth, idx, group_inits = pending.pop(0)
         group = [words[i] for i in idx]
         cyclic, m = group[0].cyclic, len(group[0])
+        group_rows = rows[idx]
         symbols, us, residual, errors = _segment_solve(
-            table, group, depth, group_inits, tol,
-            None if rows is None else rows[idx])
+            table, group, depth, group_inits, tol, group_rows)
         raw = symbols % table.stride    # the obstacle symbols themselves
         for b in np.flatnonzero([e is not None for e in errors]):
             out[idx[b]] = errors[b]
@@ -724,9 +709,8 @@ def find_orbits(words, family: DeformationFamily, alpha, inits=None,
                 # the solved chain, with 4 freshly seeded pads on each
                 # side: the pads read the true end symbols, then go to
                 # the chain's row
-                offset = (symbols - raw)[deepen, :1]
-                outer = _seed_chain(table,
-                                    _pad_symbols(raw[deepen], 4) + offset,
+                outer = _seed_chain(table, _pad_symbols(raw[deepen], 4)
+                                    + table.stride * group_rows[deepen, None],
                                     cyclic=False)
                 seeds = np.concatenate([outer[:, :4], us[deepen],
                                         outer[:, -4:]], axis=1)
@@ -746,11 +730,12 @@ def find_orbits(words, family: DeformationFamily, alpha, inits=None,
     return out
 
 
-def _one(results):
-    """The only result of a batch of one: its orbit, or its error raised."""
-    if isinstance(results[0], Exception):
-        raise results[0]
-    return results[0]
+def _value(result):
+    """A batched call's result for one item: its value, or its error
+    raised."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def find_periodic_orbit(word: Word, family: DeformationFamily, alpha: float,
@@ -759,7 +744,7 @@ def find_periodic_orbit(word: Word, family: DeformationFamily, alpha: float,
     through ``find_orbits``."""
     if not word.cyclic:
         raise ValueError("find_periodic_orbit needs a cyclic word")
-    return _one(find_orbits([word], family, alpha, [init], tol=tol))
+    return _value(find_orbits([word], family, alpha, [init], tol=tol)[0])
 
 
 def find_orbit_segment(word: Word, family: DeformationFamily, alpha: float,
@@ -770,8 +755,8 @@ def find_orbit_segment(word: Word, family: DeformationFamily, alpha: float,
     ``find_orbits``, which says how the word is padded and deepened."""
     if word.cyclic:
         raise ValueError("find_orbit_segment needs an open word")
-    return _one(find_orbits([word], family, alpha, [init], padding=padding,
-                            tol=tol, shadow_check=shadow_check))
+    return _value(find_orbits([word], family, alpha, [init], padding=padding,
+                              tol=tol, shadow_check=shadow_check)[0])
 
 
 def max_collision_angles(words, family: DeformationFamily, alphas, chains,
@@ -902,16 +887,15 @@ def alpha_derivatives(orbits, family: DeformationFamily) -> list:
     """Implicit-function alpha-derivatives of a batch of solved orbits,
     at their own alphas.
 
-    The batch is evaluated on one table, as ``find_orbits`` solves it:
-    the shared snapshot when the orbits share one alpha, else one
-    multi-row ``TableAt`` over their distinct alphas.  Orbits of one
-    kind whose chains have one length and whose cores have one start and
-    one length form a group, whatever their alphas, evaluated on one
-    batched chain system with one batched tridiagonal solve; the
-    condition number stays per chain.  Each result is the orbit's
-    derivative alone.  Returns, per orbit, its AlphaDerivatives or the
-    SolveError its chain is rejected with (a degenerate chain, or cond
-    not below COND_LIMIT).
+    The batch is evaluated on ``_snapshot``'s table for the orbits'
+    alphas, as ``find_orbits`` solves it.  Orbits of one kind whose
+    chains have one length and whose cores have one start and one
+    length form a group, whatever their alphas, evaluated on one batched
+    chain system with one batched tridiagonal solve; the condition
+    number stays per chain.  Each result is the orbit's derivative
+    alone.  Returns, per orbit, its AlphaDerivatives or the SolveError
+    its chain is rejected with (a degenerate chain, or cond not below
+    COND_LIMIT).
     """
     out = [None] * len(orbits)
     if not orbits:
@@ -923,9 +907,8 @@ def alpha_derivatives(orbits, family: DeformationFamily) -> list:
         groups.setdefault(key, []).append(i)
     for (kind, _, start, n), idx in groups.items():
         cyclic = kind == "periodic"
-        sym = np.array([orbits[i].chain_symbols for i in idx])
-        if alpha_rows is not None:
-            sym += table.stride * alpha_rows[idx][:, None]
+        sym = np.array([orbits[i].chain_symbols for i in idx]) \
+            + table.stride * alpha_rows[idx][:, None]
         us = np.array([orbits[i].chain_us for i in idx])
         ev = _chain_system(table, sym, us, cyclic, want_alpha=True)
         conds = {}
@@ -982,4 +965,4 @@ def orbit_alpha_derivatives(orbit: BilliardOrbit,
                             family: DeformationFamily) -> AlphaDerivatives:
     """Implicit-function alpha-derivatives of one orbit: a batch of one
     through ``alpha_derivatives``; raises its SolveError."""
-    return _one(alpha_derivatives([orbit], family))
+    return _value(alpha_derivatives([orbit], family)[0])

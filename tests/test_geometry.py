@@ -611,41 +611,50 @@ def test_no_eclipse_near_threshold_matches_closed_form(r1, r3, dist, rj, frac,
     assert cert.margin == pytest.approx(clearance, rel=0, abs=1e-8)
 
 
-# rows of the direction search: obstacles 6 apart along x, each a circle
-# or an ellipse of semi-axes at most 2, so no two of them meet
+# the obstacles of one drawn table, 6 apart along x, each a circle or an
+# ellipse of semi-axes at most 2, so no two of them meet
 _SHAPES = st.lists(st.tuples(st.booleans(), st.floats(0.3, 2.0),
                              st.floats(0.3, 2.0), st.floats(0.0, math.pi),
                              st.floats(-3.0, 3.0)), min_size=3, max_size=4)
 
 
-def _search_rows(table, z0):
-    """Every no-eclipse triple and every pair's d_min and d_max row."""
-    rows = [(table, j, i, k, 1.0) for j in range(1, z0 + 1)
-            for i in range(1, z0 + 1) for k in range(i + 1, z0 + 1)
-            if j not in (i, k)]
-    return rows + [(table, k, i, i, s) for i in range(1, z0 + 1)
-                   for k in range(i + 1, z0 + 1) for s in (1.0, -1.0)]
+def _search_rows(r, obstacles):
+    """Every no-eclipse triple and every pair's d_min and d_max row among
+    ``obstacles`` (symbols) on row r."""
+    rows = [(r, j, i, k, 1.0) for j in obstacles for i in obstacles
+            for k in obstacles if i < k and j not in (i, k)]
+    return rows + [(r, k, i, i, s) for i in obstacles for k in obstacles
+                   if i < k for s in (1.0, -1.0)]
 
 
 @settings(max_examples=25, deadline=None)
 @given(tables=st.lists(_SHAPES, min_size=3, max_size=4),
        nan_at=st.integers(0, 4))
 def test_batched_direction_search_equals_rows_searched_alone(tables, nan_at):
-    families = [DeformationFamily(tuple(
-        circle(6.0 * m, y, a) if round_ else ellipse(6.0 * m, y, a, b, tilt)
-        for m, (round_, a, b, tilt, y) in enumerate(shapes)), 0.1)
-        for shapes in tables]
-    families.insert(nan_at, DeformationFamily(
-        (circle(0.0, 0.0, 1.0), circle(6.0, 0.0, math.nan),
-         circle(12.0, 0.0, 1.0)), 0.1))
-    rows = [row for fam in families
-            for row in _search_rows(table_at(fam, 0.0), fam.z0)]
+    # the drawn tables sit side by side in one family, rising along y with
+    # alpha, and each is searched on its own obstacles at two alphas: the
+    # rows of one two-row snapshot
+    tables.insert(nan_at, [(True, 1.0, 1.0, 0.0, 0.0),
+                           (True, math.nan, math.nan, 0.0, 0.0),
+                           (True, 1.0, 1.0, 0.0, 0.0)])
+    obstacles, groups = [], []
+    for shapes in tables:
+        groups.append(range(len(obstacles) + 1,
+                            len(obstacles) + len(shapes) + 1))
+        obstacles += [circle(6.0 * m, (y, 1.0), a) if round_ else
+                      ellipse(6.0 * m, (y, 1.0), a, b, tilt)
+                      for m, (round_, a, b, tilt, y) in enumerate(shapes)]
+    family = DeformationFamily(tuple(obstacles), 0.1)
+    table, at = geometry._snapshot(family, [0.0, 0.05])
+    rows = [row for r in at for group in groups
+            for row in _search_rows(r, group)]
     assert len(rows) > SEARCH_CHUNK
-    together = _max_over_directions(rows)
+    together = _max_over_directions(table, rows)
     for row, (value, theta) in zip(rows, together.tolist()):
-        alone = _max_over_directions([row])[0].tolist()
+        alone = _max_over_directions(table, [row])[0].tolist()
         assert [value.hex(), theta.hex()] == [x.hex() for x in alone]
-        if np.isnan(row[0].axes[list(row[1:4])]).any():
+        r, *symbols = row[:4]
+        if np.isnan(table.axes[r * table.stride + np.array(symbols)]).any():
             assert not value > 0.0      # a NaN row fails its check
         else:
             assert np.isfinite(value)
@@ -705,30 +714,28 @@ def test_table_at_keeps_a_snapshot_per_signed_zero(first, alpha):
 
 
 def test_direction_search_keys_frames_by_their_bytes(monkeypatch):
-    # a snapshot at a negative alpha keeps the sign of a zero coefficient:
-    # the two tables differ only in the centre's y (0.0 or -0.0) and the
-    # ellipse's rotation; a NaN frame has the same bytes in two snapshots
-    def family(zero, radius):
-        return DeformationFamily((
-            circle(0.0, zero, 1.0), ellipse(6.0, zero, 1.5, 0.8, zero),
-            circle(12.0, zero, radius), circle(6.0, 6.0, 1.0)), 0.1)
-
-    alpha = -1e-4
-    signed = [geometry.TableAt(family(zero, 1.0), alpha)
-              for zero in (0.0, -0.0)]
-    assert signed[0].rotation[2].tolist() == signed[1].rotation[2].tolist()
-    assert signed[0].rotation[2].tobytes() != signed[1].rotation[2].tobytes()
-    nan = [geometry.TableAt(family(0.0, math.nan), alpha) for _ in range(2)]
+    # at alphas 0.0 and -0.0 the ellipse's rotation -0.0 + alpha keeps the
+    # sign of alpha's zero, so the two rows differ only there; the NaN
+    # circle has the same bytes in both rows
+    family = DeformationFamily((
+        circle(0.0, 0.0, 1.0), ellipse(6.0, 0.0, 1.5, 0.8, (-0.0, 1.0)),
+        circle(12.0, 0.0, math.nan), circle(6.0, 6.0, 1.0)), 0.1)
+    table, at = geometry._snapshot(family, [0.0, -0.0])
+    assert at.tolist() == [0, 1]
+    signed = table.rotation[[2, table.stride + 2]]
+    assert signed[0].tolist() == signed[1].tolist()
+    assert signed[0].tobytes() != signed[1].tobytes()
     frames = _start_grid_frames(monkeypatch)
-    # -0.0 and 0.0 frames get a start grid each, equal NaN frames share one
-    _max_over_directions([(t, 2, 1, 1, 1.0) for t in signed])
-    _max_over_directions([(t, 3, 1, 1, 1.0) for t in nan])
-    assert frames == [2, 2, 1, 1]
+    # the -0.0 and 0.0 frames get a start grid each, the equal NaN frames
+    # and the equal frames of obstacle 1 share one
+    _max_over_directions(table, [(r, j, 1, 1, 1.0) for j in (2, 3)
+                                 for r in (0, 1)])
+    assert frames == [3, 1]
     monkeypatch.undo()
-    rows = [row for t in signed + nan for row in _search_rows(t, 4)]
-    together = _max_over_directions(rows)
+    rows = [row for r in (0, 1) for row in _search_rows(r, range(1, 5))]
+    together = _max_over_directions(table, rows)
     for row, (value, theta) in zip(rows, together.tolist()):
-        alone = _max_over_directions([row])[0].tolist()
+        alone = _max_over_directions(table, [row])[0].tolist()
         assert [value.hex(), theta.hex()] == [x.hex() for x in alone]
 
 
@@ -764,9 +771,9 @@ def test_certificates_search_once_per_stage(monkeypatch, family, call,
                                             searches):
     rows = []
 
-    def counted(batch):
+    def counted(table, batch):
         rows.append(len(batch))
-        return _max_over_directions(batch)
+        return _max_over_directions(table, batch)
 
     monkeypatch.setattr(geometry, "_max_over_directions", counted)
     if call == "validate":

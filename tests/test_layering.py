@@ -129,9 +129,9 @@ def _sites(tree, match, prefix):
 
 def test_one_snapshot_builder_and_one_grid_walk():
     # a table snapshot is built by table_at's cache or by _snapshot's
-    # multi-row table alone, and the grid walk's chunk budget lives in
-    # symbolic, read by symbolic.walk alone: a third snapshot or walk
-    # path fails here
+    # multi-row table alone, and the orbit solver takes its tables from
+    # _snapshot; the grid walk's chunk budget lives in symbolic, read by
+    # symbolic.walk alone: a third snapshot or walk path fails here
     builders, budget = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -139,5 +139,10 @@ def test_one_snapshot_builder_and_one_grid_walk():
                            and _name(node.func) == "TableAt", path.stem)
         budget |= _sites(tree, lambda node: _name(node) == "WALK_NODES",
                          path.stem)
-    assert builders == {"geometry._shared_table", "symbolic._snapshot"}
+    assert builders == {"geometry._shared_table", "geometry._snapshot"}
     assert budget == {"symbolic", "symbolic.walk"}
+    symbolic = ast.parse((PACKAGE / "symbolic.py").read_text())
+    imported = {alias.name for node in ast.walk(symbolic)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_snapshot" in imported
+    assert not imported & {"TableAt", "table_at"}

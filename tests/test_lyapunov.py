@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from billiard_lab import (GeometryError, Word, default_seed_curvature,
-                          f_derivative_sum, find_orbit_segment,
+from billiard_lab import (BilliardOrbit, GeometryError, Word,
+                          default_seed_curvature, enumerate_cyclic_words,
+                          f_derivative_sum, find_orbit_segment, find_orbits,
                           find_periodic_orbit, front_expansion_check,
                           jacobian_lyapunov_oracle, kdot_trace,
                           lyapunov_estimate, orbit_alpha_derivatives,
@@ -191,6 +192,22 @@ def test_estimate_within_a_priori_bracket():
     assert lo <= rep.lambda_m <= hi
     orb2 = find_periodic_orbit(Word((1, 2, 3)), fam, 0.0)
     assert lo <= lyapunov_estimate(orb2).lambda_m <= hi
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-2, 5e-2])
+def test_cycles_stay_in_the_bracket_near_the_eclipse_threshold(eps):
+    # three unit disks at the corners of an equilateral triangle eclipse
+    # at side 4/sqrt(3); just above it the table still certifies, every
+    # prime cycle up to period 8 solves in one batch, and each exponent
+    # lies in the certified bracket
+    fam = static_three_circle(4.0 / math.sqrt(3.0) + eps)
+    tb = table_bounds(fam, 0.0)
+    words = enumerate_cyclic_words(3, 8)
+    assert len(words) == 71
+    for word, orbit in zip(words, find_orbits(words, fam, 0.0)):
+        assert isinstance(orbit, BilliardOrbit), (word.label, orbit)
+        lam = lyapunov_estimate(orbit, bounds=tb).lambda_m
+        assert tb.lower <= lam <= tb.upper, (word.label, lam)
 
 
 @settings(max_examples=25)

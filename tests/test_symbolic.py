@@ -972,8 +972,8 @@ def _warm_pass_against_records(family, alpha, words, chains):
     table = table_at(family, alpha)
     cyclic = words[0].cyclic
     depth = 0 if cyclic else PHI_PADDING
-    symbols, us, _, errors = symbolic._segment_solve(table, words, depth,
-                                                     chains, TOL_ORBIT)
+    symbols, us, _, errors = symbolic._segment_solve(
+        table, words, depth, chains, TOL_ORBIT, np.zeros(len(words), int))
     ok = [b for b, err in enumerate(errors) if err is None]
     records = symbolic._build_records(table, symbols[ok], us[ok], depth,
                                       len(words[0]), cyclic)
