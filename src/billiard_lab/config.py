@@ -154,13 +154,7 @@ def _build_obstacle(idx: int, fields: dict) -> ObstacleSpec:
                           f"not valid for kind {kind!r}")
     polys = {f: _poly(v, f"obstacle{idx}.{f}") for f, v in fields.items()
              if f != "kind"}
-    if kind == "circle":
-        return ObstacleSpec("circle", polys["center_x"], polys["center_y"],
-                            radius=polys["radius"])
-    return ObstacleSpec("ellipse", polys["center_x"], polys["center_y"],
-                        semi_axis_a=polys["semi_axis_a"],
-                        semi_axis_b=polys["semi_axis_b"],
-                        rotation=polys.get("rotation", (0.0,)))
+    return ObstacleSpec(kind, **polys)
 
 
 def _spec_ints(text: str, parts) -> list:
@@ -268,6 +262,8 @@ def load_config(path, *, validate: bool = True) -> LabConfig:
         raise ConfigError("alpha_grid must satisfy "
                           "0 <= start <= stop <= alpha_max")
     grid = np.linspace(float(start), float(stop), count)
+    if not (np.diff(grid) > 0.0).all():
+        raise ConfigError("alpha_grid points must be distinct")
 
     seed = top.get("seed", 0)
     if not _is_integer(seed) or seed < 0:

@@ -629,8 +629,8 @@ def _phi_corpus(z0: int):
 
 
 def _default_phi_observation(family: DeformationFamily, alphas) -> list:
-    """The largest collision angle over the corpus orbits at each of
-    ``alphas``.
+    """The largest collision angle over the corpus orbits at each alpha of
+    the list ``alphas`` (an empty list gives an empty list).
 
     The first alpha is observed cold: each corpus word is solved on its
     own by ``symbolic.find_periodic_orbit`` or
@@ -645,7 +645,8 @@ def _default_phi_observation(family: DeformationFamily, alphas) -> list:
     # orbit machinery lives above geometry; import late to keep layering simple
     from . import symbolic
 
-    alphas = list(alphas)
+    if not alphas:
+        return []
     phis = [[] for _ in alphas]
     chains = {}
     for words in _phi_corpus(family.z0):
@@ -691,16 +692,16 @@ def phi_max_from_observation(phi_obs: float) -> float:
     return math.acos(PHI_SAFETY * math.cos(phi_obs))
 
 
-def _certify(family: DeformationFamily, alphas, pair_gap: bool = True) -> list:
+def _certify(family: DeformationFamily, alphas) -> list:
     """Certify the table at each of ``alphas``: positive semi-axes, finite
     centres, curvature at least KAPPA_FLOOR, then the no-eclipse
     condition in general mode (it implies that the obstacles are
-    disjoint) or, with ``pair_gap``, a positive separation of the pair in
-    period2 mode.  The separations of every alpha come first, from one
-    direction search.  Each check is written so that NaN fails it.
-    Raises GeometryError / ConvexityError / EclipseError for the first
-    failing alpha, at its first failing check; returns the curvature
-    range (kappa_min, kappa_max) per alpha.
+    disjoint) or a positive separation of the pair in period2 mode.  The
+    separations of every alpha come first, from one direction search.
+    Each check is written so that NaN fails it.  Raises GeometryError /
+    ConvexityError / EclipseError for the first failing alpha, at its
+    first failing check; returns (kappa_min, kappa_max, separation) per
+    alpha: the no-eclipse margin, or the pair's distance in period2 mode.
 
     Curvature is evaluated at the four vertices u = 0, pi/2, pi, 3 pi/2
     of each obstacle: kappa(u) = A B / (A^2 sin^2 u + B^2 cos^2 u)^(3/2)
@@ -708,12 +709,13 @@ def _certify(family: DeformationFamily, alphas, pair_gap: bool = True) -> list:
     floor check and the range rest on no sampling."""
     if family.mode == "general":
         certs = check_no_eclipse(family, alphas)
-    elif pair_gap:
+        gaps = [cert.margin for cert in certs]
+    else:
         table, rows = _snapshot(family, alphas)
         gaps = _max_over_directions(
             table, [(r, 2, 1, 1, 1.0) for r in rows])[:, 0].tolist()
     vertices = np.arange(4) * (np.pi / 2.0)
-    ranges = []
+    out = []
     for n, alpha in enumerate(alphas):
         table = table_at(family, alpha)
         kap_lo, kap_hi = math.inf, -math.inf
@@ -735,10 +737,10 @@ def _certify(family: DeformationFamily, alphas, pair_gap: bool = True) -> list:
         if family.mode == "general" and not certs[n].holds:
             raise EclipseError(f"no-eclipse condition fails at alpha = {alpha}: "
                                f"witness {certs[n].witness}", certs[n])
-        if family.mode == "period2" and pair_gap:
+        if family.mode == "period2":
             _require_gap(1, 2, alpha, gaps[n])
-        ranges.append((kap_lo, kap_hi))
-    return ranges
+        out.append((kap_lo, kap_hi, gaps[n]))
+    return out
 
 
 def table_bounds(family: DeformationFamily, alpha,
@@ -748,30 +750,32 @@ def table_bounds(family: DeformationFamily, alpha,
 
     d_min is the minimum boundary-to-boundary distance over obstacle
     pairs.  d_max bounds the flight length between reflections: the
-    supremum of boundary-point distances in general mode, and exactly
-    the axis-orbit distance (= d_min) in period2 mode, where that orbit
-    is the whole trapped set.  phi_max comes from the override if given,
-    is exactly 0 in period2 mode, and otherwise is estimated from
-    periodic orbits of low period plus sampled itineraries, with a
-    safety factor on the cosine.
+    supremum of boundary-point distances in general mode.  In period2
+    mode the axis orbit is the whole trapped set, and d_min = d_max is
+    its length, the pair separation that ``_certify`` measures.  phi_max
+    comes from the override if given, is exactly 0 in period2 mode, and
+    otherwise is estimated from periodic orbits of low period plus
+    sampled itineraries, with a safety factor on the cosine.
 
     For a sequence of alphas it returns the list of their TableBounds:
-    one ``_certify`` call and one pair-extremes search cover every alpha,
-    and one ``_default_phi_observation`` call walks the phi corpus along
-    them.  Every field but phi_max, and the k_max and upper that read it,
-    is bit for bit the one-alpha call's.  phi_max is too at the first
-    alpha, which the walk observes cold as a one-alpha call does; at the
-    others the walk warm-starts the corpus, which can move it in the
-    last bits.  Errors are raised by stage, certification, then pair
-    separation, then phi observation, then phi_max itself, each for its
+    one ``_certify`` call, one pair-extremes search in general mode, and
+    one ``_default_phi_observation`` call cover every alpha.  Every field
+    but phi_max, and the k_max and upper that read it, is bit for bit the
+    one-alpha call's.  phi_max is too at the first alpha, which the walk
+    observes cold as a one-alpha call does; at the others the walk
+    warm-starts the corpus, which can move it in the last bits.  Errors
+    are raised by stage, certification, then the general-mode pair
+    separations, then phi observation, then phi_max itself, each for its
     first failing alpha.
     """
     alphas = list(alpha) if np.ndim(alpha) else [alpha]
-    # period2 takes the pair's separation from its d_min search
-    ranges = _certify(family, alphas, pair_gap=False)
-    pairs = [(i, k) for i in range(1, family.z0 + 1)
-             for k in range(i + 1, family.z0 + 1)]
-    extremes = boundary_pair_extremes(family, *zip(*pairs), alphas)
+    certified = _certify(family, alphas)
+    if family.mode == "period2":     # the axis orbit's length, both ways
+        extremes = [[(gap, gap)] for _, _, gap in certified]
+    else:
+        pairs = [(i, k) for i in range(1, family.z0 + 1)
+                 for k in range(i + 1, family.z0 + 1)]
+        extremes = boundary_pair_extremes(family, *zip(*pairs), alphas)
     if phi_max_override is not None:
         phis = [float(phi_max_override)] * len(alphas)
     elif family.mode == "period2":
@@ -780,11 +784,10 @@ def table_bounds(family: DeformationFamily, alpha,
         phis = [phi_max_from_observation(phi)
                 for phi in _default_phi_observation(family, alphas)]
     out = []
-    for x, (kap_lo, kap_hi), rows, phi_max in zip(alphas, ranges, extremes,
-                                                  phis):
+    for x, (kap_lo, kap_hi, _), rows, phi_max in zip(alphas, certified,
+                                                     extremes, phis):
         mins, maxes = zip(*rows)
-        d_min = min(mins)
-        d_max = d_min if family.mode == "period2" else max(maxes)
+        d_min, d_max = min(mins), max(maxes)
         if phi_max >= math.pi / 2:
             raise GeometryError(
                 f"phi_max = {phi_max:.6f} >= pi/2; k_max undefined")

@@ -16,7 +16,6 @@ bound read off the solved chain sets how deep to pad.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -113,22 +112,27 @@ def sample_itinerary(z0: int, length: int, seed: int) -> Word:
 
 
 def enumerate_cyclic_words(z0: int, max_period: int):
-    """Primitive admissible cyclic words up to rotation, periods 2..max_period."""
-    seen = set()
-    out = []
-    for period in range(2, max_period + 1):
-        for tup in itertools.product(range(1, z0 + 1), repeat=period):
-            if any(tup[i] == tup[(i + 1) % period] for i in range(period)):
-                continue
-            rots = [tup[i:] + tup[:i] for i in range(period)]
-            if len(set(rots)) < period:
-                continue  # non-primitive: some rotation repeats
-            canon = min(rots)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            out.append(Word(canon, cyclic=True))
-    return out
+    """Primitive admissible cyclic words up to rotation, periods
+    2..max_period: each one's least rotation, its Lyndon word, listed in
+    lexicographic order within each period by Duval's generator (Duval
+    1988; Ruskey, *Combinatorial Generation*, ch. 7), which cuts a prefix
+    at its first pair of equal neighbours.  A Lyndon word of length >= 2
+    ends above its first symbol, so no wrap pair repeats."""
+    by_period = [[] for _ in range(max_period + 1)]
+    w = [0]
+    while w:
+        w[-1] += 1
+        n = len(w)
+        if n == 1 or w[-1] != w[-2]:
+            if n > 1:
+                by_period[n].append(Word(tuple(w), cyclic=True))
+            while len(w) < max_period:
+                w.append(w[-n])
+                if w[-1] == w[-2]:
+                    break
+        while w and w[-1] == z0:
+            w.pop()
+    return [word for words in by_period for word in words]
 
 
 @dataclass(frozen=True)
@@ -361,8 +365,9 @@ def _solve_chain(table, symbols, us0, cyclic, tol):
     ``symbols`` and ``us0`` have shape (B, m).  Every chain runs exactly
     the iteration it would run alone: gradient descent with an Armijo
     line search while its residual exceeds _GD_TRIGGER, then damped
-    Newton with its own damping mu.  Returns (us, residual, errors):
-    errors[b] is the SolveError chain b failed with, or None.
+    Newton with its own damping mu.  Returns (us, residual, errors, hess,
+    off): errors[b] is the SolveError chain b failed with, or None, and
+    hess, off the Hessian bands of the evaluation at us.
     """
     us = np.array(us0, float)
     errors = [None] * len(us)
@@ -451,7 +456,7 @@ def _solve_chain(table, symbols, us0, cyclic, tol):
         errors[b] = SolveError(
             f"chain iteration did not converge: residual {ginf[b]:.3e}",
             float(ginf[b]))
-    return us, ginf, errors
+    return us, ginf, errors, hess, off
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,7 +572,7 @@ def _pad_symbols(symbols, padding):
     return np.concatenate([left, symbols, right], axis=-1)
 
 
-def _truncation_bound(table, symbols, us, padding, m):
+def _truncation_bound(table, symbols, us, hess, off, padding, m):
     """First-order bound on how far the core points of a converged open
     chain lie from those of the chain padded without end: pads beyond an
     end change only the end node's gradient, by e.t, so by at most the
@@ -575,24 +580,19 @@ def _truncation_bound(table, symbols, us, padding, m):
     inverse tridiagonal Hessian carry that change to the core, decaying
     exponentially (Demko, Moss & Smith 1984).
 
-    ``symbols`` and ``us`` are chains of any leading shape S, all with
-    core ``padding:padding + m``; returns the bounds, shape S."""
-    symbols = np.asarray(symbols)
-    shape = np.shape(us)
-    flat_s = symbols.reshape(-1, shape[-1])
-    flat_u = np.reshape(us, flat_s.shape)
-    ev = _chain_system(table, flat_s, flat_u, False)
-    ends = np.zeros(flat_u.shape + (2,))
+    ``symbols`` and ``us`` are (B, n) chains, all with core
+    ``padding:padding + m``, and ``hess`` and ``off`` their Hessian bands
+    as ``_solve_chain`` returns them; returns the B bounds."""
+    ends = np.zeros(us.shape + (2,))
     ends[:, 0, 0] = ends[:, -1, 1] = 1.0
     core = slice(padding, padding + m)
-    cols = np.abs(_tridiag_solve(ev.hess, ev.off, ends, False)[0][:, core])
-    (tx, ty), = table.coords(flat_s[:, core], flat_u[:, core], (1,))
+    cols = np.abs(_tridiag_solve(hess, off, ends, False)[0][:, core])
+    (tx, ty), = table.coords(symbols[:, core], us[:, core], (1,))
     speed = np.sqrt(tx * tx + ty * ty)
-    reach = table.axes[flat_s[:, [0, -1]]].max(-1)
+    reach = table.axes[symbols[:, [0, -1]]].max(-1)
     # one chain's matrix-vector product at a time, as for a lone chain
-    bounds = [float((sp * (c @ r)).max())
-              for sp, c, r in zip(speed, cols, reach)]
-    return np.reshape(bounds, shape[:-1])[()]
+    return np.array([float((sp * (c @ r)).max())
+                     for sp, c, r in zip(speed, cols, reach)])
 
 
 def _pad_depth(word: Word, z0: int, padding: int, init) -> int:
@@ -621,9 +621,8 @@ def _segment_solve(table, words, depth, inits, tol, rows):
     """Solve one group: words of one kind and length, each padded by
     ``depth`` on both sides (cyclic words take no pads) and started from
     its init chain, or from the crude seed where that is None, each on
-    its row of ``table`` (``_snapshot``'s rows).  Returns (symbols, us,
-    residual, errors), the last three as ``_solve_chain``; symbols are
-    offset to their rows."""
+    its row of ``table`` (``_snapshot``'s rows).  Returns symbols, offset
+    to their rows, followed by what ``_solve_chain`` returns."""
     cyclic = words[0].cyclic
     symbols = _pad_symbols(np.array([w.symbols for w in words]), depth)
     # the pads read the true end symbols, so the offset comes after
@@ -688,7 +687,7 @@ def find_orbits(words, family: DeformationFamily, alpha, inits=None,
         group = [words[i] for i in idx]
         cyclic, m = group[0].cyclic, len(group[0])
         group_rows = rows[idx]
-        symbols, us, residual, errors = _segment_solve(
+        symbols, us, residual, errors, hess, off = _segment_solve(
             table, group, depth, group_inits, tol, group_rows)
         raw = symbols % table.stride    # the obstacle symbols themselves
         for b in np.flatnonzero([e is not None for e in errors]):
@@ -696,7 +695,8 @@ def find_orbits(words, family: DeformationFamily, alpha, inits=None,
         ok = np.flatnonzero([e is None for e in errors])
         gaps = np.full(len(idx), math.nan)
         if shadow_check and not cyclic and ok.size:
-            gaps[ok] = _truncation_bound(table, symbols[ok], us[ok], depth, m)
+            gaps[ok] = _truncation_bound(table, symbols[ok], us[ok], hess[ok],
+                                         off[ok], depth, m)
             deepen = ok[~(gaps[ok] <= TOL_SHADOW)]
             ok = ok[gaps[ok] <= TOL_SHADOW]
             if deepen.size and depth + 4 > MAX_PADDING:
@@ -778,8 +778,8 @@ def max_collision_angles(words, family: DeformationFamily, alphas, chains,
     """
     table, rows = _snapshot(family, alphas)
     depth = 0 if words[0].cyclic else padding
-    symbols, us, _, errors = _segment_solve(table, words, depth, chains,
-                                            TOL_ORBIT, rows)
+    symbols, us, _, errors, _, _ = _segment_solve(table, words, depth,
+                                                  chains, TOL_ORBIT, rows)
     out = [(None, math.nan)] * len(words)
     ok = np.flatnonzero([err is None for err in errors])
     _, _, _, _, c_out, physical = _core_flights(

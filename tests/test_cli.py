@@ -250,6 +250,17 @@ def test_internal_value_error_is_not_a_config_error(monkeypatch):
         main(["check", "--config", TWO])
 
 
+def test_repeated_grid_points_exit_2(tmp_path, capsys):
+    # a grid with repeated points would divide by a zero alpha step
+    p = tmp_path / "repeat.cfg"
+    text = (CONFIGS / "two_circles_translate.cfg").read_text()
+    p.write_text(text.replace("alpha_grid = [0.0, 0.5, 65]",
+                              "alpha_grid = [0.1, 0.1, 3]"))
+    rc = main(["sweep", "--config", str(p), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "alpha_grid" in capsys.readouterr().err
+
+
 def test_out_of_range_alpha_exits_2(capsys):
     rc = main(["orbit", "--config", TWO, "--word", "1-2", "--alpha", "0.9"])
     assert rc == 2

@@ -109,6 +109,14 @@ def test_sample_words_share_the_one_length_rule(tmp_path):
     (lambda t: t + "\nalpha_max = 0.5\n", "duplicate"),
     (lambda t: t.replace('alpha_grid = [0.0, 0.5, 9]',
                          'alpha_grid = [0.0, 0.9, 9]'), "alpha_grid"),
+    pytest.param(lambda t: t.replace('alpha_grid = [0.0, 0.5, 9]',
+                                     'alpha_grid = [0.1, 0.1, 3]'),
+                 "alpha_grid points", id="repeated-grid-points"),
+    # linspace repeats points spaced below an ulp
+    pytest.param(lambda t: t.replace(
+        'alpha_grid = [0.0, 0.5, 9]',
+        'alpha_grid = [0.1, 0.10000000000000002, 5]'),
+        "alpha_grid points", id="sub-ulp-grid-spacing"),
     (lambda t: t.replace('words = ["1,2"]', 'words = ["1,1"]'), "repeats"),
     (lambda t: t.replace('words = ["1,2"]', 'words = ["1,3"]'), "outside"),
     (lambda t: t.replace('words = ["1,2"]', 'words = []'), "words"),

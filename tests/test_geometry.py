@@ -1103,6 +1103,32 @@ def test_grid_table_bounds_raise_for_the_first_failing_alpha(family, error,
     table_bounds(family, [0.0, 0.05, 0.1], phi_max_override=0.3)
 
 
+def test_period2_grid_bounds_raise_as_validation_does():
+    # the obstacles touch at alpha = 0.2 and the ellipse flattens below
+    # KAPPA_FLOOR at 0.4: the overlap at 0.3, the first failing alpha,
+    # decides, and certification checks the pair's separation per alpha
+    family = DeformationFamily(
+        (circle(0.0, 0.0, 1.0),
+         ellipse((4.0, -10.0), 0.0, 1.0, (1.0, -(1.0 - 1e-7) / 0.4))), 0.4,
+        mode="period2")
+    with pytest.raises(GeometryError, match="obstacles 1 and 2 overlap") \
+            as validation:
+        validate_family(family)
+    with pytest.raises(GeometryError) as grid:
+        table_bounds(family, [0.0, 0.3, 0.4])
+    alone = _refusal(family, 0.3)
+    assert type(validation.value) is type(grid.value) is type(alone)
+    assert str(grid.value) == str(alone)
+
+
+@pytest.mark.parametrize("cfg_name", ["two_circle_cfg", "breathe_cfg",
+                                      "mixed_cfg"])
+def test_empty_grid_has_no_bounds(cfg_name, request):
+    family = request.getfixturevalue(cfg_name).family
+    assert table_bounds(family, []) == []
+    assert table_bounds(family, [], phi_max_override=0.3) == []
+
+
 def test_validate_family_passes_on_sane_table():
     validate_family(static_three_circle())
     validate_family(deformed_ellipse_family())

@@ -2,6 +2,7 @@
 alpha-derivatives of orbits."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -94,6 +95,51 @@ def test_enumerate_cyclic_words_counts():
     assert len(set(labels)) == 23
     for w in words:
         assert is_admissible(w, 3)
+    # the prime cycles of period n on z0 symbols without a repeated
+    # neighbour: M_n = (1/n) sum_{d | n} mu(n/d) [(z0-1)^d + (z0-1)(-1)^d]
+    for z0, top in ((3, 14), (4, 10)):
+        counts = {}
+        for w in enumerate_cyclic_words(z0, top):
+            counts[len(w)] = counts.get(len(w), 0) + 1
+        assert counts == {n: sum(
+            _moebius(n // d) * ((z0 - 1) ** d + (z0 - 1) * (-1) ** d)
+            for d in range(1, n + 1) if n % d == 0) // n
+            for n in range(2, top + 1)}
+
+
+def _moebius(n):
+    out, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return out
+
+
+def _brute_force_cyclic_words(z0, max_period):
+    """Every admissible tuple, kept as the least rotation of its class
+    when primitive: the reference list of enumerate_cyclic_words."""
+    seen, out = set(), []
+    for period in range(2, max_period + 1):
+        for tup in itertools.product(range(1, z0 + 1), repeat=period):
+            rots = [tup[i:] + tup[:i] for i in range(period)]
+            if any(tup[i] == tup[(i + 1) % period] for i in range(period)) \
+                    or len(set(rots)) < period or min(rots) in seen:
+                continue
+            seen.add(min(rots))
+            out.append(Word(min(rots), cyclic=True))
+    return out
+
+
+@pytest.mark.parametrize("z0, max_period", [(2, 12), (3, 6), (3, 8), (3, 10),
+                                            (4, 8), (5, 6)])
+def test_lyndon_cycles_equal_the_brute_force_list(z0, max_period):
+    # same words, same order: the phi corpus reads that order
+    assert enumerate_cyclic_words(z0, max_period) \
+        == _brute_force_cyclic_words(z0, max_period)
 
 
 # ------------------------------------------------------ chain calculus
@@ -155,13 +201,13 @@ def test_batched_corpus_solve_matches_one_chain_at_a_time(cfg_name, alpha,
                              _seed_chain(neighbour, symbols, cyclic), cyclic,
                              TOL_ORBIT)[0]
         for seeds in (cold, warm):
-            us, _, errors = _solve_chain(table, symbols, seeds, cyclic,
-                                          TOL_ORBIT)
+            us, _, errors, _, _ = _solve_chain(table, symbols, seeds,
+                                                cyclic, TOL_ORBIT)
             assert sum(e is None for e in errors) >= len(words) - 1
             for b in range(len(words)):
-                alone, _, error = _solve_chain(table, symbols[b:b + 1],
-                                                seeds[b:b + 1], cyclic,
-                                                TOL_ORBIT)
+                alone, _, error, _, _ = _solve_chain(
+                    table, symbols[b:b + 1], seeds[b:b + 1], cyclic,
+                    TOL_ORBIT)
                 assert (errors[b] is None) == (error[0] is None)
                 if errors[b] is None:
                     np.testing.assert_allclose(us[b], alone[0], rtol=0,
@@ -174,7 +220,8 @@ def test_only_the_bad_chain_of_a_batch_fails():
     us0 = _seed_chain(table, symbols, cyclic=True)
     us0[2, :2] = 0.5          # two reflection points coincide
     us0[3] = np.nan           # no step can lower the residual
-    us, residual, errors = _solve_chain(table, symbols, us0, True, TOL_ORBIT)
+    us, residual, errors, _, _ = _solve_chain(table, symbols, us0, True,
+                                              TOL_ORBIT)
     assert "degenerate" in str(errors[2])
     assert "stalled" in str(errors[3])
     for b in (0, 1):
@@ -220,16 +267,40 @@ def test_batched_solve_rows_equal_lone_rows(monkeypatch, cyclic):
     # near the solution: Newton only
     us0[4] = _solve_chain(table, symbols[4:5], us0[4:5], cyclic,
                           TOL_ORBIT)[0][0] + 1e-4
-    us, residual, errors = _solve_chain(table, symbols, us0, cyclic,
-                                        TOL_ORBIT)
+    us, residual, errors, _, _ = _solve_chain(table, symbols, us0, cyclic,
+                                              TOL_ORBIT)
     assert "degenerate" in str(errors[1]) and "stalled" in str(errors[3])
     assert sum(e is None for e in errors) >= 3
     for b in range(len(symbols)):
-        alone, res, err = _solve_chain(table, symbols[b:b + 1],
-                                       us0[b:b + 1], cyclic, TOL_ORBIT)
+        alone, res, err, _, _ = _solve_chain(table, symbols[b:b + 1],
+                                             us0[b:b + 1], cyclic, TOL_ORBIT)
         assert _hex(us[b]) == _hex(alone[0])
         assert _hex(residual[b]) == _hex(res[0])
         assert repr(errors[b]) == repr(err[0])
+
+
+@pytest.mark.parametrize("cyclic", [True, False])
+def test_solver_bands_are_those_of_its_returned_chains(cyclic):
+    # the truncation bound reads these bands in place of a chain system
+    # of its own: from crude seeds, and from converged chains that take
+    # no step
+    table = table_at(mixed_family(), 0.15)
+    if cyclic:
+        symbols = np.array([w.symbols for w in enumerate_cyclic_words(3, 6)
+                            if len(w) == 6][:6])
+    else:
+        symbols = _pad_symbols(np.array(
+            [sample_itinerary(3, 8, seed=s).symbols for s in range(6)]), 3)
+    seeds = _seed_chain(table, symbols, cyclic)
+    for _ in range(2):
+        us, _, errors, hess, off = _solve_chain(table, symbols, seeds, cyclic,
+                                                TOL_ORBIT)
+        ok = [b for b, err in enumerate(errors) if err is None]
+        ev = _chain_system(table, symbols[ok], us[ok], cyclic)
+        assert len(ok) >= 5
+        assert _hex(hess[ok]) == _hex(ev.hess)
+        assert _hex(off[ok]) == _hex(ev.off)
+        seeds = us
 
 
 @pytest.mark.parametrize("du_orders", [(0, 1, 2), (3, 1), (2, 0, 3, 1),
@@ -759,9 +830,18 @@ def test_truncation_bound_covers_core_movement_near_eclipse(side, seed,
     # and where truncation still shows, at a shallow unchecked depth
     raw = find_orbit_segment(word, fam, 0.0, padding=shallow,
                              shadow_check=False)
-    bound = _truncation_bound(table_at(fam, 0.0), raw.chain_symbols,
-                              np.asarray(raw.chain_us), shallow, len(word))
-    assert _core_movement(raw, fam) <= bound
+    assert _core_movement(raw, fam) <= _lone_truncation_bound(
+        table_at(fam, 0.0), raw, shallow)
+
+
+def _lone_truncation_bound(table, orbit, padding):
+    """``_truncation_bound`` of one solved open chain, as a 1-row batch
+    with the bands of its chain system."""
+    symbols, us = np.array([orbit.chain_symbols]), np.array([orbit.chain_us])
+    ev = _chain_system(table, symbols, us, False)
+    bound, = _truncation_bound(table, symbols, us, ev.hess, ev.off, padding,
+                               len(orbit.word))
+    return bound
 
 
 def test_truncation_bound_reads_both_ends():
@@ -773,8 +853,7 @@ def test_truncation_bound_reads_both_ends():
     bounds = []
     for w in (word, Word(word.symbols[::-1], cyclic=False)):
         orb = find_orbit_segment(w, fam, 0.2, padding=4, shadow_check=False)
-        bounds.append(_truncation_bound(table_at(fam, 0.2), orb.chain_symbols,
-                                        np.asarray(orb.chain_us), 4, len(w)))
+        bounds.append(_lone_truncation_bound(table_at(fam, 0.2), orb, 4))
     assert bounds[0] == pytest.approx(bounds[1], rel=1e-9)
 
 
@@ -972,7 +1051,7 @@ def _warm_pass_against_records(family, alpha, words, chains):
     table = table_at(family, alpha)
     cyclic = words[0].cyclic
     depth = 0 if cyclic else PHI_PADDING
-    symbols, us, _, errors = symbolic._segment_solve(
+    symbols, us, _, errors, _, _ = symbolic._segment_solve(
         table, words, depth, chains, TOL_ORBIT, np.zeros(len(words), int))
     ok = [b for b, err in enumerate(errors) if err is None]
     records = symbolic._build_records(table, symbols[ok], us[ok], depth,
